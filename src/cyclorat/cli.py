@@ -29,19 +29,14 @@ import numpy as np
 
 from . import __version__
 from .core import TOL_CM, TOL_OPT, TOL_SIMPLEX, Dataset
-from .dataio import (
-    load_model_spec,
-    parse_datasets_csv,
-    write_dataset_csv,
-)
+from .dataio import fmt17, load_model_spec, parse_datasets_csv, write_dataset_csv
 from .errors import CycloratError, InconsistentPairError
 from .models import simulate_dataset
-from .dataio import fmt17
 from .monotonicity import (
     check_cyclic_monotonicity,
     check_two_point_monotonicity,
     check_weak_stochastic_transitivity,
-    cycle_sum,
+    edge_weights,
 )
 from .rationalization import (
     SmoothedDataDerivedCost,
@@ -135,8 +130,9 @@ def _wst_section(datasets: dict[str, Dataset], tol: float) -> dict | None:
     }
 
 
-def _analyze_menu(d: Dataset, config: RunConfig, depth: str) -> tuple[dict, bool, bool]:
-    """Returns (section, cm_ok, verify_ok) for one menu at the given depth."""
+def _analyze_menu(d: Dataset, config: RunConfig) -> tuple[dict, bool, bool]:
+    """Returns (section, cm_ok, verify_ok) for one menu at the command's depth."""
+    depth = config.command
     section: dict = {"menu_id": d.menu.id, "n_observations": d.n, "n_alternatives": d.menu.size}
     t0 = time.perf_counter()
     verdict = check_cyclic_monotonicity(d, config.tol_cm)
@@ -151,7 +147,7 @@ def _analyze_menu(d: Dataset, config: RunConfig, depth: str) -> tuple[dict, bool
             rng = np.random.default_rng(config.seed)
             report = verify_rationalization(d, fit, config.tol_opt, rng=rng)
             section["verification"] = report.to_dict()
-            verify_ok = report.max_fenchel_gap <= config.tol_opt
+            verify_ok = report.passed
             if config.epsilon > 0:
                 smoothed = SmoothedDataDerivedCost(fit, d, config.epsilon)
                 rows = []
@@ -188,9 +184,10 @@ def _series_rows(datasets: dict[str, Dataset], report: dict) -> list[tuple[str, 
     by_id = {section["menu_id"]: section for section in report.get("menus", [])}
     for menu_id in sorted(datasets):
         d = datasets[menu_id]
-        for i in range(1, d.n + 1):
-            for j in range(i + 1, d.n + 1):
-                rows.append((menu_id, "two_cycle_sum", f"{i}-{j}", cycle_sum(d, [i, j])))
+        W = edge_weights(d)
+        first, second = np.triu_indices(d.n, 1)
+        for i, j, s in zip(first, second, (W + W.T)[first, second].tolist()):
+            rows.append((menu_id, "two_cycle_sum", f"{i + 1}-{j + 1}", s))
         section = by_id.get(menu_id, {})
         for i, phi in enumerate(section.get("potentials", {}).get("potentials", []), start=1):
             rows.append((menu_id, "potential", str(i), float(phi)))
@@ -234,19 +231,16 @@ def run(config: RunConfig) -> tuple[int, dict]:
         raise CycloratError(f"{config.command} needs --input")
     datasets = parse_datasets_csv(config.input, config.tol_simplex)
 
-    depth = {"check": "check", "fit": "fit", "verify": "verify", "report-all": "report-all"}[
-        config.command
-    ]
     sections = []
     all_cm = True
     all_verified = True
     for menu_id in sorted(datasets):
-        section, cm_ok, verify_ok = _analyze_menu(datasets[menu_id], config, depth)
+        section, cm_ok, verify_ok = _analyze_menu(datasets[menu_id], config)
         sections.append(section)
         all_cm &= cm_ok
         all_verified &= verify_ok
     report["menus"] = sections
-    if depth == "report-all":
+    if config.command == "report-all":
         wst = _wst_section(datasets, config.tol_simplex)
         if wst is not None:
             report["weak_stochastic_transitivity"] = wst
@@ -257,7 +251,7 @@ def run(config: RunConfig) -> tuple[int, dict]:
 
     if not all_cm:
         return EXIT_REJECTED, report
-    if depth in ("verify", "report-all") and not all_verified:
+    if config.command in ("verify", "report-all") and not all_verified:
         return EXIT_REJECTED, report
     return EXIT_OK, report
 

@@ -9,8 +9,10 @@ Numeric conventions:
 
 * probability vectors are renormalized so their entries sum to one at the
   bit level (|sum - 1| <= 1e-15 * length) and validation is idempotent;
-* inner products and cycle sums that feed tolerance checks use compensated
-  (exactly rounded) summation via ``math.fsum``.
+* cycle sums, witnesses and scalar certificates that feed tolerance checks
+  use compensated (exactly rounded) summation via ``math.fsum``; the
+  edge-weight matrix is one matrix product with a stated rounding bound
+  (see ``monotonicity.edge_weights``).
 """
 
 from __future__ import annotations

@@ -9,8 +9,9 @@ Equivalently, the complete digraph on observations with edge weight
 w(i -> j) = <p^i, v^i - v^j> has no negative cycle.  The fast check runs a
 vectorized Bellman-Ford relaxation and extracts candidate cycles from the
 predecessor structure; a Karp minimum-mean-cycle pass supplies a diagnostic
-and a certified lower bound n * min_mean on every cycle sum.  The exhaustive
-``brute_force_cm`` enumerates all simple cycles and serves as the
+and, net of the edge-weight rounding bound, a certified lower bound on every
+cycle sum; candidate sums are recomputed with compensated summation.  The
+exhaustive ``brute_force_cm`` enumerates all simple cycles and serves as the
 independent oracle at small n.
 
 Observation indices in cycles, witnesses, and violation reports are 1-based
@@ -26,7 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import TOL_CM, TOL_SIMPLEX, Dataset, comp_dot
+from .core import TOL_CM, TOL_SIMPLEX, Dataset
 from .errors import IndexOutOfRangeError, InconsistentPairError, TooLargeError
 
 
@@ -116,17 +117,24 @@ def cycle_sum(dataset: Dataset, cycle: Sequence[int]) -> float:
 
 
 def edge_weights(dataset: Dataset) -> np.ndarray:
-    """Matrix W with W[i, j] = <p^i, v^i - v^j> (0-based, +inf diagonal)."""
-    V = dataset.values_matrix
-    P = dataset.probs_matrix
-    n = dataset.n
-    self_dot = np.array([comp_dot(P[i], V[i]) for i in range(n)])
-    W = np.empty((n, n))
-    for i in range(n):
-        prods = P[i] * V  # row j holds the products for <p^i, v^j>
-        W[i] = self_dot[i] - np.array([math.fsum(row.tolist()) for row in prods])
+    """Matrix W with W[i, j] = <p^i, v^i - v^j> (0-based, +inf diagonal).
+
+    One matrix product: W = diag(M) - M with M = P V^T.  Each finite entry
+    is within ``_edge_weight_error`` of exact arithmetic.
+    """
+    M = dataset.probs_matrix @ dataset.values_matrix.T
+    W = M.diagonal()[:, None] - M
     np.fill_diagonal(W, np.inf)
     return W
+
+
+def _edge_weight_error(dataset: Dataset) -> float:
+    # Rows of P lie on the simplex, so |W~ - W| <= 2 gamma_{|A|+1} max|V|
+    # entrywise (Higham, Accuracy and Stability, sec. 3.1).
+    k = dataset.menu.size + 1
+    u = np.finfo(float).eps / 2
+    vmax = float(np.max(np.abs(dataset.values_matrix)))
+    return 2.0 * k * u / (1.0 - k * u) * vmax
 
 
 def _canonical_cycle(nodes: Sequence[int]) -> tuple[int, ...]:
@@ -240,13 +248,13 @@ def check_cyclic_monotonicity(dataset: Dataset, tol: float = TOL_CM) -> CMVerdic
     Passes iff no directed cycle has total weight below ``-tol``.  Detection
     combines Bellman-Ford relaxation (cycles extracted from the predecessor
     structure and recomputed with compensated sums) with a Karp minimum-mean
-    pass: when n * min_mean >= -tol every cycle sum is certified above
-    ``-tol`` and the verdict is a pass.  Any returned witness recomputes to a
+    pass: when n * (min_mean - err) >= -tol, with err the edge-weight
+    rounding bound, every cycle sum is certified above ``-tol`` and the
+    verdict is a pass; closer to the threshold the Karp cycle is recomputed
+    with compensated sums and decides.  Any returned witness recomputes to a
     sum strictly below ``-tol``; the witness is not guaranteed minimal.
     """
     n = dataset.n
-    if n == 1:
-        return CMVerdict("pass", None, None, None)
     W = edge_weights(dataset)
     lam, karp_cycle = _karp_min_mean(W)
 
@@ -254,7 +262,7 @@ def check_cyclic_monotonicity(dataset: Dataset, tol: float = TOL_CM) -> CMVerdic
     _, pred, relaxable = _bellman_ford(W)
     if relaxable.any():
         candidates |= _cycles_from_predecessors(pred, relaxable, n)
-    if lam < -tol / n and karp_cycle is not None:
+    if lam < -tol / n + _edge_weight_error(dataset) and karp_cycle is not None:
         candidates.add(karp_cycle)
 
     min_mean = None if math.isinf(lam) else lam

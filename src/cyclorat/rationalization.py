@@ -1,8 +1,8 @@
 """Convex-cost rationalization of cyclically monotone choice data.
 
 Forward direction: from a cyclically monotone dataset, build per-observation
-potentials phi_i (an Afriat-style longest-path construction over the edge
-weights u(i -> k) = <p^i, v^k - v^i>), extend them off the data as the
+potentials phi_i (Afriat's construction: shortest distances over the edge
+weights w(i -> k) = <p^i, v^i - v^k>), extend them off the data as the
 max-affine convex function
 
     f(v) = max_i [ phi_i + <g_i, v - v^i> ],      g_i = p^i,
@@ -47,7 +47,7 @@ from .errors import (
     NotCyclicallyMonotoneError,
 )
 from .lp import batch_support_values, enumerate_basic_values, solve_equality_lp
-from .monotonicity import check_cyclic_monotonicity, edge_weights
+from .monotonicity import _bellman_ford, check_cyclic_monotonicity, edge_weights
 
 #: Columns up to which the conjugate LP is solved by exhaustive support scan.
 VERTEX_ENUM_MAX_N = 12
@@ -93,38 +93,24 @@ class PotentialFit:
 
 
 def compute_potentials(dataset: Dataset, tol: float = TOL_CM) -> PotentialFit:
-    """Fit potentials by longest paths from the first observation.
+    """Fit Afriat potentials as shortest distances from a virtual source.
 
-    phi_j is the longest-path value from observation 1 to j in the digraph
-    with edge weights u(i -> k) = <p^i, v^k - v^i>, computed as negated
-    Bellman-Ford shortest paths under w = -u.  A negative w-cycle makes the
-    longest paths unbounded; in that case ``NotCyclicallyMonotoneError`` is
+    With edge weights w(i -> k) = <p^i, v^i - v^k>, the Bellman-Ford
+    distances d from a source joined to every observation at weight 0
+    satisfy d_k <= d_i + w(i -> k), which is exactly the Afriat inequality
+    for phi = d_1 - d (shifted so phi_1 = 0).  A negative cycle leaves the
+    distances unbounded; in that case ``NotCyclicallyMonotoneError`` is
     raised with a witness attached.
     """
-    n = dataset.n
-    if n == 1:
-        return PotentialFit(1, np.zeros(1), dataset.probs_matrix)
-
-    W = edge_weights(dataset)
-    dist = np.full(n, np.inf)
-    dist[0] = 0.0
-    for _ in range(n - 1):
-        cand = dist[:, None] + W
-        best = np.min(cand, axis=0)
-        improved = best < dist
-        if not improved.any():
-            break
-        dist = np.where(improved, best, dist)
-    else:
-        cand = dist[:, None] + W
-        if (np.min(cand, axis=0) < dist).any():
-            verdict = check_cyclic_monotonicity(dataset, tol)
-            if not verdict.is_pass:
-                raise NotCyclicallyMonotoneError(
-                    "dataset has a negative cycle; potentials are unbounded",
-                    witness=verdict.witness,
-                )
-            # Residual relaxability is numerical dust; keep the current dist.
+    dist, _, relaxable = _bellman_ford(edge_weights(dataset))
+    if relaxable.any():
+        verdict = check_cyclic_monotonicity(dataset, tol)
+        if not verdict.is_pass:
+            raise NotCyclicallyMonotoneError(
+                "dataset has a negative cycle; potentials are unbounded",
+                witness=verdict.witness,
+            )
+        # Residual relaxability is numerical dust; keep the current dist.
 
     phi = dist[0] - dist
     return PotentialFit(1, phi, dataset.probs_matrix)
@@ -607,7 +593,8 @@ def verify_rationalization(
     The competitor pool contains every gradient vertex g_j plus ``mixtures``
     random convex combinations drawn from the supplied generator (seeded
     from 0 when omitted, so runs are reproducible).  All pool points lie in
-    conv{g_j}, where the conjugate is finite by construction.
+    conv{g_j}, where the conjugate is finite by construction.  f(v^j) is
+    read off the edge weights, so the gradients must be the probabilities.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -615,7 +602,9 @@ def verify_rationalization(
     V = dataset.values_matrix
     n = dataset.n
 
-    extension = np.array([evaluate_extension(fit, dataset, V[i]) for i in range(n)])
+    # f(v^j) = max(phi_j, max_i phi_i - W[i, j]); the +inf diagonal drops i = j.
+    phi = fit.potentials
+    extension = np.maximum(phi, np.max(phi[:, None] - edge_weights(dataset), axis=0))
     if mixtures > 0:
         weights = rng.dirichlet(np.ones(n), size=mixtures)
         pool = np.vstack([G, weights @ G])

@@ -21,8 +21,6 @@ def _render(obj, indent: int, out: list[str]) -> None:
         out.append("null" if obj is None else "true" if obj else "false")
     elif isinstance(obj, str):
         out.append(json.dumps(obj, ensure_ascii=False))
-    elif isinstance(obj, bool):  # pragma: no cover - handled above
-        out.append("true" if obj else "false")
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):

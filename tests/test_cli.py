@@ -7,6 +7,7 @@ import pytest
 
 from cyclorat.cli import EXIT_OK, EXIT_REJECTED, EXIT_USAGE, RunConfig, main, run
 from cyclorat.dataio import parse_dataset_csv
+from cyclorat.rationalization import RationalizationReport
 from cyclorat.report import dumps_report, strip_timing
 
 VIOLATION_CSV = """menu_id,obs_id,alternative,value,prob
@@ -87,6 +88,24 @@ class TestFitVerify:
         assert main(["fit", "--input", str(violation_path), "--output", str(out)]) == EXIT_REJECTED
         report = json.loads(out.read_text())
         assert "potentials" not in report["menus"][0]
+
+    @pytest.mark.parametrize("command", ["verify", "report-all"])
+    def test_failed_optimality_gap_exits_3(self, command, softmax_path, tmp_path, monkeypatch):
+        # Fenchel gaps pass but a sampled competitor beats p^i: the exit code
+        # must follow the report's overall verdict, not the Fenchel gap alone.
+        def failing_verify(dataset, fit, tol, **kwargs):
+            return RationalizationReport(
+                fenchel_gaps=np.zeros(dataset.n),
+                optimality_gaps=np.full(dataset.n, 10 * tol),
+                tolerance=tol,
+                n_vertex_points=dataset.n,
+                n_mixture_points=0,
+            )
+
+        monkeypatch.setattr("cyclorat.cli.verify_rationalization", failing_verify)
+        out = tmp_path / "report.json"
+        assert main([command, "--input", str(softmax_path), "--output", str(out)]) == EXIT_REJECTED
+        assert json.loads(out.read_text())["menus"][0]["verification"]["passed"] is False
 
 
 class TestSimulate:

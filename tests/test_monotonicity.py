@@ -1,5 +1,7 @@
 """Tests for cycle sums, the monotonicity checks, and diagnostics."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -12,9 +14,12 @@ from cyclorat import (
     check_cyclic_monotonicity,
     check_two_point_monotonicity,
     check_weak_stochastic_transitivity,
+    comp_dot,
+    compute_potentials,
     cycle_sum,
     make_dataset,
 )
+from cyclorat.monotonicity import edge_weights
 
 from conftest import luce_dataset, mixed_pool_dataset, pum_dataset, random_probs_dataset
 
@@ -39,6 +44,53 @@ class TestCycleSum:
             cycle_sum(softmax_fixture, [0, 1])
         with pytest.raises(IndexOutOfRangeError):
             cycle_sum(softmax_fixture, [1])
+
+
+class TestEdgeWeights:
+    @pytest.mark.parametrize("size", [2, 10])
+    @pytest.mark.parametrize("scale", [1e-3, 4.0, 1e3])
+    def test_within_stated_rounding_bound(self, scale, size):
+        # err = 2 * gamma_{|A|+1} * max|V| bounds |W - exact| entrywise; the
+        # compensated per-entry oracle and exact rationals must both agree.
+        rng = np.random.default_rng(17)
+        d = make_dataset(
+            "m",
+            rng.uniform(-scale, scale, (6, size)).tolist(),
+            rng.dirichlet(np.ones(size), 6).tolist(),
+        )
+        V, P = d.values_matrix, d.probs_matrix
+        k = size + 1
+        u = np.finfo(float).eps / 2
+        err = 2 * k * u / (1 - k * u) * np.max(np.abs(V))
+        W = edge_weights(d)
+        assert np.all(np.isinf(np.diag(W)))
+        for i in range(d.n):
+            for j in range(d.n):
+                if i == j:
+                    continue
+                assert abs(W[i, j] - comp_dot(P[i], V[i] - V[j])) <= err
+                exact = sum(
+                    Fraction(p) * (Fraction(a) - Fraction(b))
+                    for p, a, b in zip(P[i].tolist(), V[i].tolist(), V[j].tolist())
+                )
+                assert abs(Fraction(float(W[i, j])) - exact) <= Fraction(float(err))
+
+    def test_duplicated_rows(self):
+        rng = np.random.default_rng(18)
+        base = pum_dataset("negentropy", rng, 5, 3)
+        V = base.values_matrix.tolist() + [base.values_matrix[1].tolist()]
+        P = base.probs_matrix.tolist() + [base.probs_matrix[1].tolist()]
+        d = make_dataset("m", V, P)
+        W = edge_weights(d)
+        assert cycle_sum(d, [2, 6]) == 0.0
+        assert W[1, 5] + W[5, 1] == 0.0
+        assert check_cyclic_monotonicity(d).is_pass
+        phi = compute_potentials(d).potentials
+        assert phi[0] == 0.0
+        V, P = d.values_matrix, d.probs_matrix
+        for i in range(d.n):
+            for j in range(d.n):
+                assert phi[j] >= phi[i] + comp_dot(P[i], V[j] - V[i]) - 1e-9
 
 
 class TestCheckCyclicMonotonicity:
