@@ -6,13 +6,14 @@ monotone when every cycle i1 -> i2 -> ... -> ik -> i1 of observations has
     sum_j <p^{i_j}, v^{i_j} - v^{i_{j+1}}>  >=  0.
 
 Equivalently, the complete digraph on observations with edge weight
-w(i -> j) = <p^i, v^i - v^j> has no negative cycle.  The fast check runs a
-vectorized Bellman-Ford relaxation and extracts candidate cycles from the
-predecessor structure; a Karp minimum-mean-cycle pass supplies a diagnostic
-and, net of the edge-weight rounding bound, a certified lower bound on every
-cycle sum; candidate sums are recomputed with compensated summation.  The
-exhaustive ``brute_force_cm`` enumerates all simple cycles and serves as the
-independent oracle at small n.
+w(i -> j) = <p^i, v^i - v^j> has no negative cycle.  The fast check runs
+Howard policy iteration for the minimum cycle mean, O(n^2) per round; its
+final potentials certify a lower bound on every cycle mean, which, net of
+the edge-weight rounding bound, decides a pass, and its cycle, recomputed
+with compensated summation, decides a clear violation.  Only in between does
+a vectorized Bellman-Ford relaxation extract candidate cycles from its
+predecessor structure.  The exhaustive ``brute_force_cm`` enumerates all
+simple cycles and serves as the independent oracle at small n.
 
 Observation indices in cycles, witnesses, and violation reports are 1-based
 positions into ``Dataset.observations``.
@@ -23,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,10 +56,16 @@ class CMVerdict:
     """Outcome of a cyclic-monotonicity check.
 
     ``status`` is ``"pass"`` or ``"violation"``; a violation carries a
-    ``witness``.  ``min_cycle_mean`` is the most negative mean-weight cycle
-    found (None when no cycle exists, i.e. n = 1).  ``min_cycle_sum`` is the
-    smallest recomputed sum among cycles the check materialized; exhaustive
-    search always fills it, the fast check only when it extracted candidates.
+    ``witness``.  ``min_cycle_mean`` is the most negative cycle mean found:
+    for the fast check, the compensated mean of the policy-iteration cycle,
+    an attained mean within the certificate of the true minimum (None when
+    no cycle exists, i.e. n = 1).  ``min_cycle_sum`` is the smallest
+    recomputed sum among cycles the check materialized; exhaustive search
+    always fills it, the fast check only when the lower bound does not
+    certify a pass.  The fast check's witness is the min-mean cycle when
+    that cycle's sum is below ``-tol``, else the most negative Bellman-Ford
+    candidate; either way in canonical rotation (smallest index first), ties
+    to the lexicographically smallest.
     """
 
     status: str
@@ -174,104 +181,166 @@ def _bellman_ford(W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Returns (dist, pred, relaxable) where ``relaxable`` marks nodes that
     still improved in the extra n-th pass; any such node's predecessor chain
-    leads into a negative cycle.
+    leads into a negative cycle.  Passes run over the rows of W^T, so each
+    minimum over predecessors reads contiguous memory.
     """
     n = W.shape[0]
+    WT = np.ascontiguousarray(W.T)
+    rows = np.arange(n)
+    cand = np.empty_like(WT)
     dist = np.zeros(n)
     pred = np.full(n, -1, dtype=int)
-    for _ in range(n - 1):
-        cand = dist[:, None] + W
-        arg = np.argmin(cand, axis=0)
-        best = cand[arg, np.arange(n)]
+    for k in range(n):
+        np.add(WT, dist, out=cand)
+        arg = np.argmin(cand, axis=1)
+        best = cand[rows, arg]
         improved = best < dist
         if not improved.any():
-            return dist, pred, np.zeros(n, dtype=bool)
-        dist = np.where(improved, best, dist)
+            break
         pred = np.where(improved, arg, pred)
-    cand = dist[:, None] + W
-    arg = np.argmin(cand, axis=0)
-    best = cand[arg, np.arange(n)]
-    relaxable = best < dist
-    pred = np.where(relaxable, arg, pred)
-    return dist, pred, relaxable
+        if k == n - 1:
+            return dist, pred, improved
+        dist = np.where(improved, best, dist)
+    return dist, pred, np.zeros(n, dtype=bool)
 
 
-def _karp_min_mean(W: np.ndarray) -> tuple[float, tuple[int, ...] | None]:
-    """Karp's minimum mean-weight cycle, plus one cycle attaining it.
+#: Cap on policy-iteration rounds.  A run cut short still returns an attained
+#: cycle mean and a valid, only looser, lower bound.
+MIN_MEAN_MAX_ITERATIONS = 500
 
-    d_k(v) = min weight of a walk of exactly k edges from node 0 to v;
-    the minimum cycle mean is min_v max_k (d_n(v) - d_k(v)) / (n - k).
+
+class MinMeanCycle(NamedTuple):
+    """Minimum mean-weight cycle of a weight matrix, with a certificate.
+
+    ``cycle`` lists 0-based nodes in canonical rotation (None when n < 2) and
+    ``mean`` is its weight sum, compensated, over its length, so the minimum
+    cycle mean is at most ``mean``; it is at least ``lower``.
+    ``iterations`` counts policy-iteration rounds.
+    """
+
+    mean: float
+    cycle: tuple[int, ...] | None
+    lower: float
+    iterations: int
+
+
+def _policy_values(
+    pi: list[int], w: list[float]
+) -> tuple[np.ndarray, np.ndarray, list[tuple[float, tuple[int, ...]]]]:
+    # Value determination for the policy i -> pi[i] with weights w[i].  Every
+    # node leads into exactly one cycle; it takes that cycle's mean eta, and
+    # x is 0 at the cycle's smallest node and (w[i] + x[pi[i]]) - eta
+    # elsewhere.  Returns eta, x and the (mean, canonical cycle) pairs.
+    n = len(pi)
+    eta = [0.0] * n
+    x = [0.0] * n
+    state = [0] * n  # 0 unseen, 1 on the current walk, 2 valued
+    cycles: list[tuple[float, tuple[int, ...]]] = []
+    for start in range(n):
+        walk: list[int] = []
+        node = start
+        while state[node] == 0:
+            state[node] = 1
+            walk.append(node)
+            node = pi[node]
+        if state[node] == 1:
+            k = walk.index(node)
+            cycle = _canonical_cycle(walk[k:])
+            mean = math.fsum(w[u] for u in cycle) / len(cycle)
+            cycles.append((mean, cycle))
+            eta[cycle[0]] = mean
+            state[cycle[0]] = 2
+            # The cycle's other nodes are valued backwards from its head,
+            # then the walk that led into it.
+            walk = walk[:k] + list(cycle[1:])
+        for u in reversed(walk):
+            eta[u] = eta[pi[u]]
+            x[u] = (w[u] + x[pi[u]]) - eta[u]
+            state[u] = 2
+    return np.array(eta), np.array(x), cycles
+
+
+def _min_mean_cycle(W: np.ndarray) -> MinMeanCycle:
+    """Minimum mean-weight cycle by Howard policy iteration, certified.
+
+    Each node follows one out-edge (the policy).  Value determination gives
+    every node the mean eta of the policy cycle it leads into and a relative
+    value x; improvement first moves nodes to the least-mean cycles, then
+    switches a node to an edge that strictly lowers
+    x_i = min_j (W_ij + x_j) - eta.  Each round is O(n^2) (Cochet-Terrasson
+    et al. 1998; Dasdan 2004).
+
+    The result holds however the iteration ends: ``mean`` is attained by the
+    returned cycle, and for any lam and x every cycle mean is at least
+    lam - max_ij (x_i - x_j - W_ij + lam), so ``lower`` is that bound from
+    the final lam and x, widened by the rounding of its evaluation.  Ties
+    between least-mean policy cycles go to the lexicographically smallest.
     """
     n = W.shape[0]
-    D = np.full((n + 1, n), np.inf)
-    D[0, 0] = 0.0
-    parent = np.full((n + 1, n), -1, dtype=int)
-    for k in range(1, n + 1):
-        cand = D[k - 1][:, None] + W
-        arg = np.argmin(cand, axis=0)
-        D[k] = cand[arg, np.arange(n)]
-        parent[k] = np.where(np.isfinite(D[k]), arg, -1)
-
-    finals = D[n]
-    reachable = np.isfinite(finals)
-    if not reachable.any():
-        return math.inf, None
-    denom = (n - np.arange(n)).astype(float)
-    with np.errstate(invalid="ignore"):
-        ratios = (finals[None, :] - D[:n]) / denom[:, None]
-    ratios[~np.isfinite(D[:n])] = -np.inf
-    per_node = np.max(ratios, axis=0)
-    per_node[~reachable] = np.inf
-    v_star = int(np.argmin(per_node))
-    lam = float(per_node[v_star])
-
-    # Recover a cycle from the length-n walk ending at the arg-min node.
-    walk = [v_star]
-    node = v_star
-    for k in range(n, 0, -1):
-        node = int(parent[k, node])
-        if node < 0:
-            return lam, None
-        walk.append(node)
-    first_pos: dict[int, int] = {}
-    for pos, u in enumerate(walk):
-        if u in first_pos:
-            backward = walk[first_pos[u]:pos]
-            return lam, _canonical_cycle(list(reversed(backward)))
-        first_pos[u] = pos
-    return lam, None
+    if n < 2:
+        return MinMeanCycle(math.inf, None, math.inf, 0)
+    rows = np.arange(n)
+    pi = np.argmin(W, axis=1)
+    for iterations in range(1, MIN_MEAN_MAX_ITERATIONS + 1):
+        eta, x, cycles = _policy_values(pi.tolist(), W[rows, pi].tolist())
+        lam = float(eta.min())
+        tied = eta == lam
+        if tied.all():
+            succ = np.argmin(W + x, axis=1)
+        else:
+            cols = np.flatnonzero(tied)
+            succ = cols[np.argmin(W[:, cols] + x[cols], axis=1)]
+        best = W[rows, succ] + x[succ]
+        switch = (~tied | (best - lam < x)) & (succ != pi)
+        if not switch.any():
+            break
+        pi = np.where(switch, succ, pi)
+    if not tied.all():
+        best = np.min(W + x, axis=1)
+    # Each (x_i - fl(W_ij + x_j)) + lam carries three roundings and forming
+    # lam - delta two more, so gamma_5 times the summed magnitudes bounds
+    # the error (Higham, sec. 3.1).
+    slack = float(np.max((x - best) + lam))
+    wmax = max(-float(W.min()), float(np.max(W, where=np.isfinite(W), initial=0.0)))
+    scale = 2.0 * float(np.max(np.abs(x))) + wmax + abs(lam) + abs(slack)
+    u = np.finfo(float).eps / 2
+    delta = slack + 5.0 * u / (1.0 - 5.0 * u) * scale
+    cycle = min(c for mean, c in cycles if mean == lam)
+    return MinMeanCycle(lam, cycle, lam - delta, iterations)
 
 
 def check_cyclic_monotonicity(dataset: Dataset, tol: float = TOL_CM) -> CMVerdict:
     """Decide cyclic monotonicity up to an absolute cycle-sum tolerance.
 
-    Passes iff no directed cycle has total weight below ``-tol``.  Detection
-    combines Bellman-Ford relaxation (cycles extracted from the predecessor
-    structure and recomputed with compensated sums) with a Karp minimum-mean
-    pass: when n * (min_mean - err) >= -tol, with err the edge-weight
-    rounding bound, every cycle sum is certified above ``-tol`` and the
-    verdict is a pass; closer to the threshold the Karp cycle is recomputed
-    with compensated sums and decides.  Any returned witness recomputes to a
-    sum strictly below ``-tol``; the witness is not guaranteed minimal.
+    Passes iff no directed cycle has total weight below ``-tol``.  Three
+    steps, each ending the check when it decides:
+
+    1. Policy iteration finds a minimum-mean cycle and a certified lower
+       bound on every cycle mean.  When n * (lower - err) >= -tol, with err
+       the edge-weight rounding bound, every cycle sum is above ``-tol`` and
+       the verdict is a pass.
+    2. When the min-mean cycle's compensated sum is below ``-tol``, that
+       cycle is the witness.
+    3. Otherwise Bellman-Ford relaxation extracts candidate cycles from its
+       predecessor structure; their compensated sums decide, and the most
+       negative one (ties to the lexicographically smallest) is the witness.
+
+    Any returned witness recomputes to a sum strictly below ``-tol``; the
+    witness is not guaranteed minimal.
     """
     n = dataset.n
     W = edge_weights(dataset)
-    lam, karp_cycle = _karp_min_mean(W)
-
-    candidates: set[tuple[int, ...]] = set()
-    _, pred, relaxable = _bellman_ford(W)
-    if relaxable.any():
-        candidates |= _cycles_from_predecessors(pred, relaxable, n)
-    if lam < -tol / n + _edge_weight_error(dataset) and karp_cycle is not None:
-        candidates.add(karp_cycle)
-
-    min_mean = None if math.isinf(lam) else lam
-    if not candidates:
+    mm = _min_mean_cycle(W)
+    min_mean = None if mm.cycle is None else mm.mean
+    if n * (mm.lower - _edge_weight_error(dataset)) >= -tol:
         return CMVerdict("pass", None, min_mean, None)
 
-    sums = {
-        cyc: cycle_sum(dataset, [i + 1 for i in cyc]) for cyc in candidates
-    }
+    sums = {mm.cycle: cycle_sum(dataset, [i + 1 for i in mm.cycle])}
+    if sums[mm.cycle] >= -tol:
+        _, pred, relaxable = _bellman_ford(W)
+        for cyc in _cycles_from_predecessors(pred, relaxable, n):
+            if cyc not in sums:
+                sums[cyc] = cycle_sum(dataset, [i + 1 for i in cyc])
     worst_cycle = min(sums, key=lambda c: (sums[c], c))
     worst = sums[worst_cycle]
     if worst < -tol:
@@ -346,17 +415,17 @@ def check_two_point_monotonicity(
     P = dataset.probs_matrix
     labels = dataset.menu.alternatives
     out: list[TwoPointViolation] = []
-    n = dataset.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            diff = V[i] - V[j]
-            moved = np.abs(diff) > TWO_POINT_COORD_TOL
-            if np.count_nonzero(moved) != 1:
-                continue
-            a = int(np.argmax(moved))
-            product = (P[i, a] - P[j, a]) * diff[a]
-            if product < -tol:
-                out.append(TwoPointViolation(i + 1, j + 1, labels[a], float(product)))
+    for i in range(dataset.n - 1):
+        # All partners j > i at once, in increasing j.
+        diff = V[i] - V[i + 1:]
+        moved = np.abs(diff) > TWO_POINT_COORD_TOL
+        k = np.flatnonzero(np.count_nonzero(moved, axis=1) == 1)
+        a = np.argmax(moved[k], axis=1)
+        j = i + 1 + k
+        product = (P[i, a] - P[j, a]) * diff[k, a]
+        bad = product < -tol
+        for jj, aa, prod in zip(j[bad].tolist(), a[bad].tolist(), product[bad].tolist()):
+            out.append(TwoPointViolation(i + 1, jj + 1, labels[aa], prod))
     return out
 
 

@@ -3,11 +3,13 @@
 These deliberately avoid the library's LP/hull code paths: the exact
 two-alternative conjugate is resolved by enumerating piece crossings of the
 one-dimensional slice, and the grid transform scans value differences
-directly.
+directly.  The minimum cycle mean has two references: Karp's O(n^3)
+dynamic program and, for small n, enumeration of every simple cycle.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -63,3 +65,64 @@ def conjugate_grid_2alt(
     t = np.arange(-k, k + 1, dtype=float) * step
     vals = x * t - np.max(s[:, None] * t[None, :] - c[:, None], axis=0)
     return float(np.max(vals))
+
+
+def karp_min_mean(W: np.ndarray) -> tuple[float, tuple[int, ...] | None]:
+    """Karp's minimum mean-weight cycle, plus one cycle attaining it.
+
+    d_k(v) = min weight of a walk of exactly k edges from node 0 to v;
+    the minimum cycle mean is min_v max_k (d_n(v) - d_k(v)) / (n - k).
+    The cycle comes back as 0-based nodes, smallest first.
+    """
+    n = W.shape[0]
+    D = np.full((n + 1, n), np.inf)
+    D[0, 0] = 0.0
+    parent = np.full((n + 1, n), -1, dtype=int)
+    for k in range(1, n + 1):
+        cand = D[k - 1][:, None] + W
+        arg = np.argmin(cand, axis=0)
+        D[k] = cand[arg, np.arange(n)]
+        parent[k] = np.where(np.isfinite(D[k]), arg, -1)
+
+    finals = D[n]
+    reachable = np.isfinite(finals)
+    if not reachable.any():
+        return math.inf, None
+    denom = (n - np.arange(n)).astype(float)
+    with np.errstate(invalid="ignore"):
+        ratios = (finals[None, :] - D[:n]) / denom[:, None]
+    ratios[~np.isfinite(D[:n])] = -np.inf
+    per_node = np.max(ratios, axis=0)
+    per_node[~reachable] = np.inf
+    v_star = int(np.argmin(per_node))
+    lam = float(per_node[v_star])
+
+    # Recover a cycle from the length-n walk ending at the arg-min node.
+    walk = [v_star]
+    node = v_star
+    for k in range(n, 0, -1):
+        node = int(parent[k, node])
+        if node < 0:
+            return lam, None
+        walk.append(node)
+    first_pos: dict[int, int] = {}
+    for pos, u in enumerate(walk):
+        if u in first_pos:
+            cycle = walk[first_pos[u]:pos][::-1]
+            k = cycle.index(min(cycle))
+            return lam, tuple(cycle[k:] + cycle[:k])
+        first_pos[u] = pos
+    return lam, None
+
+
+def min_mean_by_enumeration(W: np.ndarray) -> float:
+    """Smallest compensated-sum mean over every simple cycle of W (small n)."""
+    n = W.shape[0]
+    best = math.inf
+    for k in range(2, n + 1):
+        for subset in itertools.combinations(range(n), k):
+            for rest in itertools.permutations(subset[1:]):
+                cyc = (subset[0],) + rest
+                total = math.fsum(W[i, j] for i, j in zip(cyc, cyc[1:] + cyc[:1]))
+                best = min(best, total / k)
+    return best

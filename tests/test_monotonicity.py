@@ -1,5 +1,6 @@
 """Tests for cycle sums, the monotonicity checks, and diagnostics."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from cyclorat import (
+    DuplicateValuesWarning,
     InconsistentPairError,
     IndexOutOfRangeError,
     TooLargeError,
@@ -19,9 +21,17 @@ from cyclorat import (
     cycle_sum,
     make_dataset,
 )
-from cyclorat.monotonicity import edge_weights
+from cyclorat import monotonicity
+from cyclorat.monotonicity import _bellman_ford, _min_mean_cycle, edge_weights
 
-from conftest import luce_dataset, mixed_pool_dataset, pum_dataset, random_probs_dataset
+from conftest import (
+    luce_dataset,
+    mixed_pool_dataset,
+    pum_dataset,
+    random_probs_dataset,
+    regret_dataset,
+)
+from oracles import karp_min_mean, min_mean_by_enumeration
 
 
 class TestCycleSum:
@@ -44,6 +54,14 @@ class TestCycleSum:
             cycle_sum(softmax_fixture, [0, 1])
         with pytest.raises(IndexOutOfRangeError):
             cycle_sum(softmax_fixture, [1])
+
+
+def _duplicated_rows_dataset():
+    # Observation 6 repeats observation 2 of a seeded PUM dataset.
+    base = pum_dataset("negentropy", np.random.default_rng(18), 5, 3)
+    V = base.values_matrix.tolist() + [base.values_matrix[1].tolist()]
+    P = base.probs_matrix.tolist() + [base.probs_matrix[1].tolist()]
+    return make_dataset("m", V, P)
 
 
 class TestEdgeWeights:
@@ -76,11 +94,7 @@ class TestEdgeWeights:
                 assert abs(Fraction(float(W[i, j])) - exact) <= Fraction(float(err))
 
     def test_duplicated_rows(self):
-        rng = np.random.default_rng(18)
-        base = pum_dataset("negentropy", rng, 5, 3)
-        V = base.values_matrix.tolist() + [base.values_matrix[1].tolist()]
-        P = base.probs_matrix.tolist() + [base.probs_matrix[1].tolist()]
-        d = make_dataset("m", V, P)
+        d = _duplicated_rows_dataset()
         W = edge_weights(d)
         assert cycle_sum(d, [2, 6]) == 0.0
         assert W[1, 5] + W[5, 1] == 0.0
@@ -142,6 +156,189 @@ class TestCheckCyclicMonotonicity:
             assert a.status == b.status
             if a.witness is not None:
                 assert abs(cycle_sum(shifted, list(a.witness.indices)) - a.witness.cycle_sum) <= 1e-9
+
+
+def _realize(W_target: np.ndarray, rng: np.random.Generator):
+    # Data whose edge weights are W_target up to rounding: with P of full row
+    # rank (|A| > n), V solves P V^T = M for M = -W_target off the diagonal,
+    # and W[i, j] = M[i, i] - M[i, j].
+    n = W_target.shape[0]
+    P = rng.dirichlet(np.ones(n + 1), n)
+    M = -np.where(np.eye(n, dtype=bool), 0.0, W_target)
+    V = (np.linalg.pinv(P) @ M).T
+    return make_dataset("m", V.tolist(), P.tolist())
+
+
+def _old_bellman_ford(W):
+    # The axis-0 kernel the transposed one replaced.
+    n = W.shape[0]
+    dist = np.zeros(n)
+    pred = np.full(n, -1, dtype=int)
+    for _ in range(n - 1):
+        cand = dist[:, None] + W
+        arg = np.argmin(cand, axis=0)
+        best = cand[arg, np.arange(n)]
+        improved = best < dist
+        if not improved.any():
+            return dist, pred, np.zeros(n, dtype=bool)
+        dist = np.where(improved, best, dist)
+        pred = np.where(improved, arg, pred)
+    cand = dist[:, None] + W
+    arg = np.argmin(cand, axis=0)
+    best = cand[arg, np.arange(n)]
+    relaxable = best < dist
+    pred = np.where(relaxable, arg, pred)
+    return dist, pred, relaxable
+
+
+class TestMinMeanCycle:
+    @pytest.mark.parametrize("family", ["random", "pum", "regret"])
+    def test_brackets_enumerated_minimum(self, family):
+        rng = np.random.default_rng({"random": 31, "pum": 32, "regret": 33}[family])
+        for _ in range(12):
+            n, size = int(rng.integers(2, 9)), int(rng.integers(2, 5))
+            if family == "random":
+                d = random_probs_dataset(rng, n, size)
+            elif family == "pum":
+                d = pum_dataset("negentropy", rng, n, size)
+            else:
+                d = regret_dataset(rng, n, size)
+            W = edge_weights(d)
+            mm = _min_mean_cycle(W)
+            exact = min_mean_by_enumeration(W)
+            assert mm.lower <= exact <= mm.mean
+            assert mm.mean == math.fsum(
+                W[i, j] for i, j in zip(mm.cycle, mm.cycle[1:] + mm.cycle[:1])
+            ) / len(mm.cycle)
+
+    @pytest.mark.parametrize("n", [50, 200])
+    def test_agrees_with_karp(self, n):
+        # Karp's entries are walks of up to n edges, so its value carries up
+        # to ~2 gamma_n n max|W| of rounding; policy iteration is within its
+        # own certificate, mean - lower.
+        rng = np.random.default_rng(34 + n)
+        u = np.finfo(float).eps / 2
+        for d in (
+            pum_dataset("negentropy", rng, n, 5),
+            regret_dataset(rng, n, 4),
+            random_probs_dataset(rng, n, 3),
+        ):
+            W = edge_weights(d)
+            mm = _min_mean_cycle(W)
+            karp, _ = karp_min_mean(W)
+            wmax = np.max(np.abs(W[np.isfinite(W)]))
+            err = 2 * n * u / (1 - n * u) * n * wmax + (mm.mean - mm.lower)
+            assert abs(mm.mean - karp) <= err
+
+    def test_cut_short_run_stays_certified(self, monkeypatch):
+        # One round only: the bound loosens but never overstates, and the
+        # check falls back to its later steps without changing any verdict.
+        monkeypatch.setattr(monotonicity, "MIN_MEAN_MAX_ITERATIONS", 1)
+        rng = np.random.default_rng(43)
+        loose = 0
+        for _ in range(30):
+            d = mixed_pool_dataset(rng, int(rng.integers(3, 8)), int(rng.integers(2, 5)))
+            W = edge_weights(d)
+            mm = _min_mean_cycle(W)
+            exact = min_mean_by_enumeration(W)
+            assert mm.iterations == 1
+            assert mm.lower <= exact <= mm.mean
+            loose += mm.lower < exact - 1e-6
+            assert check_cyclic_monotonicity(d, 1e-9).status == brute_force_cm(d, 1e-9).status
+        assert loose > 5
+
+    def test_single_node(self):
+        mm = _min_mean_cycle(np.full((1, 1), np.inf))
+        assert (mm.mean, mm.cycle) == (math.inf, None)
+
+    def test_two_nodes(self):
+        W = np.array([[np.inf, 0.3], [-0.9, np.inf]])
+        mm = _min_mean_cycle(W)
+        assert mm.cycle == (0, 1)
+        assert mm.mean == math.fsum([0.3, -0.9]) / 2
+        assert mm.lower <= mm.mean
+        assert mm.iterations == 1
+
+    def test_constant_values(self):
+        # Equal value vectors make every weight exactly 0.
+        rng = np.random.default_rng(35)
+        v = rng.uniform(-4, 4, 3).tolist()
+        with pytest.warns(DuplicateValuesWarning):
+            d = make_dataset("m", [v] * 6, rng.dirichlet(np.ones(3), 6).tolist())
+        mm = _min_mean_cycle(edge_weights(d))
+        assert (mm.mean, mm.lower, mm.cycle) == (0.0, 0.0, (0, 1))
+        verdict = check_cyclic_monotonicity(d)
+        assert verdict.is_pass and verdict.min_cycle_mean == 0.0
+
+    def test_duplicated_rows(self):
+        mm = _min_mean_cycle(edge_weights(_duplicated_rows_dataset()))
+        assert (mm.mean, mm.cycle) == (0.0, (1, 5))
+        assert -1e-12 <= mm.lower <= 0.0
+
+    def test_ties_go_to_smallest_cycle(self):
+        W = np.zeros((4, 4))
+        W[1, 2] = W[2, 1] = W[0, 3] = W[3, 0] = -1.0
+        np.fill_diagonal(W, np.inf)
+        mm = _min_mean_cycle(W)
+        assert (mm.mean, mm.cycle) == (-1.0, (0, 3))
+
+    @pytest.mark.parametrize("family", ["negentropy", "quadratic", "regret"])
+    def test_iteration_count_bounded(self, family):
+        rng = np.random.default_rng(36)
+        if family == "regret":
+            d = regret_dataset(rng, 500, 4)
+        else:
+            d = pum_dataset(family, rng, 500, 4)
+        mm = _min_mean_cycle(edge_weights(d))
+        assert 1 <= mm.iterations <= 50
+
+
+class TestCheckOrder:
+    def test_min_mean_witness_skips_bellman_ford(self, monkeypatch):
+        rng = np.random.default_rng(37)
+        d = regret_dataset(rng, 40, 4)
+        mm = _min_mean_cycle(edge_weights(d))
+        expected = tuple(i + 1 for i in mm.cycle)
+        assert cycle_sum(d, list(expected)) < -1e-9
+
+        def no_bellman_ford(W):
+            raise AssertionError("Bellman-Ford ran although the min-mean cycle decided")
+
+        monkeypatch.setattr(monotonicity, "_bellman_ford", no_bellman_ford)
+        verdict = check_cyclic_monotonicity(d, 1e-9)
+        assert verdict.status == "violation"
+        assert verdict.witness.indices == expected
+        assert verdict.witness.cycle_sum == cycle_sum(d, list(expected))
+        assert verdict.min_cycle_mean == mm.mean
+
+    def test_tolerance_gap_falls_back_to_bellman_ford(self):
+        # At tol = 1 the min-mean cycle 1 -> 2 -> 1 sums to -0.8, inside the
+        # tolerance, while the longer 3 -> 4 -> 5 -> 3 sums to -1.05.
+        W = np.full((5, 5), 10.0)
+        W[0, 1] = W[1, 0] = -0.4
+        W[2, 3] = W[3, 4] = W[4, 2] = -0.35
+        d = _realize(W, np.random.default_rng(38))
+        assert _min_mean_cycle(edge_weights(d)).cycle == (0, 1)
+        fast = check_cyclic_monotonicity(d, 1.0)
+        slow = brute_force_cm(d, 1.0)
+        assert fast.status == slow.status == "violation"
+        assert fast.witness.indices == slow.witness.indices == (3, 4, 5)
+        assert_allclose(fast.witness.cycle_sum, -1.05, atol=1e-9)
+
+    @pytest.mark.parametrize("seed", [39, 40, 41])
+    def test_transposed_bellman_ford_is_bit_identical(self, seed):
+        rng = np.random.default_rng(seed)
+        for d in (
+            pum_dataset("negentropy", rng, 60, 4),
+            regret_dataset(rng, 60, 4),
+            random_probs_dataset(rng, 60, 3),
+        ):
+            W = edge_weights(d)
+            dist, pred, relaxable = _bellman_ford(W)
+            old_dist, old_pred, old_relaxable = _old_bellman_ford(W)
+            assert np.array_equal(dist, old_dist)
+            assert np.array_equal(pred, old_pred)
+            assert np.array_equal(relaxable, old_relaxable)
 
 
 class TestBruteForce:
@@ -226,6 +423,34 @@ class TestTwoPoint:
             )
             assert check_cyclic_monotonicity(d, 1e-9).is_pass
             assert check_two_point_monotonicity(d, 1e-9) == []
+
+
+    def test_matches_pair_loop(self):
+        # The pair-by-pair scan this vectorizes: same pairs, order and products.
+        rng = np.random.default_rng(42)
+        V = rng.uniform(-3, 3, (80, 4))
+        for i in range(1, 80, 2):
+            V[i] = V[i - 1]
+            V[i, rng.integers(4)] = rng.uniform(-3, 3)
+        V[7] = V[2]
+        V[7, 1] += 0.5
+        d = make_dataset("m", V.tolist(), rng.dirichlet(np.ones(4), 80).tolist())
+        P, labels = d.probs_matrix, d.menu.alternatives
+        V = d.values_matrix
+        expected = []
+        for i in range(d.n):
+            for j in range(i + 1, d.n):
+                diff = V[i] - V[j]
+                moved = np.abs(diff) > 1e-12
+                if np.count_nonzero(moved) != 1:
+                    continue
+                a = int(np.argmax(moved))
+                product = (P[i, a] - P[j, a]) * diff[a]
+                if product < -1e-9:
+                    expected.append((i + 1, j + 1, labels[a], float(product)))
+        got = [(v.first, v.second, v.alternative, v.product) for v in check_two_point_monotonicity(d)]
+        assert len(expected) > 5
+        assert got == expected
 
 
 class TestWeakStochasticTransitivity:
