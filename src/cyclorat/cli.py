@@ -275,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", help="dataset CSV path")
         p.add_argument("--output", help="output path (report JSON, or dataset CSV for simulate)")
         p.add_argument("--model", help="model spec JSON path (simulate)")
-        p.add_argument("--tol-cm", type=float, default=TOL_CM, help="cycle-sum tolerance")
+        p.add_argument("--tol-cm", type=float, default=TOL_CM, help="per-edge slack on cycle means")
         p.add_argument("--tol-opt", type=float, default=TOL_OPT, help="verification tolerance")
         p.add_argument("--epsilon", type=float, default=0.0, help="entropic smoothing weight")
         p.add_argument("--seed", type=int, default=0, help="seed for sampled verification")

@@ -37,7 +37,7 @@ from .errors import (
 
 #: Default tolerance for simplex validation (negative dust, sum deviation).
 TOL_SIMPLEX = 1e-9
-#: Default absolute tolerance on cycle sums in monotonicity tests.
+#: Default per-edge slack in monotonicity tests: cycle means >= -TOL_CM pass.
 TOL_CM = 1e-9
 #: Default certified optimality gap for iterative solvers.
 TOL_OPT = 1e-8

@@ -6,9 +6,9 @@ hundred columns.  A two-phase tableau simplex with a Dantzig rule and a
 Bland fallback against cycling keeps the solves exact at basic solutions,
 which the conjugate-cost tests rely on.
 
-``enumerate_basic_values`` is the independent, brute-force route: it scans
-candidate supports directly and is used both as the small-n solver and as
-the oracle the simplex is tested against.
+``batch_support_values`` is the brute-force route: it scans candidate
+supports directly, for many right-hand sides at once, and is the small-n
+solver; ``enumerate_basic_values`` is its one-query form.
 """
 
 from __future__ import annotations
@@ -141,41 +141,6 @@ def solve_equality_lp(
     return LPResult("optimal", x, value)
 
 
-def enumerate_basic_values(
-    c: np.ndarray,
-    A: np.ndarray,
-    b: np.ndarray,
-    *,
-    feas_tol: float = 1e-9,
-) -> float:
-    """Minimum objective over basic feasible solutions by support scan.
-
-    Every vertex of {x >= 0, A x = b} has a support whose columns are
-    linearly independent, so scanning supports of size 1..m and solving the
-    restricted least-squares system visits every vertex.  Assumes the
-    feasible set is bounded, so a vertex attains the minimum.  Returns +inf
-    when no support is feasible.  Intended for small column counts.
-    """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    m, n = A.shape
-    scale = 1.0 + float(np.abs(b).max(initial=0.0))
-    best = math.inf
-    for size in range(1, min(n, m) + 1):
-        for support in itertools.combinations(range(n), size):
-            cols = A[:, support]
-            x, *_ = np.linalg.lstsq(cols, b, rcond=None)
-            if np.min(x, initial=0.0) < -feas_tol:
-                continue
-            if np.max(np.abs(cols @ x - b), initial=0.0) > feas_tol * scale:
-                continue
-            val = float(np.dot(c[list(support)], x))
-            if val < best:
-                best = val
-    return best
-
-
 def batch_support_values(
     c: np.ndarray,
     A: np.ndarray,
@@ -183,11 +148,15 @@ def batch_support_values(
     *,
     feas_tol: float = 1e-9,
 ) -> np.ndarray:
-    """Vectorized ``enumerate_basic_values`` over many right-hand sides.
+    """Minimum objective over basic feasible solutions, per right-hand side.
 
-    ``B`` has one right-hand side per row.  Supports are grouped by size so
-    the pseudo-inverses and feasibility checks run batched.  Returns one
-    value per query (+inf where infeasible).
+    Every vertex of {x >= 0, A x = b} has a support whose columns are
+    linearly independent, so scanning supports of size 1..m visits every
+    vertex; assumes the feasible set is bounded, so a vertex attains the
+    minimum.  ``B`` has one right-hand side per row.  Supports are grouped
+    by size so the pseudo-inverses and feasibility checks run batched.
+    Returns one value per query (+inf where infeasible).  Intended for
+    small column counts.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -208,3 +177,15 @@ def batch_support_values(
         vals = np.where(feas, vals, np.inf)
         best = np.minimum(best, vals.min(axis=0))
     return best
+
+
+def enumerate_basic_values(
+    c: np.ndarray,
+    A: np.ndarray,
+    b: np.ndarray,
+    *,
+    feas_tol: float = 1e-9,
+) -> float:
+    """``batch_support_values`` for the single right-hand side ``b``."""
+    B = np.asarray(b, dtype=float)[None, :]
+    return float(batch_support_values(c, A, B, feas_tol=feas_tol)[0])

@@ -6,14 +6,17 @@ monotone when every cycle i1 -> i2 -> ... -> ik -> i1 of observations has
     sum_j <p^{i_j}, v^{i_j} - v^{i_{j+1}}>  >=  0.
 
 Equivalently, the complete digraph on observations with edge weight
-w(i -> j) = <p^i, v^i - v^j> has no negative cycle.  The fast check runs
-Howard policy iteration for the minimum cycle mean, O(n^2) per round; its
-final potentials certify a lower bound on every cycle mean, which, net of
-the edge-weight rounding bound, decides a pass, and its cycle, recomputed
-with compensated summation, decides a clear violation.  Only in between does
-a vectorized Bellman-Ford relaxation extract candidate cycles from its
-predecessor structure.  The exhaustive ``brute_force_cm`` enumerates all
-simple cycles and serves as the independent oracle at small n.
+w(i -> j) = <p^i, v^i - v^j> has no negative cycle.  A tolerance is a
+per-edge slack eps: the data pass iff every cycle mean is at least -eps,
+i.e. iff Afriat potentials exist that hold every inequality to within eps.
+The fast check runs Howard policy iteration for the minimum cycle mean,
+O(n^2) per round; its final potentials certify a lower bound on every cycle
+mean, which, net of the edge-weight rounding bound, decides a pass, and its
+cycle, recomputed with compensated summation, decides a violation.  Only in
+the certificate's gap does a vectorized Bellman-Ford relaxation on the
+weights raised by eps decide, from the one predecessor cycle it closes.
+The exhaustive ``brute_force_cm`` enumerates all simple cycles and serves
+as the independent oracle at small n.
 
 Observation indices in cycles, witnesses, and violation reports are 1-based
 positions into ``Dataset.observations``.
@@ -56,16 +59,17 @@ class CMVerdict:
     """Outcome of a cyclic-monotonicity check.
 
     ``status`` is ``"pass"`` or ``"violation"``; a violation carries a
-    ``witness``.  ``min_cycle_mean`` is the most negative cycle mean found:
-    for the fast check, the compensated mean of the policy-iteration cycle,
-    an attained mean within the certificate of the true minimum (None when
-    no cycle exists, i.e. n = 1).  ``min_cycle_sum`` is the smallest
-    recomputed sum among cycles the check materialized; exhaustive search
-    always fills it, the fast check only when the lower bound does not
-    certify a pass.  The fast check's witness is the min-mean cycle when
-    that cycle's sum is below ``-tol``, else the most negative Bellman-Ford
-    candidate; either way in canonical rotation (smallest index first), ties
-    to the lexicographically smallest.
+    ``witness`` whose compensated cycle mean is below ``-tol``.
+    ``min_cycle_mean`` is the most negative cycle mean found: for the fast
+    check, the compensated mean of the policy-iteration cycle, an attained
+    mean within the certificate of the true minimum (None when no cycle
+    exists, i.e. n = 1).  ``min_cycle_sum`` is the smallest recomputed sum
+    among cycles the check materialized; exhaustive search always fills it,
+    the fast check only when the lower bound does not certify a pass.  The
+    fast check's witness is the min-mean cycle when its mean is below
+    ``-tol``, else the Bellman-Ford predecessor cycle; either way in
+    canonical rotation (smallest index first), and ties between least-mean
+    policy cycles go to the lexicographically smallest.
     """
 
     status: str
@@ -151,29 +155,23 @@ def _canonical_cycle(nodes: Sequence[int]) -> tuple[int, ...]:
     return tuple(nodes[k:] + nodes[:k])
 
 
-def _cycles_from_predecessors(pred: np.ndarray, starts: np.ndarray, n: int) -> set[tuple[int, ...]]:
-    cycles: set[tuple[int, ...]] = set()
-    for s in np.flatnonzero(starts):
-        # Walk back n steps to guarantee landing inside a predecessor cycle.
-        cur = int(s)
-        for _ in range(n):
-            if pred[cur] < 0:
-                cur = -1
-                break
-            cur = int(pred[cur])
-        if cur < 0:
-            continue
-        seen: dict[int, int] = {}
-        chain: list[int] = []
-        node = cur
-        while node not in seen and pred[node] >= 0:
-            seen[node] = len(chain)
-            chain.append(node)
-            node = int(pred[node])
-        if node in seen:
-            backward = chain[seen[node]:]
-            cycles.add(_canonical_cycle(list(reversed(backward))))
-    return cycles
+def _predecessor_cycle(pred: np.ndarray, relaxable: np.ndarray) -> tuple[int, ...] | None:
+    # Each predecessor step from a node that improved in pass t lands on one
+    # that improved in pass t - 1 or later, so n steps back from a node that
+    # still relaxes in the n-th pass never reach the virtual source and end
+    # inside the cycle the walk closes; read that cycle forwards.  None when
+    # no node relaxes.
+    if not relaxable.any():
+        return None
+    node = int(np.flatnonzero(relaxable)[0])
+    for _ in range(pred.size):
+        node = int(pred[node])
+    backward = [node]
+    cur = int(pred[node])
+    while cur != node:
+        backward.append(cur)
+        cur = int(pred[cur])
+    return _canonical_cycle(backward[::-1])
 
 
 def _bellman_ford(W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -280,13 +278,14 @@ def _min_mean_cycle(W: np.ndarray) -> MinMeanCycle:
     if n < 2:
         return MinMeanCycle(math.inf, None, math.inf, 0)
     rows = np.arange(n)
+    buf = np.empty_like(W)  # W + x, reused every round
     pi = np.argmin(W, axis=1)
     for iterations in range(1, MIN_MEAN_MAX_ITERATIONS + 1):
         eta, x, cycles = _policy_values(pi.tolist(), W[rows, pi].tolist())
         lam = float(eta.min())
         tied = eta == lam
         if tied.all():
-            succ = np.argmin(W + x, axis=1)
+            succ = np.argmin(np.add(W, x, out=buf), axis=1)
         else:
             cols = np.flatnonzero(tied)
             succ = cols[np.argmin(W[:, cols] + x[cols], axis=1)]
@@ -296,7 +295,7 @@ def _min_mean_cycle(W: np.ndarray) -> MinMeanCycle:
             break
         pi = np.where(switch, succ, pi)
     if not tied.all():
-        best = np.min(W + x, axis=1)
+        best = np.min(np.add(W, x, out=buf), axis=1)
     # Each (x_i - fl(W_ij + x_j)) + lam carries three roundings and forming
     # lam - delta two more, so gamma_5 times the summed magnitudes bounds
     # the error (Higham, sec. 3.1).
@@ -310,43 +309,49 @@ def _min_mean_cycle(W: np.ndarray) -> MinMeanCycle:
 
 
 def check_cyclic_monotonicity(dataset: Dataset, tol: float = TOL_CM) -> CMVerdict:
-    """Decide cyclic monotonicity up to an absolute cycle-sum tolerance.
+    """Decide cyclic monotonicity up to a per-edge slack ``tol``.
 
-    Passes iff no directed cycle has total weight below ``-tol``.  Three
-    steps, each ending the check when it decides:
+    Passes iff potentials phi exist with
+    phi_j >= phi_i + <p^i, v^j - v^i> - tol for every ordered pair, which
+    holds iff every cycle has mean weight at least ``-tol`` (Afriat 1967,
+    with the goodness-of-fit reading of Varian 1990).  Three steps, each
+    ending the check when it decides:
 
     1. Policy iteration finds a minimum-mean cycle and a certified lower
-       bound on every cycle mean.  When n * (lower - err) >= -tol, with err
-       the edge-weight rounding bound, every cycle sum is above ``-tol`` and
-       the verdict is a pass.
-    2. When the min-mean cycle's compensated sum is below ``-tol``, that
+       bound on every cycle mean.  When lower - err >= -tol, with err the
+       edge-weight rounding bound, the verdict is a pass.
+    2. When the min-mean cycle's compensated mean is below ``-tol``, that
        cycle is the witness.
-    3. Otherwise Bellman-Ford relaxation extracts candidate cycles from its
-       predecessor structure; their compensated sums decide, and the most
-       negative one (ties to the lexicographically smallest) is the witness.
+    3. Otherwise (a run cut short, or a tie within rounding) Bellman-Ford
+       on W + tol decides: the verdict is a pass unless the predecessor
+       cycle it closes has a compensated mean below ``-tol``, and then that
+       cycle is the witness.
 
-    Any returned witness recomputes to a sum strictly below ``-tol``; the
-    witness is not guaranteed minimal.
+    Any returned witness has a compensated mean, hence also a sum, below
+    ``-tol``; it is not guaranteed to be the most negative cycle.
     """
-    n = dataset.n
     W = edge_weights(dataset)
     mm = _min_mean_cycle(W)
     min_mean = None if mm.cycle is None else mm.mean
-    if n * (mm.lower - _edge_weight_error(dataset)) >= -tol:
+    if mm.lower - _edge_weight_error(dataset) >= -tol:
         return CMVerdict("pass", None, min_mean, None)
 
-    sums = {mm.cycle: cycle_sum(dataset, [i + 1 for i in mm.cycle])}
-    if sums[mm.cycle] >= -tol:
-        _, pred, relaxable = _bellman_ford(W)
-        for cyc in _cycles_from_predecessors(pred, relaxable, n):
-            if cyc not in sums:
-                sums[cyc] = cycle_sum(dataset, [i + 1 for i in cyc])
-    worst_cycle = min(sums, key=lambda c: (sums[c], c))
-    worst = sums[worst_cycle]
-    if worst < -tol:
-        witness = CycleWitness(tuple(i + 1 for i in worst_cycle), worst)
-        return CMVerdict("violation", witness, min_mean, worst)
-    return CMVerdict("pass", None, min_mean, worst)
+    sums: dict[tuple[int, ...], float] = {}
+
+    def violates(cycle: tuple[int, ...] | None) -> bool:
+        if cycle is None:
+            return False
+        sums[cycle] = cycle_sum(dataset, [i + 1 for i in cycle])
+        return sums[cycle] / len(cycle) < -tol
+
+    cycle = mm.cycle
+    if not violates(cycle):
+        _, pred, relaxable = _bellman_ford(W + tol)
+        cycle = _predecessor_cycle(pred, relaxable)
+        if not violates(cycle):
+            return CMVerdict("pass", None, min_mean, min(sums.values()))
+    witness = CycleWitness(tuple(i + 1 for i in cycle), sums[cycle])
+    return CMVerdict("violation", witness, min_mean, min(sums.values()))
 
 
 #: Exhaustive enumeration guard; simple-cycle count grows factorially.
@@ -354,10 +359,13 @@ BRUTE_FORCE_MAX_N = 8
 
 
 def brute_force_cm(dataset: Dataset, tol: float = TOL_CM) -> CMVerdict:
-    """Enumerate every simple directed cycle and take the minimum sum.
+    """Enumerate every simple directed cycle; decide on the minimum mean.
 
-    Independent oracle for :func:`check_cyclic_monotonicity`; guarded to
-    n <= 8 because the number of simple cycles grows factorially.
+    Independent oracle for :func:`check_cyclic_monotonicity`, under the same
+    per-edge rule: a violation iff some cycle's compensated mean is below
+    ``-tol``, with the first least-mean cycle in enumeration order as the
+    witness.  ``min_cycle_sum`` is the smallest cycle sum, a diagnostic.
+    Guarded to n <= 8 because the number of simple cycles grows factorially.
     """
     n = dataset.n
     if n > BRUTE_FORCE_MAX_N:
@@ -377,22 +385,21 @@ def brute_force_cm(dataset: Dataset, tol: float = TOL_CM) -> CMVerdict:
         return math.fsum(terms)
 
     best_sum = math.inf
-    best_cycle: tuple[int, ...] | None = None
     best_mean = math.inf
+    best: tuple[tuple[int, ...], float] | None = None
     for k in range(2, n + 1):
         for subset in itertools.combinations(range(n), k):
             head = subset[0]
             for rest in itertools.permutations(subset[1:]):
                 cyc = (head,) + rest
                 s = sum_of(cyc)
-                if s < best_sum:
-                    best_sum = s
-                    best_cycle = cyc
+                best_sum = min(best_sum, s)
                 if s / k < best_mean:
                     best_mean = s / k
-    assert best_cycle is not None
-    if best_sum < -tol:
-        witness = CycleWitness(tuple(i + 1 for i in best_cycle), best_sum)
+                    best = (cyc, s)
+    assert best is not None
+    if best_mean < -tol:
+        witness = CycleWitness(tuple(i + 1 for i in best[0]), best[1])
         return CMVerdict("violation", witness, best_mean, best_sum)
     return CMVerdict("pass", None, best_mean, best_sum)
 

@@ -28,8 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
-from scipy.special import xlogy
 
 from .core import (
     TOL_CM,
@@ -47,7 +45,7 @@ from .errors import (
     NotCyclicallyMonotoneError,
 )
 from .lp import batch_support_values, enumerate_basic_values, solve_equality_lp
-from .monotonicity import _bellman_ford, check_cyclic_monotonicity, edge_weights
+from .monotonicity import CycleWitness, _bellman_ford, _predecessor_cycle, cycle_sum, edge_weights
 
 #: Columns up to which the conjugate LP is solved by exhaustive support scan.
 VERTEX_ENUM_MAX_N = 12
@@ -63,9 +61,10 @@ class PotentialFit:
     ``gradients[i]`` is that observation's probability vector.  The base
     observation (1-based ``base_index``) is pinned to potential zero, since
     the fitted function is only determined up to an additive constant.
-    Subgradient consistency holds:
+    Subgradient consistency holds to within the per-edge slack ``tol`` the
+    potentials were fitted with, up to rounding:
 
-        potentials[j] >= potentials[i] + <gradients[i], v^j - v^i> - 1e-9.
+        potentials[j] >= potentials[i] + <gradients[i], v^j - v^i> - tol.
     """
 
     base_index: int
@@ -98,19 +97,23 @@ def compute_potentials(dataset: Dataset, tol: float = TOL_CM) -> PotentialFit:
     With edge weights w(i -> k) = <p^i, v^i - v^k>, the Bellman-Ford
     distances d from a source joined to every observation at weight 0
     satisfy d_k <= d_i + w(i -> k), which is exactly the Afriat inequality
-    for phi = d_1 - d (shifted so phi_1 = 0).  A negative cycle leaves the
-    distances unbounded; in that case ``NotCyclicallyMonotoneError`` is
-    raised with a witness attached.
+    for phi = d_1 - d (shifted so phi_1 = 0).  When the weights carry a
+    negative cycle, the relaxation is run once more on w + tol, whose
+    distances hold every inequality to within the per-edge slack ``tol``;
+    if that too has a negative cycle, ``NotCyclicallyMonotoneError`` is
+    raised with the predecessor cycle as the witness.
     """
-    dist, _, relaxable = _bellman_ford(edge_weights(dataset))
+    W = edge_weights(dataset)
+    dist, pred, relaxable = _bellman_ford(W)
     if relaxable.any():
-        verdict = check_cyclic_monotonicity(dataset, tol)
-        if not verdict.is_pass:
-            raise NotCyclicallyMonotoneError(
-                "dataset has a negative cycle; potentials are unbounded",
-                witness=verdict.witness,
-            )
-        # Residual relaxability is numerical dust; keep the current dist.
+        dist, pred, relaxable = _bellman_ford(W + tol)
+    cycle = _predecessor_cycle(pred, relaxable)
+    if cycle is not None:
+        indices = [i + 1 for i in cycle]
+        raise NotCyclicallyMonotoneError(
+            f"dataset has a cycle of mean below -{tol:g}; potentials are unbounded",
+            witness=CycleWitness(tuple(indices), cycle_sum(dataset, indices)),
+        )
 
     phi = dist[0] - dist
     return PotentialFit(1, phi, dataset.probs_matrix)
@@ -154,15 +157,14 @@ def cost_description(fit: PotentialFit, dataset: Dataset) -> dict:
     }
 
 
-def _conjugate_lp_data(G: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n, size = G.shape
-    A = np.vstack([G.T, np.ones((1, n))])
-    b = np.concatenate([q, [1.0]])
-    return A, b
+def _conjugate_lp_matrix(G: np.ndarray) -> np.ndarray:
+    # Constraint rows: sum_i lam_i g_i = p, then sum_i lam_i = 1.
+    return np.vstack([G.T, np.ones((1, G.shape[0]))])
 
 
 def _conjugate_single(G: np.ndarray, c: np.ndarray, q: np.ndarray, feas_tol: float) -> float:
-    A, b = _conjugate_lp_data(G, q)
+    A = _conjugate_lp_matrix(G)
+    b = np.append(q, 1.0)
     if G.shape[0] <= VERTEX_ENUM_MAX_N:
         return enumerate_basic_values(c, A, b, feas_tol=feas_tol)
     res = solve_equality_lp(c, A, b, feas_tol=feas_tol)
@@ -202,6 +204,8 @@ def _conjugate_batch_hull(G: np.ndarray, c: np.ndarray, Q: np.ndarray) -> np.nda
     the envelope is their pointwise max.  Returns None when the hull cannot
     be built, so the caller can fall back to the LP route.
     """
+    from scipy.spatial import ConvexHull, QhullError
+
     d = G.shape[1] - 1
     pts = np.hstack([G[:, :-1], c[:, None]])
     hull = None
@@ -231,21 +235,21 @@ def _conjugate_many(
 
     Routes to the support scan at small n; to the lower-hull evaluation for
     moderate n and few alternatives (cross-checked against the LP route on
-    a leading subsample, falling back wholesale on any mismatch); and to
-    per-query simplex solves otherwise.
+    about eight points spread evenly through the batch, so a verification
+    pool's mixtures are probed as well as its vertices, and falling back
+    wholesale on any mismatch); and to per-query simplex solves otherwise.
     """
     n, size = G.shape
     if n <= VERTEX_ENUM_MAX_N:
-        A = np.vstack([G.T, np.ones((1, n))])
         B = np.hstack([Q, np.ones((Q.shape[0], 1))])
-        return batch_support_values(c, A, B, feas_tol=feas_tol)
+        return batch_support_values(c, _conjugate_lp_matrix(G), B, feas_tol=feas_tol)
     if size <= 8:
         vals = _conjugate_batch_hull(G, c, Q)
         if vals is not None:
-            probe = min(8, Q.shape[0])
+            probe = range(0, Q.shape[0], max(1, Q.shape[0] // 8))
             ok = all(
                 abs(vals[k] - _conjugate_single(G, c, Q[k], feas_tol)) <= 1e-9
-                for k in range(probe)
+                for k in probe
             )
             if ok:
                 return vals
@@ -303,13 +307,20 @@ class CostEvaluator(abc.ABC):
         raise NotImplementedError(f"{type(self).__name__} has no gradient")
 
 
+def _neg_entropy(p: np.ndarray) -> float:
+    # sum_a p_a ln p_a with 0 ln 0 = 0, compensated; NaN on a negative entry.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(p == 0, 0.0, p * np.log(p))
+    return math.fsum(terms.tolist())
+
+
 class NegEntropyCost(CostEvaluator):
     """C(p) = sum_a p_a ln p_a (negative Shannon entropy)."""
 
     smooth = True
 
     def value(self, p: np.ndarray) -> float:
-        return math.fsum(xlogy(p, p).tolist())
+        return _neg_entropy(p)
 
     def grad(self, p: np.ndarray) -> np.ndarray:
         return 1.0 + np.log(np.maximum(p, 1e-300))
@@ -366,7 +377,7 @@ class SmoothedDataDerivedCost(DataDerivedCost):
         base = super().value(p)
         if math.isinf(base):
             return base
-        return base + self.epsilon * math.fsum(xlogy(p, p).tolist())
+        return base + self.epsilon * _neg_entropy(p)
 
 
 @dataclass(frozen=True)
@@ -443,7 +454,7 @@ def _solve_smoothed_data(
     q = lam @ G
 
     def j_value(qv: np.ndarray, cost_lin: float) -> float:
-        return comp_dot(v, qv) - cost_lin - eps * math.fsum(xlogy(qv, qv).tolist())
+        return comp_dot(v, qv) - cost_lin - eps * _neg_entropy(qv)
 
     cost_lin = comp_dot(c, lam)
     phi = (1.0 + math.sqrt(5.0)) / 2.0
@@ -611,12 +622,8 @@ def verify_rationalization(
     else:
         pool = G
     pool_cost = _conjugate_many(G, c, pool, feas_tol)
-    bad = ~np.isfinite(pool_cost)
-    if bad.any():
-        for k in np.flatnonzero(bad):
-            pool_cost[k] = _conjugate_single(G, c, pool[k], feas_tol)
-        if not np.all(np.isfinite(pool_cost)):
-            raise CycloratError("conjugate reported infeasible at an in-hull point")
+    if not np.all(np.isfinite(pool_cost)):
+        raise CycloratError("conjugate reported infeasible at an in-hull point")
 
     cost_at_p = pool_cost[:n]
     own = np.array([comp_dot(V[i], G[i]) for i in range(n)]) - cost_at_p

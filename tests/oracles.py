@@ -4,7 +4,9 @@ These deliberately avoid the library's LP/hull code paths: the exact
 two-alternative conjugate is resolved by enumerating piece crossings of the
 one-dimensional slice, and the grid transform scans value differences
 directly.  The minimum cycle mean has two references: Karp's O(n^3)
-dynamic program and, for small n, enumeration of every simple cycle.
+dynamic program and, for small n, enumeration of every simple cycle.  The
+conjugate LP's reference is a one-query support scan by least squares,
+independent of the library's batched pseudo-inverse scan.
 """
 
 from __future__ import annotations
@@ -125,4 +127,39 @@ def min_mean_by_enumeration(W: np.ndarray) -> float:
                 cyc = (subset[0],) + rest
                 total = math.fsum(W[i, j] for i, j in zip(cyc, cyc[1:] + cyc[:1]))
                 best = min(best, total / k)
+    return best
+
+
+def enumerate_basic_values(
+    c: np.ndarray,
+    A: np.ndarray,
+    b: np.ndarray,
+    *,
+    feas_tol: float = 1e-9,
+) -> float:
+    """Minimum objective over basic feasible solutions by support scan.
+
+    Every vertex of {x >= 0, A x = b} has a support whose columns are
+    linearly independent, so scanning supports of size 1..m and solving the
+    restricted least-squares system visits every vertex.  Assumes the
+    feasible set is bounded, so a vertex attains the minimum.  Returns +inf
+    when no support is feasible.  Intended for small column counts.
+    """
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    c = np.asarray(c, dtype=float)
+    m, n = A.shape
+    scale = 1.0 + float(np.abs(b).max(initial=0.0))
+    best = math.inf
+    for size in range(1, min(n, m) + 1):
+        for support in itertools.combinations(range(n), size):
+            cols = A[:, support]
+            x, *_ = np.linalg.lstsq(cols, b, rcond=None)
+            if np.min(x, initial=0.0) < -feas_tol:
+                continue
+            if np.max(np.abs(cols @ x - b), initial=0.0) > feas_tol * scale:
+                continue
+            val = float(np.dot(c[list(support)], x))
+            if val < best:
+                best = val
     return best

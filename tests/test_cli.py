@@ -1,6 +1,9 @@
 """End-to-end tests of the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -223,3 +226,11 @@ def test_wst_section_reports_conflicting_pairs(tmp_path):
 def test_version_and_help_exit_zero(capsys):
     assert main(["--version"]) == 0
     assert "cyclorat" in capsys.readouterr().out
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy serves only the lower-hull route of verification, imported there.
+    code = "import sys, cyclorat.cli; print(any(m.startswith('scipy') for m in sys.modules))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.stdout.strip() == "False"

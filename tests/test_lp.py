@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cyclorat.lp import batch_support_values, enumerate_basic_values, solve_equality_lp
+from cyclorat.lp import batch_support_values, solve_equality_lp
+
+from oracles import enumerate_basic_values
 
 
 def test_textbook_instance():

@@ -11,6 +11,7 @@ from cyclorat import (
     DuplicateValuesWarning,
     InconsistentPairError,
     IndexOutOfRangeError,
+    NotCyclicallyMonotoneError,
     TooLargeError,
     brute_force_cm,
     check_cyclic_monotonicity,
@@ -20,6 +21,7 @@ from cyclorat import (
     compute_potentials,
     cycle_sum,
     make_dataset,
+    verify_rationalization,
 )
 from cyclorat import monotonicity
 from cyclorat.monotonicity import _bellman_ford, _min_mean_cycle, edge_weights
@@ -311,19 +313,43 @@ class TestCheckOrder:
         assert verdict.witness.cycle_sum == cycle_sum(d, list(expected))
         assert verdict.min_cycle_mean == mm.mean
 
-    def test_tolerance_gap_falls_back_to_bellman_ford(self):
-        # At tol = 1 the min-mean cycle 1 -> 2 -> 1 sums to -0.8, inside the
-        # tolerance, while the longer 3 -> 4 -> 5 -> 3 sums to -1.05.
+    def test_tolerance_bounds_the_cycle_mean(self):
+        # The two-cycle 1 -> 2 -> 1 has mean -0.4 (sum -0.8) and the longer
+        # 3 -> 4 -> 5 -> 3 has mean -0.35 (sum -1.05): tol is a per-edge
+        # slack, so tol = 1 passes and tol = 0.37 sees only the two-cycle.
         W = np.full((5, 5), 10.0)
         W[0, 1] = W[1, 0] = -0.4
         W[2, 3] = W[3, 4] = W[4, 2] = -0.35
         d = _realize(W, np.random.default_rng(38))
         assert _min_mean_cycle(edge_weights(d)).cycle == (0, 1)
-        fast = check_cyclic_monotonicity(d, 1.0)
-        slow = brute_force_cm(d, 1.0)
+        assert check_cyclic_monotonicity(d, 1.0).is_pass
+        assert brute_force_cm(d, 1.0).is_pass
+        fast = check_cyclic_monotonicity(d, 0.37)
+        slow = brute_force_cm(d, 0.37)
         assert fast.status == slow.status == "violation"
-        assert fast.witness.indices == slow.witness.indices == (3, 4, 5)
-        assert_allclose(fast.witness.cycle_sum, -1.05, atol=1e-9)
+        assert fast.witness.indices == slow.witness.indices == (1, 2)
+        assert_allclose(fast.witness.cycle_sum, -0.8, atol=1e-9)
+
+    def test_gap_is_decided_by_bellman_ford_on_slackened_weights(self, monkeypatch):
+        # Every node's cheapest edge points into 1 <-> 2 (mean -0.1), so one
+        # policy round leaves the three-cycle 1 -> 2 -> 3 -> 1 (mean -0.65/3)
+        # to Bellman-Ford on W + tol.
+        W = np.full((3, 3), 10.0)
+        W[0, 1], W[1, 0], W[1, 2], W[2, 0] = -0.5, 0.3, 0.35, -0.5
+        d = _realize(W, np.random.default_rng(47))
+        monkeypatch.setattr(monotonicity, "MIN_MEAN_MAX_ITERATIONS", 1)
+        mm = _min_mean_cycle(edge_weights(d))
+        assert mm.cycle == (0, 1) and mm.lower < -0.25
+        calls = []
+        real = monotonicity._bellman_ford
+        monkeypatch.setattr(monotonicity, "_bellman_ford", lambda W: calls.append(1) or real(W))
+        verdict = check_cyclic_monotonicity(d, 0.15)
+        assert verdict.status == brute_force_cm(d, 0.15).status == "violation"
+        assert verdict.witness.indices == (1, 2, 3)
+        assert_allclose(verdict.witness.cycle_sum, -0.65, atol=1e-9)
+        assert check_cyclic_monotonicity(d, 0.25).is_pass
+        assert brute_force_cm(d, 0.25).is_pass
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("seed", [39, 40, 41])
     def test_transposed_bellman_ford_is_bit_identical(self, seed):
@@ -339,6 +365,84 @@ class TestCheckOrder:
             assert np.array_equal(dist, old_dist)
             assert np.array_equal(pred, old_pred)
             assert np.array_equal(relaxable, old_relaxable)
+
+
+#: Tight edges of the graph raised by tol sit at slack -tol exactly; the
+#: potentials and gaps carry a few ulps of rounding either side of it.
+ROUNDING = 1e-12
+
+
+def _assert_stages_agree(d, tol):
+    # check equals the exhaustive oracle; a pass yields potentials within the
+    # per-edge slack that verify at tol_opt = tol, and a violation makes the
+    # fit raise with a witness summing below -tol.
+    fast = check_cyclic_monotonicity(d, tol)
+    slow = brute_force_cm(d, tol)
+    assert fast.status == slow.status
+    assert fast.is_pass == (min_mean_by_enumeration(edge_weights(d)) >= -tol)
+    if fast.is_pass:
+        fit = compute_potentials(d, tol)
+        V, P, phi = d.values_matrix, d.probs_matrix, fit.potentials
+        for i in range(d.n):
+            for j in range(d.n):
+                assert phi[j] - phi[i] - comp_dot(P[i], V[j] - V[i]) >= -tol - ROUNDING
+        report = verify_rationalization(d, fit, tol + ROUNDING, mixtures=50)
+        assert report.passed
+    else:
+        w = fast.witness
+        assert w.cycle_sum / len(w.indices) < -tol
+        with pytest.raises(NotCyclicallyMonotoneError) as err:
+            compute_potentials(d, tol)
+        assert err.value.witness.cycle_sum < -tol
+        assert err.value.witness.cycle_sum == cycle_sum(d, list(err.value.witness.indices))
+    return fast.status
+
+
+class TestToleranceRule:
+    @pytest.mark.parametrize("tol", [1e-9, 0.1, 0.3, 0.39, 0.41, 0.5, 0.75, 1.0, 2.0])
+    def test_two_cycle_and_five_cycle_fixture(self, tol):
+        # A two-cycle summing to -0.8 (mean -0.4) and a five-cycle summing to
+        # -1.4 (mean -0.28): under a cycle-sum rule tol = 1 would fail on the
+        # five-cycle while the min-mean cycle stays inside the tolerance.
+        W = np.full((5, 5), 10.0)
+        W[0, 1] = W[1, 0] = -0.4
+        W[1, 2] = W[2, 3] = W[3, 4] = W[4, 0] = -0.25
+        d = _realize(W, np.random.default_rng(44))
+        status = _assert_stages_agree(d, tol)
+        assert status == ("pass" if tol > 0.4 else "violation")
+        if status == "violation":
+            assert check_cyclic_monotonicity(d, tol).witness.indices == (1, 2)
+
+    def test_realized_weights(self):
+        rng = np.random.default_rng(46)
+        seen = set()
+        for _ in range(150):
+            n = int(rng.integers(2, 7))
+            d = _realize(rng.uniform(-1.0, 1.0, (n, n)), rng)
+            for tol in (1e-9, 0.05, 0.2, 0.5):
+                seen.add((tol, _assert_stages_agree(d, tol)))
+        assert len(seen) == 8  # both verdicts at every tolerance
+
+    def test_near_tie_is_decided_by_the_certificate(self, monkeypatch):
+        # Observation 2 repeats observation 1 with v_1 raised by 1e-9 and 3e-3
+        # of probability moved from a1 to a2: a two-cycle summing to -3e-12,
+        # far inside tol = 1e-9 per edge.
+        base = pum_dataset("negentropy", np.random.default_rng(45), 1000, 10)
+        V, P = base.values_matrix.copy(), base.probs_matrix.copy()
+        V[1], P[1] = V[0], P[0]
+        V[1, 0] += 1e-9
+        P[1, 0] -= 3e-3
+        P[1, 1] += 3e-3
+        d = make_dataset("m", V.tolist(), P.tolist())
+        assert -4e-12 < cycle_sum(d, [1, 2]) < -2e-12
+
+        def no_bellman_ford(W):
+            raise AssertionError("Bellman-Ford ran although the certificate decided")
+
+        monkeypatch.setattr(monotonicity, "_bellman_ford", no_bellman_ford)
+        verdict = check_cyclic_monotonicity(d, 1e-9)
+        assert verdict.is_pass
+        assert verdict.min_cycle_mean < 0
 
 
 class TestBruteForce:

@@ -23,6 +23,7 @@ from cyclorat import (
     pum_solve_general,
     verify_rationalization,
 )
+from cyclorat import rationalization
 from cyclorat.core import comp_dot
 from cyclorat.rationalization import (
     _conjugate_many,
@@ -33,7 +34,7 @@ from cyclorat.rationalization import (
 )
 
 from conftest import luce_dataset, pum_dataset
-from oracles import conjugate_exact_2alt, conjugate_grid_2alt
+from oracles import conjugate_exact_2alt, conjugate_grid_2alt, enumerate_basic_values
 
 
 class TestComputePotentials:
@@ -121,7 +122,7 @@ class TestConjugateCost:
         d = luce_dataset(rng, 9, 3)
         fit = compute_potentials(d)
         G, c = _max_affine_data(fit, d)
-        from cyclorat.lp import enumerate_basic_values, solve_equality_lp
+        from cyclorat.lp import solve_equality_lp
 
         A = np.vstack([G.T, np.ones((1, d.n))])
         for _ in range(25):
@@ -142,6 +143,26 @@ class TestConjugateCost:
             batch = _conjugate_many(G, c, Q, 1e-9)
             singles = np.array([_conjugate_single(G, c, q, 1e-9) for q in Q])
             assert_allclose(batch, singles, atol=1e-9)
+
+    def test_hull_cross_check_probes_mixtures(self, monkeypatch):
+        # A hull route that is right at the vertices and wrong at every
+        # mixture must be caught by the cross-check and replaced.
+        rng = np.random.default_rng(62)
+        d = luce_dataset(rng, 16, 3)
+        fit = compute_potentials(d)
+        G, c = _max_affine_data(fit, d)
+        Q = np.vstack([G, rng.dirichlet(np.ones(d.n), size=100) @ G])
+        honest = rationalization._conjugate_batch_hull
+
+        def wrong_off_vertices(G, c, Q):
+            vals = honest(G, c, Q)
+            vals[G.shape[0]:] += 1.0
+            return vals
+
+        monkeypatch.setattr(rationalization, "_conjugate_batch_hull", wrong_off_vertices)
+        batch = _conjugate_many(G, c, Q, 1e-9)
+        singles = np.array([_conjugate_single(G, c, q, 1e-9) for q in Q])
+        assert_allclose(batch, singles, atol=1e-9)
 
     def test_matches_exact_two_alternative_oracle(self):
         rng = np.random.default_rng(37)
@@ -179,6 +200,15 @@ class TestConjugateCost:
                 mid = cost.value(lam * p + (1 - lam) * q)
                 chord = lam * cost.value(p) + (1 - lam) * cost.value(q)
                 assert mid <= chord + 1e-9
+
+
+def test_neg_entropy_matches_scalar_loop():
+    # One libm-vs-numpy ulp per term at most; 0 ln 0 counts as 0.
+    rng = np.random.default_rng(63)
+    for p in (rng.dirichlet(np.ones(6)), np.array([0.0, 0.25, 0.75]), np.array([1.0, 0.0])):
+        terms = [x * math.log(x) for x in p.tolist() if x > 0]
+        bound = 4 * np.finfo(float).eps * math.fsum(abs(t) for t in terms)
+        assert abs(NegEntropyCost().value(p) - math.fsum(terms)) <= bound
 
 
 class TestClosedFormSolvers:
