@@ -4,11 +4,12 @@ Solves  min c'x  s.t.  A x = b, x >= 0  for problems with a handful of rows
 (here: one row per alternative plus the mixture constraint) and up to a few
 hundred columns.  A two-phase tableau simplex with a Dantzig rule and a
 Bland fallback against cycling keeps the solves exact at basic solutions,
-which the conjugate-cost tests rely on.
+which the conjugate-cost tests rely on.  An optimal result carries its
+final basis, so a caller with many right-hand sides can reuse it.
 
-``batch_support_values`` is the brute-force route: it scans candidate
-supports directly, for many right-hand sides at once, and is the small-n
-solver; ``enumerate_basic_values`` is its one-query form.
+``batch_support_values`` scans candidate supports directly, for many
+right-hand sides at once; it is combinatorial in the column count and is
+the tests' reference, with ``enumerate_basic_values`` as its one-query form.
 """
 
 from __future__ import annotations
@@ -25,13 +26,15 @@ class LPResult:
     status: str  # "optimal" | "infeasible" | "unbounded" | "stalled"
     x: np.ndarray | None
     value: float
+    basis: tuple[int, ...] = ()  # when optimal: one column per row phase 1 kept
 
 
 def _pivot(T: np.ndarray, row: int, col: int) -> None:
+    # One rank-1 update eliminates the column from every other row.
     T[row] /= T[row, col]
-    for r in range(T.shape[0]):
-        if r != row and T[r, col] != 0.0:
-            T[r] -= T[r, col] * T[row]
+    f = T[:, col].copy()
+    f[row] = 0.0
+    T -= np.outer(f, T[row])
 
 
 def _run_simplex(
@@ -138,7 +141,7 @@ def solve_equality_lp(
     for r, col in enumerate(basis):
         x[col] = T2[r, -1]
     value = float(np.dot(c, x))
-    return LPResult("optimal", x, value)
+    return LPResult("optimal", x, value, tuple(basis))
 
 
 def batch_support_values(

@@ -44,11 +44,10 @@ from .errors import (
     NoProgressError,
     NotCyclicallyMonotoneError,
 )
-from .lp import batch_support_values, enumerate_basic_values, solve_equality_lp
-from .monotonicity import CycleWitness, _bellman_ford, _predecessor_cycle, cycle_sum, edge_weights
+from .lp import solve_equality_lp
+from .monotonicity import CycleWitness, cycle_sum, edge_weights
+from .monotonicity import _bellman_ford, _edge_weight_error, _min_mean_cycle, _predecessor_cycle
 
-#: Columns up to which the conjugate LP is solved by exhaustive support scan.
-VERTEX_ENUM_MAX_N = 12
 #: Feasibility slack used when deciding p in conv{g_i}.
 FEAS_TOL = 1e-9
 
@@ -97,16 +96,27 @@ def compute_potentials(dataset: Dataset, tol: float = TOL_CM) -> PotentialFit:
     With edge weights w(i -> k) = <p^i, v^i - v^k>, the Bellman-Ford
     distances d from a source joined to every observation at weight 0
     satisfy d_k <= d_i + w(i -> k), which is exactly the Afriat inequality
-    for phi = d_1 - d (shifted so phi_1 = 0).  When the weights carry a
-    negative cycle, the relaxation is run once more on w + tol, whose
-    distances hold every inequality to within the per-edge slack ``tol``;
-    if that too has a negative cycle, ``NotCyclicallyMonotoneError`` is
-    raised with the predecessor cycle as the witness.
+    for phi = d_1 - d (shifted so phi_1 = 0).  Unless the min-mean
+    certificate attains a negative cycle, the relaxation runs on w; if it
+    does, or w does not settle, on w + s, with s the slack the certificate
+    proves sufficient, capped at ``tol``; failing that on w + tol.  The
+    potentials hold every inequality to within the slack used.  If w + tol
+    does not settle either, ``NotCyclicallyMonotoneError`` is raised with
+    the predecessor cycle as the witness.
     """
     W = edge_weights(dataset)
-    dist, pred, relaxable = _bellman_ford(W)
-    if relaxable.any():
-        dist, pred, relaxable = _bellman_ford(W + tol)
+    mm = _min_mean_cycle(W)
+    # Every cycle mean of W is at least mm.lower, so a slack of -mm.lower
+    # settles the relaxation in exact arithmetic; err is a margin for its
+    # rounding.
+    slack = min(tol, _edge_weight_error(dataset) - mm.lower)
+    shifts = [slack, tol] if slack < tol else [tol]
+    if mm.cycle is None or mm.mean >= 0:
+        shifts.insert(0, 0.0)
+    for s in shifts:
+        dist, pred, relaxable = _bellman_ford(W + s if s else W)
+        if not relaxable.any():
+            break
     cycle = _predecessor_cycle(pred, relaxable)
     if cycle is not None:
         indices = [i + 1 for i in cycle]
@@ -163,16 +173,7 @@ def _conjugate_lp_matrix(G: np.ndarray) -> np.ndarray:
 
 
 def _conjugate_single(G: np.ndarray, c: np.ndarray, q: np.ndarray, feas_tol: float) -> float:
-    A = _conjugate_lp_matrix(G)
-    b = np.append(q, 1.0)
-    if G.shape[0] <= VERTEX_ENUM_MAX_N:
-        return enumerate_basic_values(c, A, b, feas_tol=feas_tol)
-    res = solve_equality_lp(c, A, b, feas_tol=feas_tol)
-    if res.status == "infeasible":
-        return math.inf
-    if res.status != "optimal":
-        raise CycloratError(f"conjugate LP did not converge: {res.status}")
-    return res.value
+    return float(_conjugate_many(G, c, np.asarray(q, dtype=float)[None, :], feas_tol)[0])
 
 
 def conjugate_cost(
@@ -187,73 +188,59 @@ def conjugate_cost(
     Returns the minimum of sum_i lam_i (<g_i, v^i> - phi_i) over mixture
     weights lam >= 0, sum lam = 1, with sum_i lam_i g_i = p.  Outside
     conv{g_i} the conjugate is +inf, returned as ``math.inf`` (a domain
-    signal, not an error).  Small instances are solved exactly by support
-    enumeration; larger ones by a dense two-phase simplex.
+    signal, not an error).  Solved by the dense two-phase simplex, the
+    one-query case of ``_conjugate_many``.
     """
     q = p.entries if isinstance(p, SimplexPoint) else np.asarray(p, dtype=float)
     G, c = _max_affine_data(fit, dataset)
     return _conjugate_single(G, c, q, feas_tol)
 
 
-def _conjugate_batch_hull(G: np.ndarray, c: np.ndarray, Q: np.ndarray) -> np.ndarray | None:
-    """Evaluate the conjugate at many in-hull points via the lower hull.
-
-    The conjugate restricted to conv{g_i} is the lower convex envelope of
-    the points (g_i, c_i); each lower facet of their hull (in coordinates
-    with the last probability dropped) is a supporting affine function and
-    the envelope is their pointwise max.  Returns None when the hull cannot
-    be built, so the caller can fall back to the LP route.
-    """
-    from scipy.spatial import ConvexHull, QhullError
-
-    d = G.shape[1] - 1
-    pts = np.hstack([G[:, :-1], c[:, None]])
-    hull = None
-    for opts in ("", "QJ"):
-        try:
-            hull = ConvexHull(pts, qhull_options=opts or None)
-            break
-        except (QhullError, ValueError):
-            continue
-    if hull is None:
-        return None
-    eq = hull.equations
-    ny = eq[:, d]
-    lower = ny < -1e-12
-    if not lower.any():
-        return None
-    nx = eq[lower, :d]
-    off = eq[lower, -1]
-    planes = -(off[None, :] + Q[:, :-1] @ nx.T) / ny[lower][None, :]
-    return planes.max(axis=1)
-
-
 def _conjugate_many(
     G: np.ndarray, c: np.ndarray, Q: np.ndarray, feas_tol: float
 ) -> np.ndarray:
-    """Conjugate values at a batch of feasible points.
+    """Conjugate values at a batch of points, +inf outside conv{g_i}.
 
-    Routes to the support scan at small n; to the lower-hull evaluation for
-    moderate n and few alternatives (cross-checked against the LP route on
-    about eight points spread evenly through the batch, so a verification
-    pool's mixtures are probed as well as its vertices, and falling back
-    wholesale on any mismatch); and to per-query simplex solves otherwise.
+    Queries share the LP's A and c and differ only in b = (q, 1), so an
+    optimal basis B stays dual feasible for all of them (Chvatal, Linear
+    Programming, ch. 10).  The first unanswered query is solved by the
+    simplex; its basis then answers every other query it is primal
+    feasible for (lam_B = B^+ b >= -feas_tol, with the residual test of
+    ``batch_support_values``), but only under a dual certificate: y with
+    B'y = c_B must price every column at c - A'y >= -feas_tol.  As lam
+    sums to one, weak duality then bounds each reused value's error by
+    feas_tol plus its residual terms.  A basis that phase 1 closed on a
+    dust pivot (rank deficient) fails the certificate and answers only its
+    own query.
     """
-    n, size = G.shape
-    if n <= VERTEX_ENUM_MAX_N:
-        B = np.hstack([Q, np.ones((Q.shape[0], 1))])
-        return batch_support_values(c, _conjugate_lp_matrix(G), B, feas_tol=feas_tol)
-    if size <= 8:
-        vals = _conjugate_batch_hull(G, c, Q)
-        if vals is not None:
-            probe = range(0, Q.shape[0], max(1, Q.shape[0] // 8))
-            ok = all(
-                abs(vals[k] - _conjugate_single(G, c, Q[k], feas_tol)) <= 1e-9
-                for k in probe
-            )
-            if ok:
-                return vals
-    return np.array([_conjugate_single(G, c, q, feas_tol) for q in Q])
+    A = _conjugate_lp_matrix(G)
+    rhs = np.hstack([Q, np.ones((Q.shape[0], 1))])
+    scale = 1.0 + np.abs(rhs).max(axis=1)
+    values = np.empty(rhs.shape[0])
+    todo = np.ones(rhs.shape[0], dtype=bool)
+    while todo.any():
+        k = int(np.argmax(todo))
+        todo[k] = False
+        res = solve_equality_lp(c, A, rhs[k], feas_tol=feas_tol)
+        if res.status == "infeasible":
+            values[k] = math.inf
+            continue
+        if res.status != "optimal":
+            raise CycloratError(f"conjugate LP did not converge: {res.status}")
+        values[k] = res.value
+        cols = list(res.basis)
+        AB, cB = A[:, cols], c[cols]
+        y = np.linalg.lstsq(AB.T, cB, rcond=None)[0]
+        solved = np.abs(AB.T @ y - cB).max() <= feas_tol * (1.0 + np.abs(cB).max())
+        if not solved or (c - A.T @ y).min() < -feas_tol:
+            continue
+        rest = np.flatnonzero(todo)
+        lam = np.linalg.lstsq(AB, rhs[rest].T, rcond=None)[0]
+        resid = np.abs(AB @ lam - rhs[rest].T).max(axis=0)
+        hit = (lam.min(axis=0) >= -feas_tol) & (resid <= feas_tol * scale[rest])
+        values[rest[hit]] = cB @ lam[:, hit]
+        todo[rest[hit]] = False
+    return values
 
 
 # ---------------------------------------------------------------------------

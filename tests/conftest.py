@@ -87,3 +87,30 @@ def mixed_pool_dataset(rng: np.random.Generator, n: int, size: int) -> Dataset:
     if pick == 2:
         return regret_dataset(rng, n, size, theta=float(rng.uniform(1.5, 4.0)))
     return random_probs_dataset(rng, n, size)
+
+
+def benchmark_lowdim_menu(seed: int, k: int) -> Dataset:
+    """Menu ``lowdim_0k`` of the benchmark's ``report_menus`` workload.
+
+    Rebuilt with numpy as ``bench/inputs.py`` draws it from
+    ``default_rng(seed)``: 150 value vectors of 4 alternatives uniform on
+    [-3, 3], each odd row moving one coordinate of the row before it, with
+    softmax choices for even k and simplex projections for odd k.
+    """
+    rng = np.random.default_rng(seed)
+    n, size = 150, 4
+    for _ in range(k + 1):
+        V = rng.uniform(-3.0, 3.0, (n, size))
+        for i in range(1, n, 2):
+            V[i] = V[i - 1]
+            V[i, rng.integers(size)] = rng.uniform(-3.0, 3.0)
+    if k % 2 == 0:
+        Z = np.exp(V - V.max(axis=1, keepdims=True))
+        P = Z / Z.sum(axis=1, keepdims=True)
+    else:
+        U = -np.sort(-V, axis=1)
+        css = np.cumsum(U, axis=1) - 1.0
+        rho = (U - css / np.arange(1, size + 1) > 0).sum(axis=1)
+        theta = css[np.arange(n), rho - 1] / rho
+        P = np.maximum(V - theta[:, None], 0.0)
+    return make_dataset(f"lowdim_{k:02d}", V.tolist(), P.tolist())

@@ -1,6 +1,6 @@
 """Independent brute-force oracles used by the tests.
 
-These deliberately avoid the library's LP/hull code paths: the exact
+These deliberately avoid the library's LP code paths: the exact
 two-alternative conjugate is resolved by enumerating piece crossings of the
 one-dimensional slice, and the grid transform scans value differences
 directly.  The minimum cycle mean has two references: Karp's O(n^3)

@@ -229,8 +229,29 @@ def test_version_and_help_exit_zero(capsys):
 
 
 def test_cli_import_leaves_scipy_out():
-    # scipy serves only the lower-hull route of verification, imported there.
+    # numpy is the only dependency.
     code = "import sys, cyclorat.cli; print(any(m.startswith('scipy') for m in sys.modules))"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert out.stdout.strip() == "False"
+
+
+def test_verify_runs_with_scipy_blocked(tmp_path):
+    # numpy is the only dependency: verify runs with every scipy import
+    # failing, at n > 12 and |A| <= 8, where a scipy Qhull route once ran.
+    rng = np.random.default_rng(64)
+    V = rng.uniform(-3.0, 3.0, (16, 3))
+    P = np.exp(V) / np.exp(V).sum(axis=1, keepdims=True)
+    rows = ["menu_id,obs_id,alternative,value,prob"]
+    for i, (v, p) in enumerate(zip(V.tolist(), P.tolist()), start=1):
+        rows += [f"m,{i},a{a + 1},{v[a]!r},{p[a]!r}" for a in range(3)]
+    data, out = tmp_path / "data.csv", tmp_path / "report.json"
+    data.write_text("\n".join(rows) + "\n")
+    code = (
+        "import sys; sys.modules['scipy'] = None; from cyclorat.cli import main; "
+        f"sys.exit(main(['verify', '--input', {str(data)!r}, '--output', {str(out)!r}]))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert json.loads(out.read_text())["menus"][0]["verification"]["passed"] is True

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cyclorat.lp import batch_support_values, solve_equality_lp
+from cyclorat.lp import _pivot, batch_support_values, solve_equality_lp
 
 from oracles import enumerate_basic_values
 
@@ -120,3 +120,35 @@ def test_batch_reports_infeasible_queries():
     vals = batch_support_values(c, A, B)
     assert np.all(np.isfinite(vals[:3]))
     assert math.isinf(vals[3])
+
+
+def test_rank_one_pivot_matches_row_loop():
+    def loop_pivot(T, row, col):
+        T[row] /= T[row, col]
+        for r in range(T.shape[0]):
+            if r != row and T[r, col] != 0.0:
+                T[r] -= T[r, col] * T[row]
+
+    rng = np.random.default_rng(25)
+    for _ in range(200):
+        m, n = (int(k) for k in rng.integers(2, 14, size=2))
+        T = rng.normal(size=(m, n))
+        T[rng.random((m, n)) < 0.3] = 0.0  # tableau columns are sparse
+        row, col = int(rng.integers(m)), int(rng.integers(n))
+        T[row, col] = rng.uniform(0.1, 3.0) * rng.choice([-1.0, 1.0])
+        expected = T.copy()
+        loop_pivot(expected, row, col)
+        _pivot(T, row, col)
+        assert np.array_equal(T, expected)
+
+
+def test_optimal_result_carries_its_basis():
+    rng = np.random.default_rng(26)
+    for _ in range(40):
+        c, A, b = _random_transport_instance(rng, int(rng.integers(2, 5)), int(rng.integers(2, 9)))
+        res = solve_equality_lp(c, A, b)
+        assert res.status == "optimal"
+        cols = list(res.basis)
+        assert len(set(cols)) == len(cols) <= A.shape[0]
+        assert np.all(res.x[np.setdiff1d(np.arange(A.shape[1]), cols)] == 0.0)
+        assert_allclose(A[:, cols] @ res.x[cols], b, atol=1e-12)

@@ -23,7 +23,7 @@ from cyclorat import (
     make_dataset,
     verify_rationalization,
 )
-from cyclorat import monotonicity
+from cyclorat import monotonicity, rationalization
 from cyclorat.monotonicity import _bellman_ford, _min_mean_cycle, edge_weights
 
 from conftest import (
@@ -424,17 +424,7 @@ class TestToleranceRule:
         assert len(seen) == 8  # both verdicts at every tolerance
 
     def test_near_tie_is_decided_by_the_certificate(self, monkeypatch):
-        # Observation 2 repeats observation 1 with v_1 raised by 1e-9 and 3e-3
-        # of probability moved from a1 to a2: a two-cycle summing to -3e-12,
-        # far inside tol = 1e-9 per edge.
-        base = pum_dataset("negentropy", np.random.default_rng(45), 1000, 10)
-        V, P = base.values_matrix.copy(), base.probs_matrix.copy()
-        V[1], P[1] = V[0], P[0]
-        V[1, 0] += 1e-9
-        P[1, 0] -= 3e-3
-        P[1, 1] += 3e-3
-        d = make_dataset("m", V.tolist(), P.tolist())
-        assert -4e-12 < cycle_sum(d, [1, 2]) < -2e-12
+        d = _near_tie_dataset()
 
         def no_bellman_ford(W):
             raise AssertionError("Bellman-Ford ran although the certificate decided")
@@ -443,6 +433,37 @@ class TestToleranceRule:
         verdict = check_cyclic_monotonicity(d, 1e-9)
         assert verdict.is_pass
         assert verdict.min_cycle_mean < 0
+
+    def test_near_tie_fits_in_one_settling_relaxation(self, monkeypatch):
+        # The certificate sizes the slack: one Bellman-Ford run on W + s
+        # settles, with s a little over the -1.5e-12 cycle mean, not tol.
+        d = _near_tie_dataset()
+        runs = []
+
+        def recorded(W):
+            runs.append(_bellman_ford(W))
+            return runs[-1]
+
+        monkeypatch.setattr(rationalization, "_bellman_ford", recorded)
+        phi = compute_potentials(d, 1e-9).potentials
+        assert len(runs) == 1 and not runs[0][2].any()
+        slack = phi[None, :] - phi[:, None] + edge_weights(d)
+        assert -2e-12 < np.min(slack) < -1e-12
+
+
+def _near_tie_dataset():
+    # Observation 2 repeats observation 1 with v_1 raised by 1e-9 and 3e-3
+    # of probability moved from a1 to a2: a two-cycle summing to -3e-12,
+    # far inside tol = 1e-9 per edge.
+    base = pum_dataset("negentropy", np.random.default_rng(45), 1000, 10)
+    V, P = base.values_matrix.copy(), base.probs_matrix.copy()
+    V[1], P[1] = V[0], P[0]
+    V[1, 0] += 1e-9
+    P[1, 0] -= 3e-3
+    P[1, 1] += 3e-3
+    d = make_dataset("m", V.tolist(), P.tolist())
+    assert -4e-12 < cycle_sum(d, [1, 2]) < -2e-12
+    return d
 
 
 class TestBruteForce:

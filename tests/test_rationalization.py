@@ -1,5 +1,6 @@
 """Tests for potentials, the max-affine extension, conjugate costs, and solvers."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -25,15 +26,16 @@ from cyclorat import (
 )
 from cyclorat import rationalization
 from cyclorat.core import comp_dot
+from cyclorat.lp import batch_support_values, solve_equality_lp
+from cyclorat.monotonicity import _bellman_ford, edge_weights
 from cyclorat.rationalization import (
     _conjugate_many,
-    _conjugate_single,
     _max_affine_data,
     simplex_projection,
     softmax_probabilities,
 )
 
-from conftest import luce_dataset, pum_dataset
+from conftest import benchmark_lowdim_menu, luce_dataset, pum_dataset
 from oracles import conjugate_exact_2alt, conjugate_grid_2alt, enumerate_basic_values
 
 
@@ -54,6 +56,18 @@ class TestComputePotentials:
         with pytest.raises(NotCyclicallyMonotoneError) as err:
             compute_potentials(violation_fixture)
         assert err.value.witness.indices == (1, 2)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_rounding_cycle_needs_only_rounding_slack(self, k):
+        # Projection choices repeat probability vectors, so these menus have
+        # cycles of exact mean 0; at seed 7 of the benchmark rounding leaves
+        # one at -4e-16 in W.  The fit must settle with a slack the size of
+        # that rounding, not land at -tol.
+        d = benchmark_lowdim_menu(7, k)
+        W = edge_weights(d)
+        assert _bellman_ford(W)[2].any()
+        phi = compute_potentials(d, 1e-9).potentials
+        assert np.min(phi[None, :] - phi[:, None] + W) >= -1e-13
 
     def test_subgradient_consistency_on_generated_data(self):
         rng = np.random.default_rng(31)
@@ -122,8 +136,6 @@ class TestConjugateCost:
         d = luce_dataset(rng, 9, 3)
         fit = compute_potentials(d)
         G, c = _max_affine_data(fit, d)
-        from cyclorat.lp import solve_equality_lp
-
         A = np.vstack([G.T, np.ones((1, d.n))])
         for _ in range(25):
             q = rng.dirichlet(np.ones(d.n)) @ G
@@ -133,36 +145,57 @@ class TestConjugateCost:
             assert via_simplex.status == "optimal"
             assert_allclose(via_enum, via_simplex.value, atol=1e-10)
 
-    def test_batch_routes_agree_with_single(self):
-        rng = np.random.default_rng(36)
-        for n in (6, 16, 25):  # support scan, hull, hull
-            d = luce_dataset(rng, n, 3)
-            fit = compute_potentials(d)
-            G, c = _max_affine_data(fit, d)
-            Q = np.vstack([G, rng.dirichlet(np.ones(n), size=40) @ G])
-            batch = _conjugate_many(G, c, Q, 1e-9)
-            singles = np.array([_conjugate_single(G, c, q, 1e-9) for q in Q])
-            assert_allclose(batch, singles, atol=1e-9)
+    @pytest.mark.parametrize("n, size", [(6, 3), (12, 4), (25, 4), (25, 10), (150, 4), (150, 10)])
+    def test_single_route_matches_references(self, n, size):
+        # One batch of vertices, mixtures, the simplex corners (outside
+        # conv{g_i} for Luce data) and half a vertex (off the simplex); the
+        # last two kinds must come back +inf.  The support scan is the
+        # reference up to n = 12, per-query simplex solves beyond.
+        rng = np.random.default_rng(36 + n + size)
+        d = luce_dataset(rng, n, size)
+        G, c = _max_affine_data(compute_potentials(d), d)
+        Q = np.vstack([G, rng.dirichlet(np.ones(n), size=40) @ G, np.eye(size), 0.5 * G[:1]])
+        values = _conjugate_many(G, c, Q, 1e-9)
+        assert np.all(np.isinf(values[-size - 1 :]))
+        assert np.all(np.isfinite(values[: -size - 1]))
+        A = np.vstack([G.T, np.ones((1, n))])
+        B = np.hstack([Q, np.ones((Q.shape[0], 1))])
+        if n <= 12:
+            expected = batch_support_values(c, A, B)
+        else:
+            expected = np.array([solve_equality_lp(c, A, b).value for b in B])
+        assert_allclose(values, expected, atol=1e-9)
 
-    def test_hull_cross_check_probes_mixtures(self, monkeypatch):
-        # A hull route that is right at the vertices and wrong at every
-        # mixture must be caught by the cross-check and replaced.
-        rng = np.random.default_rng(62)
-        d = luce_dataset(rng, 16, 3)
+    def test_basis_reuse_needs_dual_feasibility(self, monkeypatch):
+        # The chord basis (g_0, g_2) is feasible on the whole segment and
+        # solves B'y = c_B exactly, but prices the low middle vertex at -1.
+        # Reused, it would put every point of the segment at 0.
+        G = np.array([[0.1, 0.9], [0.5, 0.5], [0.9, 0.1]])
+        c = np.array([0.0, -1.0, 0.0])
+        Q = np.array([[0.5, 0.5], [0.3, 0.7], [0.7, 0.3]])
+        honest = rationalization.solve_equality_lp
+
+        def chord_basis(*args, **kwargs):
+            return dataclasses.replace(honest(*args, **kwargs), basis=(0, 2))
+
+        monkeypatch.setattr(rationalization, "solve_equality_lp", chord_basis)
+        assert_allclose(_conjugate_many(G, c, Q, 1e-9), [-1.0, -0.5, -0.5], atol=1e-12)
+
+    def test_dust_basis_is_not_reused(self):
+        # At seed 3 of the benchmark, menu lowdim_02, phase 1 pivots dust
+        # into the redundant sum-to-one row while solving vertex 130: its
+        # basis has rank 4 of 5 and prices a column at -0.035.  Reused
+        # without the dual certificate it puts vertex 132 at 2.7070 for
+        # 2.6716.
+        d = benchmark_lowdim_menu(3, 2)
         fit = compute_potentials(d)
         G, c = _max_affine_data(fit, d)
-        Q = np.vstack([G, rng.dirichlet(np.ones(d.n), size=100) @ G])
-        honest = rationalization._conjugate_batch_hull
-
-        def wrong_off_vertices(G, c, Q):
-            vals = honest(G, c, Q)
-            vals[G.shape[0]:] += 1.0
-            return vals
-
-        monkeypatch.setattr(rationalization, "_conjugate_batch_hull", wrong_off_vertices)
-        batch = _conjugate_many(G, c, Q, 1e-9)
-        singles = np.array([_conjugate_single(G, c, q, 1e-9) for q in Q])
-        assert_allclose(batch, singles, atol=1e-9)
+        Q = np.vstack([G, np.random.default_rng(0).dirichlet(np.ones(d.n), size=100) @ G])
+        values = _conjugate_many(G, c, Q, 1e-9)
+        A = np.vstack([G.T, np.ones((1, d.n))])
+        expected = np.array([solve_equality_lp(c, A, np.append(q, 1.0)).value for q in Q])
+        assert_allclose(values, expected, atol=1e-9)
+        assert_allclose(values[131], 2.67158024, atol=1e-8)
 
     def test_matches_exact_two_alternative_oracle(self):
         rng = np.random.default_rng(37)
@@ -350,8 +383,7 @@ class TestVerifyRationalization:
 class TestDegenerateGeometry:
     def test_duplicate_gradients_across_observations(self):
         # Distinct values can share one probability vector (saturated
-        # projections); the hull route degenerates and the LP fallback must
-        # carry the verification.
+        # projections), so many conjugate LPs are degenerate.
         rng = np.random.default_rng(60)
         rows_v = (rng.uniform(3.0, 9.0, (15, 3))).tolist()
         probs = [pum_solve_closed("quadratic", v).entries.tolist() for v in rows_v]
