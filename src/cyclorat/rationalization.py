@@ -537,10 +537,13 @@ def pum_solve_general(
 class RationalizationReport:
     """Numerical certificate that the fitted cost rationalizes the data.
 
-    For each observation i, ``fenchel_gaps[i]`` is |<v^i, p^i> - C(p^i) -
-    f(v^i)| and ``optimality_gaps[i]`` is the largest advantage any sampled
-    competitor q attains over p^i in <v^i, q> - C(q).  Both should sit at
-    numerical noise level for cyclically monotone data.
+    For each observation i, ``fenchel_gaps[i]`` is the Afriat shortfall
+    f(v^i) - phi_i >= 0, which bounds the true gap |<v^i, p^i> - C(p^i) -
+    f(v^i)|: lam = e_i gives C(p^i) <= c_i = <v^i, p^i> - phi_i, and
+    Fenchel-Young gives C(p^i) >= <v^i, p^i> - f(v^i).
+    ``optimality_gaps[i]`` is the largest advantage any sampled competitor
+    q attains over phi_i in <v^i, q> - C(q), vertices priced at c_j.  Both
+    should sit at numerical noise level for cyclically monotone data.
     """
 
     fenchel_gaps: np.ndarray
@@ -593,6 +596,8 @@ def verify_rationalization(
     from 0 when omitted, so runs are reproducible).  All pool points lie in
     conv{g_j}, where the conjugate is finite by construction.  f(v^j) is
     read off the edge weights, so the gradients must be the probabilities.
+    Vertices are priced at c_j, within the Afriat shortfall of C(g_j) (see
+    ``RationalizationReport``), so only the mixtures go to the LP.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -603,20 +608,15 @@ def verify_rationalization(
     # f(v^j) = max(phi_j, max_i phi_i - W[i, j]); the +inf diagonal drops i = j.
     phi = fit.potentials
     extension = np.maximum(phi, np.max(phi[:, None] - edge_weights(dataset), axis=0))
-    if mixtures > 0:
-        weights = rng.dirichlet(np.ones(n), size=mixtures)
-        pool = np.vstack([G, weights @ G])
-    else:
-        pool = G
-    pool_cost = _conjugate_many(G, c, pool, feas_tol)
+    pool = np.vstack([G, rng.dirichlet(np.ones(n), size=mixtures) @ G])
+    pool_cost = np.concatenate([c, _conjugate_many(G, c, pool[n:], feas_tol)])
     if not np.all(np.isfinite(pool_cost)):
         raise CycloratError("conjugate reported infeasible at an in-hull point")
 
-    cost_at_p = pool_cost[:n]
-    own = np.array([comp_dot(V[i], G[i]) for i in range(n)]) - cost_at_p
-    fenchel = np.abs(own - extension)
+    # <v^i, g_i> - c_i = phi_i, so the Fenchel gap is the Afriat shortfall.
+    fenchel = extension - phi
     competitor = V @ pool.T - pool_cost[None, :]
-    opt_gaps = competitor.max(axis=1) - own
+    opt_gaps = competitor.max(axis=1) - phi
     return RationalizationReport(
         fenchel_gaps=fenchel,
         optimality_gaps=opt_gaps,

@@ -88,8 +88,10 @@ def test_criterion_2_converse_direction():
 
 
 def test_criterion_3_forward_round_trip():
-    # 200 cyclically monotone datasets: potentials fit, then Fenchel equality
-    # and sampled optimality hold to 1e-8 over all vertices plus 1e3 mixtures.
+    # 200 cyclically monotone datasets: potentials fit, then the Afriat
+    # shortfall (the Fenchel gap, which bounds |C(p^i) - c_i| at every
+    # vertex) and sampled optimality over all vertices plus 1e3 LP-solved
+    # mixtures hold to 1e-8.
     rng = np.random.default_rng(103)
     t0 = time.perf_counter()
     worst_fenchel = 0.0

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from cyclorat import (
     DataDerivedCost,
+    Dataset,
     LuceExponential,
     NegEntropyCost,
     NotCyclicallyMonotoneError,
@@ -348,6 +349,25 @@ class TestGeneralSolver:
                 assert abs(fd - sol.probs.entries[a]) <= 1e-4
 
 
+def _duplicate_gradient_menu(rng: np.random.Generator) -> Dataset:
+    # Distinct values can share one probability vector (saturated
+    # projections), so many conjugate LPs are degenerate.
+    rows_v = (rng.uniform(3.0, 9.0, (15, 3))).tolist()
+    probs = [pum_solve_closed("quadratic", v).entries.tolist() for v in rows_v]
+    return make_dataset("m", rows_v, probs)
+
+
+def _count_lp_calls(monkeypatch) -> list:
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve_equality_lp(*args, **kwargs)
+
+    monkeypatch.setattr(rationalization, "solve_equality_lp", counting)
+    return calls
+
+
 class TestVerifyRationalization:
     def test_softmax_fixture(self, softmax_fixture):
         fit = compute_potentials(softmax_fixture)
@@ -379,15 +399,68 @@ class TestVerifyRationalization:
             assert report.max_fenchel_gap <= 1e-8
             assert report.max_optimality_gap <= 1e-8
 
+    @pytest.mark.parametrize(
+        "menu",
+        [
+            lambda: benchmark_lowdim_menu(3, 2),
+            lambda: benchmark_lowdim_menu(7, 1),
+            lambda: _duplicate_gradient_menu(np.random.default_rng(60)),
+        ],
+        ids=["lowdim-3-2", "lowdim-7-1", "duplicate-gradients"],
+    )
+    def test_vertex_cost_is_within_the_shortfall(self, menu):
+        # verify prices vertex g_i at c_i and reports the Afriat shortfall
+        # f(v^i) - phi_i as its Fenchel gap; that is sound only if the LP
+        # value C(g_i) is within the shortfall of c_i.  lowdim-3-2 holds the
+        # dust-pivot vertex 130, the others tie gradients or zero cycles.
+        d = menu()
+        fit = compute_potentials(d, 1e-9)
+        G, c = _max_affine_data(fit, d)
+        A = np.vstack([G.T, np.ones((1, d.n))])
+        lp = np.array([solve_equality_lp(c, A, np.append(g, 1.0)).value for g in G])
+        shortfall = verify_rationalization(d, fit, mixtures=0).fenchel_gaps
+        assert np.all(np.abs(lp - c) <= shortfall + 1e-12)
+
+    def test_vertices_need_no_lp(self, monkeypatch):
+        calls = _count_lp_calls(monkeypatch)
+        d = benchmark_lowdim_menu(3, 2)
+        fit = compute_potentials(d, 1e-9)
+        report = verify_rationalization(d, fit, 1e-8, mixtures=0)
+        assert len(calls) == 0
+        assert report.passed
+        assert (report.n_vertex_points, report.n_mixture_points) == (d.n, 0)
+        phi = fit.potentials
+        extension = np.maximum(phi, np.max(phi[:, None] - edge_weights(d), axis=0))
+        assert np.array_equal(report.fenchel_gaps, extension - phi)
+        exact = [evaluate_extension(fit, d, v) for v in d.values_matrix]
+        assert_allclose(report.fenchel_gaps, np.array(exact) - phi, atol=1e-12)
+
+    def test_large_menu_solves_mixtures_only(self, monkeypatch):
+        # A count, not a timing: at n = 1000, |A| = 10 the LP sees at most
+        # the 1000 mixture queries, most of them answered by reused bases.
+        calls = _count_lp_calls(monkeypatch)
+        d = pum_dataset("negentropy", np.random.default_rng(70), 1000, 10)
+        fit = compute_potentials(d, 1e-9)
+        report = verify_rationalization(d, fit, 1e-8, rng=np.random.default_rng(71))
+        assert report.passed  # every gap <= 1e-8
+        assert report.n_mixture_points == 1000
+        assert 0 < len(calls) <= 1000
+
+    def test_lowered_potential_is_rejected(self, softmax_fixture):
+        # phi_2 = 0.5 is tight against phi_1 - w(1 -> 2); lowering it by 1e-6
+        # breaks that Afriat inequality and the Fenchel equality at v^2.
+        fit = compute_potentials(softmax_fixture)
+        bad = dataclasses.replace(fit, potentials=fit.potentials - [0.0, 1e-6])
+        report = verify_rationalization(softmax_fixture, bad)
+        assert not report.passed
+        assert_allclose(report.fenchel_gaps, [0.0, 1e-6], atol=1e-12)
+        assert_allclose(report.optimality_gaps[1], 1e-6, atol=1e-12)
+
 
 class TestDegenerateGeometry:
     def test_duplicate_gradients_across_observations(self):
-        # Distinct values can share one probability vector (saturated
-        # projections), so many conjugate LPs are degenerate.
         rng = np.random.default_rng(60)
-        rows_v = (rng.uniform(3.0, 9.0, (15, 3))).tolist()
-        probs = [pum_solve_closed("quadratic", v).entries.tolist() for v in rows_v]
-        d = make_dataset("m", rows_v, probs)
+        d = _duplicate_gradient_menu(rng)
         fit = compute_potentials(d, 1e-9)
         report = verify_rationalization(d, fit, 1e-8, mixtures=100, rng=rng)
         assert report.max_fenchel_gap <= 1e-8

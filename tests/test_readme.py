@@ -1,0 +1,39 @@
+"""The README's examples run as written."""
+
+import re
+import shlex
+from pathlib import Path
+
+from cyclorat.cli import main
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def _blocks(lang: str) -> list[str]:
+    return re.findall(rf"^```{lang}\n(.*?)^```$", README, flags=re.M | re.S)
+
+
+def test_library_quick_start_runs():
+    (block,) = _blocks("python")
+    assert "assert report.passed" in block
+    exec(compile(block, "README.md", "exec"), {})
+
+
+def test_example_session_exit_codes(tmp_path, monkeypatch):
+    # The session writes model.json with a here-document, then runs
+    # simulate -> check -> verify; each "# exit N" comment is the expected
+    # exit code (0 where none is given).
+    (session,) = [b for b in _blocks("sh") if "cat > model.json" in b]
+    heredoc = re.search(r"<<'EOF'\n(.*?)^EOF$", session, flags=re.M | re.S)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "model.json").write_text(heredoc.group(1))
+    commands = []
+    for line in session[heredoc.end():].splitlines():
+        if not line.startswith("cyclorat "):
+            continue
+        expected = re.search(r"#\s*exit\s+(\d+)", line)
+        argv = shlex.split(line, comments=True)[1:]
+        commands.append(argv[0])
+        assert main(argv) == (int(expected.group(1)) if expected else 0), line
+    assert commands == ["simulate", "check", "verify"]
+    assert (tmp_path / "verify.json").exists()
