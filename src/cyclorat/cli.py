@@ -22,14 +22,15 @@ import logging
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .core import TOL_CM, TOL_OPT, TOL_SIMPLEX, Dataset
-from .dataio import fmt17, load_model_spec, parse_datasets_csv, write_dataset_csv
+from .dataio import csv_field, load_model_spec, parse_datasets_csv, write_dataset_csv
 from .errors import CycloratError, InconsistentPairError
 from .models import simulate_dataset
 from .monotonicity import (
@@ -37,6 +38,7 @@ from .monotonicity import (
     check_two_point_monotonicity,
     check_weak_stochastic_transitivity,
     edge_weights,
+    pair_blocks,
 )
 from .rationalization import (
     SmoothedDataDerivedCost,
@@ -77,25 +79,12 @@ class RunConfig:
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
 
-    def echo(self) -> dict:
-        return {
-            "command": self.command,
-            "input": self.input,
-            "output": self.output,
-            "model": self.model,
-            "tol_simplex": self.tol_simplex,
-            "tol_cm": self.tol_cm,
-            "tol_opt": self.tol_opt,
-            "epsilon": self.epsilon,
-            "seed": self.seed,
-        }
-
 
 def _base_report(config: RunConfig) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "cyclorat", "version": __version__},
-        "config": config.echo(),
+        "config": asdict(config),
     }
 
 
@@ -151,58 +140,53 @@ def _analyze_menu(d: Dataset, config: RunConfig) -> tuple[dict, bool, bool]:
             if config.epsilon > 0:
                 smoothed = SmoothedDataDerivedCost(fit, d, config.epsilon)
                 rows = []
-                for i in range(d.n):
-                    sol = pum_solve_general(smoothed, d.values_matrix[i], config.tol_opt)
+                for i, (v, p) in enumerate(zip(d.values_matrix, d.probs_matrix), start=1):
+                    sol = pum_solve_general(smoothed, v, config.tol_opt)
+                    q = sol.probs.entries
                     rows.append(
                         {
-                            "observation": i + 1,
-                            "probs": sol.probs.entries.tolist(),
-                            "distance_to_observed": float(
-                                np.max(np.abs(sol.probs.entries - d.probs_matrix[i]))
-                            ),
+                            "observation": i,
+                            "probs": q.tolist(),
+                            "distance_to_observed": float(np.max(np.abs(q - p))),
+                            "distance_bound": (2.0 * max(sol.gap, 0.0) / config.epsilon) ** 0.5,
                         }
                     )
                 section["smoothed_solutions"] = {"epsilon": config.epsilon, "rows": rows}
     if depth == "report-all":
-        section["two_point_violations"] = [
-            {
-                "first": v.first,
-                "second": v.second,
-                "alternative": v.alternative,
-                "product": v.product,
-            }
-            for v in check_two_point_monotonicity(d, config.tol_cm)
-        ]
+        violations = check_two_point_monotonicity(d, config.tol_cm)
+        section["two_point_violations"] = [asdict(v) for v in violations]
     section["timing_ms"] = (time.perf_counter() - t0) * 1000.0
     return section, cm_ok, verify_ok
 
 
-def _series_rows(datasets: dict[str, Dataset], report: dict) -> list[tuple[str, str, str, float]]:
-    # Tidy (menu_id, series, key, value) rows for downstream plotting: the
-    # two-cycle sum distribution, potentials, and per-observation gaps.
-    rows: list[tuple[str, str, str, float]] = []
+def _write_series_csv(path: Path, datasets: dict[str, Dataset], report: dict) -> None:
+    """Write the tidy (menu_id, series, key, value) table for plotting.
+
+    Per menu, in id order: two-cycle sums W_ij + W_ji keyed ``i-j`` over
+    i < j in row-major order, then any potentials, Fenchel gaps and
+    optimality gaps, at 17 significant digits; ids quoted as csv does.
+    Each ``pair_blocks`` block is formatted by one % call and written.
+    """
     by_id = {section["menu_id"]: section for section in report.get("menus", [])}
-    for menu_id in sorted(datasets):
-        d = datasets[menu_id]
-        W = edge_weights(d)
-        first, second = np.triu_indices(d.n, 1)
-        for i, j, s in zip(first, second, (W + W.T)[first, second].tolist()):
-            rows.append((menu_id, "two_cycle_sum", f"{i + 1}-{j + 1}", s))
-        section = by_id.get(menu_id, {})
-        for i, phi in enumerate(section.get("potentials", {}).get("potentials", []), start=1):
-            rows.append((menu_id, "potential", str(i), float(phi)))
-        verification = section.get("verification", {})
-        for name in ("fenchel_gaps", "optimality_gaps"):
-            for i, gap in enumerate(verification.get(name, []), start=1):
-                rows.append((menu_id, name[:-1], str(i), float(gap)))
-    return rows
-
-
-def _write_series_csv(path: Path, rows: list[tuple[str, str, str, float]]) -> None:
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write("menu_id,series,key,value\n")
-        for menu_id, series, key, value in rows:
-            fh.write(f"{menu_id},{series},{key},{fmt17(value)}\n")
+        for menu_id in sorted(datasets):
+            head = csv_field(menu_id).replace("%", "%%") + ","
+            W = edge_weights(datasets[menu_id])
+            # A formatted row holds three objects and ~50 characters: ~16 cells.
+            for i, j in pair_blocks(datasets[menu_id].n, 16):
+                rows = zip((i + 1).tolist(), (j + 1).tolist(), (W[i, j] + W[j, i]).tolist())
+                text = (head + "two_cycle_sum,%d-%d,%.17g\n") * i.size
+                fh.write(text % tuple(chain.from_iterable(rows)))
+            section = by_id.get(menu_id, {})
+            verification = section.get("verification", {})
+            for series, values in (
+                ("potential", section.get("potentials", {}).get("potentials", [])),
+                ("fenchel_gap", verification.get("fenchel_gaps", [])),
+                ("optimality_gap", verification.get("optimality_gaps", [])),
+            ):
+                text = (head + series + ",%d,%.17g\n") * len(values)
+                fh.write(text % tuple(chain.from_iterable(enumerate(values, start=1))))
 
 
 def run(config: RunConfig) -> tuple[int, dict]:
@@ -246,7 +230,7 @@ def run(config: RunConfig) -> tuple[int, dict]:
             report["weak_stochastic_transitivity"] = wst
         if config.output:
             series_path = Path(config.output).with_suffix(".series.csv")
-            _write_series_csv(series_path, _series_rows(datasets, report))
+            _write_series_csv(series_path, datasets, report)
             report["series_csv"] = str(series_path)
 
     if not all_cm:
@@ -291,16 +275,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        config = RunConfig(
-            command=args.command,
-            input=args.input,
-            output=args.output,
-            model=args.model,
-            tol_cm=args.tol_cm,
-            tol_opt=args.tol_opt,
-            epsilon=args.epsilon,
-            seed=args.seed,
-        )
+        config = RunConfig(**vars(args))
         code, report = run(config)
     except (CycloratError, OSError, ValueError) as exc:
         log.error("%s", exc)

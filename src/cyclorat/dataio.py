@@ -3,13 +3,14 @@
 Dataset files are UTF-8 CSV with LF line endings and the exact header
 ``menu_id,obs_id,alternative,value,prob``.  Rows are grouped by
 ``(menu_id, obs_id)``; alternatives are ordered by first appearance within
-each menu; observations by first appearance of their ``obs_id``.  Floats are
-written with 17 significant digits, which round-trips doubles exactly.
+each menu; observations by first appearance of their ``obs_id``.  Floats
+carry 17 significant digits (exact round-trip); fields are quoted as csv does.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 from pathlib import Path
 from typing import Sequence
@@ -36,6 +37,13 @@ class ParseError(ValidationError):
 def fmt17(x: float) -> str:
     """Format a float with 17 significant digits (exact double round-trip)."""
     return format(float(x), ".17g")
+
+
+def csv_field(text: str) -> str:
+    """``text`` as one CSV field, quoted only where the csv module would."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text, ""])  # a lone empty field would be quoted
+    return buf.getvalue()[:-3]
 
 
 def parse_datasets_csv(path, tol: float = TOL_SIMPLEX) -> dict[str, Dataset]:
@@ -121,10 +129,12 @@ def write_dataset_csv(path, datasets: Dataset | Sequence[Dataset]) -> None:
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for d in datasets:
+            menu_id = csv_field(d.menu.id)
+            labels = [csv_field(label) for label in d.menu.alternatives]
             for k, obs in enumerate(d.observations, start=1):
-                for a, label in enumerate(d.menu.alternatives):
+                for a, label in enumerate(labels):
                     fh.write(
-                        f"{d.menu.id},{k},{label},"
+                        f"{menu_id},{k},{label},"
                         f"{fmt17(obs.values.entries[a])},{fmt17(obs.probs.entries[a])}\n"
                     )
 

@@ -407,6 +407,20 @@ def brute_force_cm(dataset: Dataset, tol: float = TOL_CM) -> CMVerdict:
 #: Coordinates are considered equal when they differ by at most this much.
 TWO_POINT_COORD_TOL = 1e-12
 
+#: Cells (pairs times cells per pair) in one block of ``pair_blocks``.
+PAIR_BLOCK_CELLS = 2**18
+
+
+def pair_blocks(n: int, cells_per_pair: int):
+    """Yield (first, second) 0-based index arrays of all pairs i < j, in
+    row-major order, in blocks of PAIR_BLOCK_CELLS // cells_per_pair pairs."""
+    starts = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))  # row offsets
+    step = max(1, PAIR_BLOCK_CELLS // cells_per_pair)
+    for k0 in range(0, int(starts[-1]), step):
+        k = np.arange(k0, min(k0 + step, int(starts[-1])))
+        first = np.searchsorted(starts, k, side="right") - 1
+        yield first, k - starts[first] + first + 1
+
 
 def check_two_point_monotonicity(
     dataset: Dataset, tol: float = TOL_CM
@@ -416,23 +430,23 @@ def check_two_point_monotonicity(
     For such a pair the product (p_a(v) - p_a(v')) * (v_a - v'_a) over the
     differing coordinate a must be non-negative: raising an alternative's
     value, all else fixed, cannot make it relatively less appealing.  Pairs
-    with product below ``-tol`` are reported (1-based indices).
+    with product below ``-tol`` are reported (1-based indices) in row-major
+    i < j order, scanned in ``pair_blocks`` of at most PAIR_BLOCK_CELLS values.
     """
     V = dataset.values_matrix
     P = dataset.probs_matrix
     labels = dataset.menu.alternatives
     out: list[TwoPointViolation] = []
-    for i in range(dataset.n - 1):
-        # All partners j > i at once, in increasing j.
-        diff = V[i] - V[i + 1:]
+    for first, second in pair_blocks(dataset.n, V.shape[1]):
+        diff = V[first] - V[second]
         moved = np.abs(diff) > TWO_POINT_COORD_TOL
         k = np.flatnonzero(np.count_nonzero(moved, axis=1) == 1)
         a = np.argmax(moved[k], axis=1)
-        j = i + 1 + k
+        i, j = first[k], second[k]
         product = (P[i, a] - P[j, a]) * diff[k, a]
         bad = product < -tol
-        for jj, aa, prod in zip(j[bad].tolist(), a[bad].tolist(), product[bad].tolist()):
-            out.append(TwoPointViolation(i + 1, jj + 1, labels[aa], prod))
+        rows = zip(i[bad].tolist(), j[bad].tolist(), a[bad].tolist(), product[bad].tolist())
+        out += [TwoPointViolation(ii + 1, jj + 1, labels[aa], p) for ii, jj, aa, p in rows]
     return out
 
 

@@ -431,13 +431,14 @@ def _solve_data_derived(cost: DataDerivedCost, v: np.ndarray, tol: float) -> Pum
 def _solve_smoothed_data(
     cost: SmoothedDataDerivedCost, v: np.ndarray, tol: float, budget: int
 ) -> PumSolution:
-    # Maximize J(lam) = <v, G'lam> - c'lam - eps * sum q ln q over the
-    # mixture simplex with pairwise Frank-Wolfe; substituting the mixture
-    # cost c'lam for C(q) is tight at the optimum because the optimal q can
-    # take its cheapest representation.
+    # Maximize J(lam) = <v, G'lam> - c'lam - eps * sum q ln q, q = G'lam, by
+    # pairwise Frank-Wolfe from e_s, s the unsmoothed maximizer, which the
+    # smoothed one stays near; the mixture cost c'lam is tight for C(q) at
+    # the optimum.  J is eps-strongly concave in q under l1 (Pinsker), so q
+    # is within sqrt(2 * gap / eps) of the maximizer in every coordinate.
     G, c, eps = cost.vertices, cost.offsets, cost.epsilon
-    n = G.shape[0]
-    lam = np.full(n, 1.0 / n)
+    lam = np.zeros(G.shape[0])
+    lam[int(np.argmax(G @ v - c))] = 1.0
     q = lam @ G
 
     def j_value(qv: np.ndarray, cost_lin: float) -> float:

@@ -6,15 +6,20 @@ one-dimensional slice, and the grid transform scans value differences
 directly.  The minimum cycle mean has two references: Karp's O(n^3)
 dynamic program and, for small n, enumeration of every simple cycle.  The
 conjugate LP's reference is a one-query support scan by least squares,
-independent of the library's batched pseudo-inverse scan.
+independent of the library's batched pseudo-inverse scan.  The series CSV's
+reference builds every row as a tuple and formats them one at a time.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
+
+from cyclorat.dataio import fmt17
+from cyclorat.monotonicity import edge_weights
 
 
 def conjugate_exact_2alt(slopes: np.ndarray, offsets: np.ndarray, x: float) -> float:
@@ -163,3 +168,35 @@ def enumerate_basic_values(
             if val < best:
                 best = val
     return best
+
+
+def series_rows(datasets: dict, report: dict) -> list[tuple[str, str, str, float]]:
+    """Tidy (menu_id, series, key, value) rows of the report-all series CSV.
+
+    Menus in id order: the two-cycle sums over i < j in row-major order,
+    then potentials, Fenchel gaps and optimality gaps, one tuple per row.
+    """
+    rows: list[tuple[str, str, str, float]] = []
+    by_id = {section["menu_id"]: section for section in report.get("menus", [])}
+    for menu_id in sorted(datasets):
+        d = datasets[menu_id]
+        W = edge_weights(d)
+        first, second = np.triu_indices(d.n, 1)
+        for i, j, s in zip(first, second, (W + W.T)[first, second].tolist()):
+            rows.append((menu_id, "two_cycle_sum", f"{i + 1}-{j + 1}", s))
+        section = by_id.get(menu_id, {})
+        for i, phi in enumerate(section.get("potentials", {}).get("potentials", []), start=1):
+            rows.append((menu_id, "potential", str(i), float(phi)))
+        verification = section.get("verification", {})
+        for name in ("fenchel_gaps", "optimality_gaps"):
+            for i, gap in enumerate(verification.get(name, []), start=1):
+                rows.append((menu_id, name[:-1], str(i), float(gap)))
+    return rows
+
+
+def write_series_csv(path: Path, rows: list[tuple[str, str, str, float]]) -> None:
+    """Write ``series_rows`` output one formatted row at a time."""
+    with path.open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write("menu_id,series,key,value\n")
+        for menu_id, series, key, value in rows:
+            fh.write(f"{menu_id},{series},{key},{fmt17(value)}\n")

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line front end."""
 
+import csv
 import json
 import os
 import subprocess
@@ -8,10 +9,13 @@ import sys
 import numpy as np
 import pytest
 
+from cyclorat import monotonicity
 from cyclorat.cli import EXIT_OK, EXIT_REJECTED, EXIT_USAGE, RunConfig, main, run
-from cyclorat.dataio import parse_dataset_csv
+from cyclorat.dataio import parse_dataset_csv, parse_datasets_csv
 from cyclorat.rationalization import RationalizationReport
 from cyclorat.report import dumps_report, strip_timing
+
+from oracles import series_rows, write_series_csv
 
 VIOLATION_CSV = """menu_id,obs_id,alternative,value,prob
 m,1,x,1,0.3
@@ -35,6 +39,26 @@ yz,1,z,0,0.45
 xz,1,x,0,0.4
 xz,1,z,0,0.6
 """
+
+
+def softmax_rows(menu_id: str, rng: np.random.Generator, n: int, size: int) -> list[str]:
+    # Seeded softmax choices on uniform(-3, 3) values: cyclically monotone.
+    V = rng.uniform(-3.0, 3.0, (n, size))
+    P = np.exp(V) / np.exp(V).sum(axis=1, keepdims=True)
+    return [
+        f"{menu_id},{i},a{a + 1},{v[a]!r},{p[a]!r}"
+        for i, (v, p) in enumerate(zip(V.tolist(), P.tolist()), start=1)
+        for a in range(size)
+    ]
+
+
+def mixed_menus_csv(rng: np.random.Generator) -> str:
+    # A passing menu, a violation menu, the n=1 binary menus of the weak
+    # stochastic transitivity section, and a menu id holding a '%'.
+    rows = softmax_rows("pass", rng, 12, 3) + softmax_rows("50%_x", rng, 5, 2)
+    rows += VIOLATION_CSV.replace("m,", "viol,").splitlines()[1:]
+    rows += BINARY_MENUS_CSV.splitlines()[1:]
+    return "\n".join(["menu_id,obs_id,alternative,value,prob"] + rows) + "\n"
 
 
 @pytest.fixture
@@ -168,6 +192,49 @@ class TestReportAll:
         smoothed = report["menus"][0]["smoothed_solutions"]
         assert smoothed["epsilon"] == 0.01
         assert len(smoothed["rows"]) == 2
+        for row in smoothed["rows"]:
+            assert 0.0 <= row["distance_bound"] <= 1e-3
+
+
+class TestSeriesCsv:
+    @pytest.mark.parametrize("block_pairs", [None, 1, 7])
+    def test_matches_row_oracle(self, block_pairs, tmp_path, monkeypatch):
+        # Block sizes that split rows mid-way must not change a byte.
+        if block_pairs is not None:
+            monkeypatch.setattr(monotonicity, "PAIR_BLOCK_CELLS", 16 * block_pairs)
+        data, out = tmp_path / "menus.csv", tmp_path / "report.json"
+        data.write_text(mixed_menus_csv(np.random.default_rng(70)))
+        code, report = run(RunConfig(command="report-all", input=str(data), output=str(out)))
+        assert code == EXIT_REJECTED
+        sections = {m["menu_id"]: m for m in report["menus"]}
+        assert sections["viol"]["cyclic_monotonicity"]["status"] == "violation"
+        assert "potentials" not in sections["viol"]
+        assert "verification" in sections["pass"] and "verification" in sections["50%_x"]
+        oracle = tmp_path / "oracle.csv"
+        write_series_csv(oracle, series_rows(parse_datasets_csv(data), report))
+        assert (tmp_path / "report.series.csv").read_bytes() == oracle.read_bytes()
+
+    def test_runs_are_byte_identical(self, tmp_path):
+        data, out = tmp_path / "menus.csv", tmp_path / "report.json"
+        data.write_text(mixed_menus_csv(np.random.default_rng(71)))
+        outputs = []
+        for _ in range(2):
+            assert main(["report-all", "--input", str(data), "--output", str(out)]) == EXIT_REJECTED
+            report = dumps_report(strip_timing(json.loads(out.read_text())))
+            outputs.append((report, (tmp_path / "report.series.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    def test_quoted_menu_id(self, tmp_path):
+        # A menu id holding the delimiter is quoted, so every row keeps
+        # four fields.
+        data, out = tmp_path / "menus.csv", tmp_path / "report.json"
+        data.write_text(SOFTMAX_CSV.replace("\nm,", '\n"m,1",'))
+        assert main(["report-all", "--input", str(data), "--output", str(out)]) == EXIT_OK
+        with (tmp_path / "report.series.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 8  # header, one sum, two potentials, four gaps
+        assert all(len(row) == 4 for row in rows)
+        assert {row[0] for row in rows[1:]} == {"m,1"}
 
 
 class TestErrorsAndDeterminism:
@@ -255,3 +322,21 @@ def test_verify_runs_with_scipy_blocked(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == EXIT_OK, proc.stderr
     assert json.loads(out.read_text())["menus"][0]["verification"]["passed"] is True
+
+
+def test_report_all_is_identical_across_blas_threads(tmp_path):
+    # BLAS may split a matrix product across threads; the reports and the
+    # series CSV must not depend on how it does.
+    data, out = tmp_path / "data.csv", tmp_path / "report.json"
+    rows = softmax_rows("m", np.random.default_rng(72), 200, 10)
+    data.write_text("\n".join(["menu_id,obs_id,alternative,value,prob"] + rows) + "\n")
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    base["PYTHONPATH"] = os.pathsep.join(sys.path)
+    outputs = []
+    for env in (base, dict(base, OPENBLAS_NUM_THREADS="1")):
+        cmd = [sys.executable, "-m", "cyclorat.cli", "report-all", "--input", str(data)]
+        proc = subprocess.run(cmd + ["--output", str(out)], capture_output=True, env=env)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        report = dumps_report(strip_timing(json.loads(out.read_text())))
+        outputs.append((report, (tmp_path / "report.series.csv").read_bytes()))
+    assert outputs[0] == outputs[1]

@@ -130,6 +130,32 @@ def test_round_trip_is_bit_exact(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_quoted_fields_round_trip(tmp_path):
+    # Ids and labels holding the delimiter or a quote are written quoted,
+    # so parse -> write -> parse is the identity; plain fields stay bare.
+    path = tmp_path / "a.csv"
+    path.write_text(
+        "menu_id,obs_id,alternative,value,prob\n"
+        '"m,1",1,"x,y",0,0.5\n"m,1",1,"say ""z""",0,0.5\n'
+        "plain,1,x,1,0.25\nplain,1,y,0,0.75\n"
+    )
+    parsed = parse_datasets_csv(path)
+    assert parsed["m,1"].menu.alternatives == ("x,y", 'say "z"')
+    again = tmp_path / "b.csv"
+    write_dataset_csv(again, list(parsed.values()))
+    assert again.read_text().splitlines()[1:4] == [
+        '"m,1",1,"x,y",0,0.5',
+        '"m,1",1,"say ""z""",0,0.5',
+        "plain,1,x,1,0.25",
+    ]
+    reparsed = parse_datasets_csv(again)
+    assert list(reparsed) == ["m,1", "plain"]
+    for menu_id, d in parsed.items():
+        assert reparsed[menu_id].menu == d.menu
+        assert np.array_equal(reparsed[menu_id].values_matrix, d.values_matrix)
+        assert np.array_equal(reparsed[menu_id].probs_matrix, d.probs_matrix)
+
+
 def test_fmt17_round_trips_doubles():
     rng = np.random.default_rng(51)
     for x in rng.uniform(-1e6, 1e6, 200):

@@ -552,30 +552,47 @@ class TestTwoPoint:
 
     def test_matches_pair_loop(self):
         # The pair-by-pair scan this vectorizes: same pairs, order and products.
-        rng = np.random.default_rng(42)
-        V = rng.uniform(-3, 3, (80, 4))
-        for i in range(1, 80, 2):
-            V[i] = V[i - 1]
-            V[i, rng.integers(4)] = rng.uniform(-3, 3)
-        V[7] = V[2]
-        V[7, 1] += 0.5
-        d = make_dataset("m", V.tolist(), rng.dirichlet(np.ones(4), 80).tolist())
-        P, labels = d.probs_matrix, d.menu.alternatives
-        V = d.values_matrix
-        expected = []
-        for i in range(d.n):
-            for j in range(i + 1, d.n):
-                diff = V[i] - V[j]
-                moved = np.abs(diff) > 1e-12
-                if np.count_nonzero(moved) != 1:
-                    continue
-                a = int(np.argmax(moved))
-                product = (P[i, a] - P[j, a]) * diff[a]
-                if product < -1e-9:
-                    expected.append((i + 1, j + 1, labels[a], float(product)))
+        d, expected = _two_point_pair_loop()
         got = [(v.first, v.second, v.alternative, v.product) for v in check_two_point_monotonicity(d)]
         assert len(expected) > 5
         assert got == expected
+
+    @pytest.mark.parametrize("block_pairs", [1, 7, 64])
+    def test_matches_pair_loop_in_small_blocks(self, block_pairs, monkeypatch):
+        # Blocks that split rows mid-way leave pairs, order and products alone.
+        d, expected = _two_point_pair_loop()
+        monkeypatch.setattr(monotonicity, "PAIR_BLOCK_CELLS", block_pairs * d.menu.size)
+        blocks = list(monotonicity.pair_blocks(d.n, d.menu.size))
+        assert any(second[0] != first[0] + 1 for first, second in blocks)
+        got = [(v.first, v.second, v.alternative, v.product) for v in check_two_point_monotonicity(d)]
+        assert got == expected
+
+
+def _two_point_pair_loop():
+    # A menu whose odd rows move one coordinate of the row before, and its
+    # two-point violations from the pair-by-pair definition.
+    rng = np.random.default_rng(42)
+    V = rng.uniform(-3, 3, (80, 4))
+    for i in range(1, 80, 2):
+        V[i] = V[i - 1]
+        V[i, rng.integers(4)] = rng.uniform(-3, 3)
+    V[7] = V[2]
+    V[7, 1] += 0.5
+    d = make_dataset("m", V.tolist(), rng.dirichlet(np.ones(4), 80).tolist())
+    P, labels = d.probs_matrix, d.menu.alternatives
+    V = d.values_matrix
+    expected = []
+    for i in range(d.n):
+        for j in range(i + 1, d.n):
+            diff = V[i] - V[j]
+            moved = np.abs(diff) > 1e-12
+            if np.count_nonzero(moved) != 1:
+                continue
+            a = int(np.argmax(moved))
+            product = (P[i, a] - P[j, a]) * diff[a]
+            if product < -1e-9:
+                expected.append((i + 1, j + 1, labels[a], float(product)))
+    return d, expected
 
 
 class TestWeakStochasticTransitivity:

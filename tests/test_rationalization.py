@@ -327,6 +327,27 @@ class TestGeneralSolver:
             unsmoothed_obj = comp_dot(v, q) - plain.value(q)
             assert unsmoothed_obj >= best - epsilon * math.log(size) - 1e-7
 
+    @pytest.mark.parametrize("epsilon, most, total", [(0.01, 2, 69), (0.1, 10, 86)])
+    def test_smoothed_solve_starts_at_unsmoothed_maximizer(self, epsilon, most, total):
+        # From the unsmoothed maximizer a solve takes a few pairwise
+        # Frank-Wolfe steps; from the uniform mixture it took one drop step
+        # per vertex, at least n - 1 = 39 here.  The counts are pinned.
+        # Every tenth answer is checked against a tol-1e-12 solve, which
+        # takes hundreds of steps: objectives within 1e-10, probabilities
+        # within sqrt(2 gap / eps) of the maximizer for each solve.
+        rng = np.random.default_rng(5)
+        V = rng.uniform(-3.0, 3.0, (40, 5))
+        d = make_dataset("m", V.tolist(), (np.exp(V) / np.exp(V).sum(axis=1, keepdims=True)).tolist())
+        cost = SmoothedDataDerivedCost(compute_potentials(d), d, epsilon)
+        solutions = [pum_solve_general(cost, v, 1e-8) for v in d.values_matrix]
+        assert max(sol.iterations for sol in solutions) <= most
+        assert sum(sol.iterations for sol in solutions) <= total
+        for sol, v in zip(solutions[::10], d.values_matrix[::10]):
+            ref = pum_solve_general(cost, v, 1e-12)
+            assert abs(sol.objective - ref.objective) <= 1e-10
+            bound = math.sqrt(2 * sol.gap / epsilon) + math.sqrt(2 * max(ref.gap, 0.0) / epsilon)
+            assert np.max(np.abs(sol.probs.entries - ref.probs.entries)) <= bound
+
     @pytest.mark.parametrize("cost_cls", [NegEntropyCost, QuadraticCost])
     def test_envelope_gradient(self, cost_cls):
         # d/dv of the optimal objective equals the maximizer itself.
