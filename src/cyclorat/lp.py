@@ -2,10 +2,13 @@
 
 Solves  min c'x  s.t.  A x = b, x >= 0  for problems with a handful of rows
 (here: one row per alternative plus the mixture constraint) and up to a few
-hundred columns.  A two-phase tableau simplex with a Dantzig rule and a
-Bland fallback against cycling keeps the solves exact at basic solutions,
-which the conjugate-cost tests rely on.  An optimal result carries its
-final basis, so a caller with many right-hand sides can reuse it.
+hundred columns, by a tableau simplex that stays exact at basic solutions,
+which the conjugate-cost tests rely on.  Pivots follow Dantzig's rule until
+m consecutive pivots make no step, then Bland's smallest-index rule, which
+cannot cycle, until one moves again.  A solve runs two phases from an
+artificial basis or, given ``start`` (the basis an optimal result for the
+same A and c carries), dual pivots from that basis in place of phase 1.
+Each result counts its pivots.
 
 ``batch_support_values`` scans candidate supports directly, for many
 right-hand sides at once; it is combinatorial in the column count and is
@@ -27,6 +30,7 @@ class LPResult:
     x: np.ndarray | None
     value: float
     basis: tuple[int, ...] = ()  # when optimal: one column per row phase 1 kept
+    pivots: int = 0
 
 
 def _pivot(T: np.ndarray, row: int, col: int) -> None:
@@ -38,41 +42,68 @@ def _pivot(T: np.ndarray, row: int, col: int) -> None:
 
 
 def _run_simplex(
-    T: np.ndarray, basis: list[int], ncols: int, tol: float, max_iter: int
-) -> str:
-    # Objective row is T[-1]; reduced costs live in T[-1, :ncols].  Dantzig
-    # pricing runs first for speed; after `bland_after` iterations both the
-    # entering and leaving choices switch to Bland's smallest-index rule,
-    # which cannot cycle.  Ratio-test ties always break toward the smallest
-    # basis variable index (the leaving half of Bland's rule) since the
-    # conjugate instances are heavily degenerate.
+    T: np.ndarray, basis: list[int], ncols: int, tol: float, max_iter: int, dual: float | None = None
+) -> tuple[str, int]:
+    # Reduced costs live in T[-1, :ncols].  Primal pivots enter the most
+    # negative one.  Dual pivots, given ``dual``, keep them >= 0 and drop the
+    # most negative basic value, entering the least reduced cost over |row
+    # entry|; a row below -dual with no negative entry proves infeasibility.
+    # Bland's rule takes over after m pivots without a step.  Ratio ties go
+    # to the smallest index, as the conjugate instances are heavily
+    # degenerate.  Returns the status and the number of pivots.
     m = T.shape[0] - 1
-    bland_after = 50 + 3 * (m + ncols)
     basis_arr = np.asarray(basis)
+    stuck = 0
     for it in range(max_iter):
-        red = T[-1, :ncols]
-        if it < bland_after:
-            col = int(np.argmin(red))
+        if dual is None:
+            red = T[-1, :ncols]
+            col = int(np.argmin(red) if stuck < m else np.argmax(red < -tol))
             if red[col] >= -tol:
-                return "optimal"
+                return "optimal", it
+            colvals = T[:m, col]
+            pos = colvals > tol
+            if not pos.any():
+                return "unbounded", it
+            ratios = np.full(m, np.inf)
+            ratios[pos] = T[:m, -1][pos] / colvals[pos]
+            step = float(np.min(ratios))
+            tied = np.flatnonzero(ratios <= step + tol * (1.0 + abs(step)))
+            row = int(tied[np.argmin(basis_arr[tied])])
         else:
-            negs = np.flatnonzero(red < -tol)
+            vals = T[:m, -1]
+            negs = np.flatnonzero(vals < -tol)
             if negs.size == 0:
-                return "optimal"
-            col = int(negs[0])
-        colvals = T[:m, col]
-        pos = colvals > tol
-        if not pos.any():
-            return "unbounded"
-        ratios = np.full(m, np.inf)
-        ratios[pos] = T[:m, -1][pos] / colvals[pos]
-        rmin = float(np.min(ratios))
-        tied = np.flatnonzero(ratios <= rmin + tol * (1.0 + abs(rmin)))
-        row = int(tied[np.argmin(basis_arr[tied])])
+                return "optimal", it
+            row = int(negs[np.argmin(vals[negs] if stuck < m else basis_arr[negs])])
+            rowvals = T[row, :ncols]
+            neg = rowvals < -tol
+            if not neg.any():
+                return ("infeasible" if vals[row] < -dual else "stalled"), it
+            ratios = np.full(ncols, np.inf)
+            ratios[neg] = np.maximum(T[-1, :ncols][neg], 0.0) / -rowvals[neg]
+            step = float(np.min(ratios))
+            col = int(np.flatnonzero(ratios <= step + tol * (1.0 + step))[0])
         _pivot(T, row, col)
         basis[row] = col
         basis_arr[row] = col
-    return "stalled"
+        stuck = stuck + 1 if step <= tol else 0
+    return "stalled", max_iter
+
+
+def _warm_tableau(
+    c: np.ndarray, A: np.ndarray, b: np.ndarray, basis: list[int], bound: float
+) -> np.ndarray | None:
+    # Phase-2 tableau of a start basis B: rows B^+ [A | b], exact only if B
+    # has full column rank and spans the columns of A and b; None otherwise.
+    r, n = len(basis), A.shape[1]
+    AB, Ab = A[:, basis], np.column_stack([A, b])
+    T = np.zeros((r + 1, n + 1))
+    T[:r] = np.linalg.pinv(AB) @ Ab
+    if np.abs(AB @ T[:r] - Ab).max() > bound or np.abs(T[:r, basis] - np.eye(r)).max() > bound:
+        return None
+    T[:r, basis] = np.eye(r)
+    T[-1] = np.append(c, 0.0) - c[basis] @ T[:r]
+    return T
 
 
 def solve_equality_lp(
@@ -83,65 +114,76 @@ def solve_equality_lp(
     feas_tol: float = 1e-9,
     pivot_tol: float = 1e-11,
     max_iter: int = 10_000,
+    start: tuple[int, ...] | None = None,
 ) -> LPResult:
-    """Two-phase simplex for min c'x, A x = b, x >= 0."""
+    """Simplex for min c'x, A x = b, x >= 0, cold or from ``start``.
+
+    A start that is no basis of A, or from which the dual pivots do not
+    settle, falls back to the two phases.
+    """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
     m, n = A.shape
+    bound = feas_tol * (1.0 + float(np.abs(b).max(initial=0.0)))
+    basis = list(start or ())
+    T2 = _warm_tableau(c, A, b, basis, bound) if start else None
+    pivots = 0
+    if T2 is not None:
+        status, pivots = _run_simplex(T2, basis, n, pivot_tol, max_iter, bound)
+        if status == "infeasible":
+            return LPResult("infeasible", None, math.inf, (), pivots)
+        if status != "optimal":
+            T2 = None
+    if T2 is None:
+        flip = b < 0
+        A = np.where(flip[:, None], -A, A)
+        b = np.where(flip, -b, b)
 
-    flip = b < 0
-    A = np.where(flip[:, None], -A, A)
-    b = np.where(flip, -b, b)
+        # Phase 1: artificial variables, minimize their sum.
+        T = np.zeros((m + 1, n + m + 1))
+        T[:m, :n] = A
+        T[:m, n : n + m] = np.eye(m)
+        T[:m, -1] = b
+        T[-1, :n] = -A.sum(axis=0)
+        T[-1, -1] = -b.sum()
+        basis = list(range(n, n + m))
+        status, phase1 = _run_simplex(T, basis, n + m, pivot_tol, max_iter)
+        pivots += phase1
+        if status != "optimal":
+            return LPResult("stalled", None, math.nan, (), pivots)
+        if -T[-1, -1] > bound:
+            return LPResult("infeasible", None, math.inf, (), pivots)
 
-    # Phase 1: artificial variables, minimize their sum.
-    T = np.zeros((m + 1, n + m + 1))
-    T[:m, :n] = A
-    T[:m, n : n + m] = np.eye(m)
-    T[:m, -1] = b
-    T[-1, :n] = -A.sum(axis=0)
-    T[-1, -1] = -b.sum()
-    basis = list(range(n, n + m))
-    status = _run_simplex(T, basis, n + m, pivot_tol, max_iter)
-    if status != "optimal":
-        return LPResult("stalled", None, math.nan)
-    infeas = -T[-1, -1]
-    if infeas > feas_tol * (1.0 + float(np.abs(b).max(initial=0.0))):
-        return LPResult("infeasible", None, math.inf)
+        # Drive leftover artificials out of the basis where possible,
+        # pivoting only on entries that stand out of the tableau's rounding.
+        dust = pivot_tol * max(1.0, float(np.abs(T[:m, :n]).max(initial=0.0)))
+        for r in range(m):
+            if basis[r] >= n:
+                cols = np.flatnonzero(np.abs(T[r, :n]) > dust)
+                if cols.size:
+                    _pivot(T, r, int(cols[0]))
+                    basis[r] = int(cols[0])
+                    pivots += 1
 
-    # Drive leftover artificials out of the basis where possible.
-    for r in range(m):
-        if basis[r] >= n:
-            cols = np.flatnonzero(np.abs(T[r, :n]) > pivot_tol)
-            if cols.size:
-                _pivot(T, r, int(cols[0]))
-                basis[r] = int(cols[0])
-
-    keep = [r for r in range(m) if basis[r] < n]
-    drop = [r for r in range(m) if basis[r] >= n]
-    if drop:
         # Rows still basic in an artificial are redundant (zero level).
-        T = np.delete(T, drop, axis=0)
+        keep = [r for r in range(m) if basis[r] < n]
         basis = [basis[r] for r in keep]
-        m = len(basis)
 
-    # Phase 2: restore the real objective, priced out over the basis.
-    T2 = np.zeros((m + 1, n + 1))
-    T2[:m, :n] = T[:m, :n]
-    T2[:m, -1] = T[:m, -1]
-    T2[-1, :n] = c
-    for r, col in enumerate(basis):
-        T2[-1] -= c[col] * T2[r]
-    status = _run_simplex(T2, basis, n, pivot_tol, max_iter)
+        # Phase 2: restore the real objective, priced out over the basis.
+        T2 = np.zeros((len(keep) + 1, n + 1))
+        T2[:-1, :n] = T[keep, :n]
+        T2[:-1, -1] = T[keep, -1]
+        T2[-1] = np.append(c, 0.0) - c[basis] @ T2[:-1]
+    status, phase2 = _run_simplex(T2, basis, n, pivot_tol, max_iter)
+    pivots += phase2
     if status == "unbounded":
-        return LPResult("unbounded", None, -math.inf)
+        return LPResult("unbounded", None, -math.inf, (), pivots)
     if status != "optimal":
-        return LPResult("stalled", None, math.nan)
+        return LPResult("stalled", None, math.nan, (), pivots)
     x = np.zeros(n)
-    for r, col in enumerate(basis):
-        x[col] = T2[r, -1]
-    value = float(np.dot(c, x))
-    return LPResult("optimal", x, value, tuple(basis))
+    x[basis] = T2[:-1, -1]
+    return LPResult("optimal", x, float(np.dot(c, x)), tuple(basis), pivots)
 
 
 def batch_support_values(

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,6 +50,10 @@ from .monotonicity import _bellman_ford, _edge_weight_error, _min_mean_cycle, _p
 
 #: Feasibility slack used when deciding p in conv{g_i}.
 FEAS_TOL = 1e-9
+
+#: Counts of a ``_conjugate_many`` batch: solves from an artificial and from a
+#: certified basis, their pivots, queries reused bases answered, failed bases.
+LP_COUNTERS = ("cold_solves", "warm_solves", "pivots", "reused", "rejected_bases")
 
 
 @dataclass(frozen=True)
@@ -197,49 +201,68 @@ def conjugate_cost(
 
 
 def _conjugate_many(
-    G: np.ndarray, c: np.ndarray, Q: np.ndarray, feas_tol: float
+    G: np.ndarray, c: np.ndarray, Q: np.ndarray, feas_tol: float, counts: dict | None = None
 ) -> np.ndarray:
     """Conjugate values at a batch of points, +inf outside conv{g_i}.
 
     Queries share the LP's A and c and differ only in b = (q, 1), so an
     optimal basis B stays dual feasible for all of them (Chvatal, Linear
-    Programming, ch. 10).  The first unanswered query is solved by the
-    simplex; its basis then answers every other query it is primal
-    feasible for (lam_B = B^+ b >= -feas_tol, with the residual test of
-    ``batch_support_values``), but only under a dual certificate: y with
-    B'y = c_B must price every column at c - A'y >= -feas_tol.  As lam
-    sums to one, weak duality then bounds each reused value's error by
-    feas_tol plus its residual terms.  A basis that phase 1 closed on a
-    dust pivot (rank deficient) fails the certificate and answers only its
-    own query.
+    Programming, ch. 10).  Each basis the simplex returns must pass a dual
+    certificate: y = (B^+)'c_B must solve B'y = c_B and price every column
+    at c - A'y >= -feas_tol.  A certified basis then answers every other
+    query it is primal feasible for (lam_B = B^+ b >= -feas_tol, with the
+    residual test of ``batch_support_values``); as lam sums to one, weak
+    duality bounds each reused value's error by feas_tol plus its residual
+    terms.  The first query is solved cold; each later unanswered query
+    starts from the certified basis whose lam_B was least infeasible for
+    it, so dual pivots replace phase 1.  A cold basis that fails the
+    certificate (a rank-deficient one, say) answers only its own query; a
+    warm one answers nothing and its query is solved cold.  ``counts``, a
+    dict keyed by ``LP_COUNTERS``, accumulates the batch's LP work.
     """
     A = _conjugate_lp_matrix(G)
     rhs = np.hstack([Q, np.ones((Q.shape[0], 1))])
     scale = 1.0 + np.abs(rhs).max(axis=1)
     values = np.empty(rhs.shape[0])
     todo = np.ones(rhs.shape[0], dtype=bool)
+    bases: list[tuple[int, ...]] = []
+    nearest = np.full(rhs.shape[0], -1)  # per query: index into bases
+    closest = np.full(rhs.shape[0], -np.inf)  # and min(lam_B) there
+    counts = dict.fromkeys(LP_COUNTERS, 0) if counts is None else counts
     while todo.any():
         k = int(np.argmax(todo))
-        todo[k] = False
-        res = solve_equality_lp(c, A, rhs[k], feas_tol=feas_tol)
+        start = bases[nearest[k]] if nearest[k] >= 0 else None
+        res = solve_equality_lp(c, A, rhs[k], feas_tol=feas_tol, start=start)
+        counts["warm_solves" if start else "cold_solves"] += 1
+        counts["pivots"] += res.pivots
         if res.status == "infeasible":
             values[k] = math.inf
+            todo[k] = False
             continue
         if res.status != "optimal":
             raise CycloratError(f"conjugate LP did not converge: {res.status}")
-        values[k] = res.value
         cols = list(res.basis)
         AB, cB = A[:, cols], c[cols]
-        y = np.linalg.lstsq(AB.T, cB, rcond=None)[0]
+        pinv = np.linalg.pinv(AB)
+        y = pinv.T @ cB
         solved = np.abs(AB.T @ y - cB).max() <= feas_tol * (1.0 + np.abs(cB).max())
         if not solved or (c - A.T @ y).min() < -feas_tol:
+            counts["rejected_bases"] += 1
+            values[k], todo[k], nearest[k] = res.value, bool(start), -1  # warm: redo cold
             continue
+        values[k] = res.value
+        todo[k] = False
+        bases.append(res.basis)
         rest = np.flatnonzero(todo)
-        lam = np.linalg.lstsq(AB, rhs[rest].T, rcond=None)[0]
+        lam = pinv @ rhs[rest].T
         resid = np.abs(AB @ lam - rhs[rest].T).max(axis=0)
-        hit = (lam.min(axis=0) >= -feas_tol) & (resid <= feas_tol * scale[rest])
+        low = lam.min(axis=0)
+        hit = (low >= -feas_tol) & (resid <= feas_tol * scale[rest])
         values[rest[hit]] = cB @ lam[:, hit]
         todo[rest[hit]] = False
+        counts["reused"] += int(hit.sum())
+        closer = low > closest[rest]
+        nearest[rest[closer]], closest[rest[closer]] = len(bases) - 1, low[closer]
     return values
 
 
@@ -552,6 +575,7 @@ class RationalizationReport:
     tolerance: float
     n_vertex_points: int
     n_mixture_points: int
+    lp: dict = field(default_factory=dict)  # LP_COUNTERS of the mixture batch
 
     @property
     def max_fenchel_gap(self) -> float:
@@ -577,6 +601,7 @@ class RationalizationReport:
             "tolerance": self.tolerance,
             "n_vertex_points": self.n_vertex_points,
             "n_mixture_points": self.n_mixture_points,
+            "lp": dict(self.lp),
             "passed": self.passed,
         }
 
@@ -610,7 +635,8 @@ def verify_rationalization(
     phi = fit.potentials
     extension = np.maximum(phi, np.max(phi[:, None] - edge_weights(dataset), axis=0))
     pool = np.vstack([G, rng.dirichlet(np.ones(n), size=mixtures) @ G])
-    pool_cost = np.concatenate([c, _conjugate_many(G, c, pool[n:], feas_tol)])
+    lp = dict.fromkeys(LP_COUNTERS, 0)
+    pool_cost = np.concatenate([c, _conjugate_many(G, c, pool[n:], feas_tol, lp)])
     if not np.all(np.isfinite(pool_cost)):
         raise CycloratError("conjugate reported infeasible at an in-hull point")
 
@@ -624,4 +650,5 @@ def verify_rationalization(
         tolerance=tol,
         n_vertex_points=n,
         n_mixture_points=pool.shape[0] - n,
+        lp=lp,
     )

@@ -5,8 +5,10 @@ two-alternative conjugate is resolved by enumerating piece crossings of the
 one-dimensional slice, and the grid transform scans value differences
 directly.  The minimum cycle mean has two references: Karp's O(n^3)
 dynamic program and, for small n, enumeration of every simple cycle.  The
-conjugate LP's reference is a one-query support scan by least squares,
-independent of the library's batched pseudo-inverse scan.  The series CSV's
+conjugate LP has two: a one-query support scan by least squares,
+independent of the library's batched pseudo-inverse scan, and a cold
+two-phase simplex solve per query, which shares no basis between queries
+as the batched route does.  The series CSV's
 reference builds every row as a tuple and formats them one at a time.
 """
 
@@ -19,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from cyclorat.dataio import fmt17
+from cyclorat.lp import solve_equality_lp
 from cyclorat.monotonicity import edge_weights
 
 
@@ -168,6 +171,11 @@ def enumerate_basic_values(
             if val < best:
                 best = val
     return best
+
+
+def cold_conjugate_values(c: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """One two-phase simplex solve per right-hand side row of ``B``."""
+    return np.array([solve_equality_lp(c, A, b).value for b in B])
 
 
 def series_rows(datasets: dict, report: dict) -> list[tuple[str, str, str, float]]:

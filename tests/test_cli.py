@@ -263,6 +263,7 @@ class TestErrorsAndDeterminism:
         text_a = dumps_report(strip_timing(rep_a))
         text_b = dumps_report(strip_timing(rep_b))
         assert text_a.encode() == text_b.encode()
+        assert "warm_solves" in json.loads(text_a)["menus"][0]["verification"]["lp"]
 
     def test_report_floats_use_17_significant_digits(self, violation_path, tmp_path):
         out = tmp_path / "report.json"
@@ -340,3 +341,5 @@ def test_report_all_is_identical_across_blas_threads(tmp_path):
         report = dumps_report(strip_timing(json.loads(out.read_text())))
         outputs.append((report, (tmp_path / "report.series.csv").read_bytes()))
     assert outputs[0] == outputs[1]
+    lp = json.loads(outputs[0][0])["menus"][0]["verification"]["lp"]
+    assert lp["cold_solves"] == 1 and lp["warm_solves"] > 0  # counters compared too

@@ -152,3 +152,43 @@ def test_optimal_result_carries_its_basis():
         assert len(set(cols)) == len(cols) <= A.shape[0]
         assert np.all(res.x[np.setdiff1d(np.arange(A.shape[1]), cols)] == 0.0)
         assert_allclose(A[:, cols] @ res.x[cols], b, atol=1e-12)
+
+
+def test_warm_start_matches_cold_solve():
+    # From the optimal basis of one right-hand side, dual pivots reach the
+    # cold solve's value for another; the pivot count covers every phase.
+    rng = np.random.default_rng(27)
+    for _ in range(60):
+        rows, cols = int(rng.integers(2, 5)), int(rng.integers(3, 9))
+        c, A, b = _random_transport_instance(rng, rows, cols)
+        first = solve_equality_lp(c, A, b)
+        b2 = np.append(rng.dirichlet(np.ones(cols)) @ A[:-1].T, 1.0)
+        cold = solve_equality_lp(c, A, b2)
+        warm = solve_equality_lp(c, A, b2, start=first.basis)
+        assert warm.status == cold.status == "optimal"
+        assert_allclose(warm.value, cold.value, atol=1e-12)
+        assert_allclose(A @ warm.x, b2, atol=1e-12)
+        assert cold.pivots > 0
+
+
+def test_warm_start_outside_the_hull_is_infeasible():
+    # The query sums to one but lies outside the columns' convex hull, so
+    # a leaving row with no negative entry proves infeasibility.
+    G = np.array([[0.2, 0.8], [0.5, 0.5], [0.7, 0.3]])
+    A = np.vstack([G.T, np.ones((1, 3))])
+    c = np.array([0.0, -1.0, 0.5])
+    first = solve_equality_lp(c, A, np.array([0.4, 0.6, 1.0]))
+    res = solve_equality_lp(c, A, np.array([0.9, 0.1, 1.0]), start=first.basis)
+    assert res.status == "infeasible"
+    assert math.isinf(res.value)
+
+
+def test_start_that_is_not_a_basis_falls_back_to_two_phase():
+    # Two parallel columns cannot form the tableau; the two-phase solve
+    # still answers.
+    c = np.array([1.0, 2.0, 0.0])
+    A = np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
+    b = np.array([1.0, 1.0])
+    res = solve_equality_lp(c, A, b, start=(0, 1))
+    assert res.status == "optimal"
+    assert_allclose(res.value, 1.0, atol=1e-12)

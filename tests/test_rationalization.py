@@ -37,7 +37,12 @@ from cyclorat.rationalization import (
 )
 
 from conftest import benchmark_lowdim_menu, luce_dataset, pum_dataset
-from oracles import conjugate_exact_2alt, conjugate_grid_2alt, enumerate_basic_values
+from oracles import (
+    cold_conjugate_values,
+    conjugate_exact_2alt,
+    conjugate_grid_2alt,
+    enumerate_basic_values,
+)
 
 
 class TestComputePotentials:
@@ -197,6 +202,85 @@ class TestConjugateCost:
         expected = np.array([solve_equality_lp(c, A, np.append(q, 1.0)).value for q in Q])
         assert_allclose(values, expected, atol=1e-9)
         assert_allclose(values[131], 2.67158024, atol=1e-8)
+
+    @pytest.mark.parametrize("n, size", [(25, 4), (25, 10), (200, 4), (200, 10)])
+    def test_warm_starts_match_cold_solves(self, n, size):
+        # One cold solve, then every unanswered query starts from a
+        # certified basis; the values match per-query cold solves.
+        rng = np.random.default_rng(80 + n + size)
+        d = pum_dataset("negentropy", rng, n, size)
+        G, c = _max_affine_data(compute_potentials(d), d)
+        Q = rng.dirichlet(np.ones(n), size=1000) @ G
+        counts = dict.fromkeys(rationalization.LP_COUNTERS, 0)
+        values = _conjugate_many(G, c, Q, 1e-9, counts)
+        A = np.vstack([G.T, np.ones((1, n))])
+        expected = cold_conjugate_values(c, A, np.hstack([Q, np.ones((1000, 1))]))
+        assert_allclose(values, expected, rtol=0, atol=1e-12)
+        assert counts["cold_solves"] == 1 and counts["rejected_bases"] == 0
+        assert counts["warm_solves"] + counts["reused"] == 999
+
+    def test_warm_start_outside_the_hull_is_infinite(self):
+        # The corner e_1 lies outside conv{g_i} for softmax data; it starts
+        # warm from the first query's basis and comes back +inf.
+        d = pum_dataset("negentropy", np.random.default_rng(81), 12, 3)
+        G, c = _max_affine_data(compute_potentials(d), d)
+        Q = np.vstack([G.mean(axis=0), np.eye(3)[:1]])
+        counts = dict.fromkeys(rationalization.LP_COUNTERS, 0)
+        values = _conjugate_many(G, c, Q, 1e-9, counts)
+        assert np.isfinite(values[0]) and math.isinf(values[1])
+        assert (counts["cold_solves"], counts["warm_solves"]) == (1, 1)
+
+    def test_uncertified_warm_basis_falls_back_to_cold(self, monkeypatch):
+        # The query at 0.7 starts warm from the basis (g_0, g_1) of the
+        # query at 0.3.  A warm result carrying the chord basis (g_0, g_2)
+        # and its value 0 fails the certificate, so the query is solved
+        # cold at -0.5 and the chord answers nothing.
+        G = np.array([[0.1, 0.9], [0.5, 0.5], [0.9, 0.1]])
+        c = np.array([0.0, -1.0, 0.0])
+        Q = np.array([[0.3, 0.7], [0.7, 0.3]])
+        honest = rationalization.solve_equality_lp
+
+        def chord_warm(*args, start=None, **kwargs):
+            res = honest(*args, start=start, **kwargs)
+            return dataclasses.replace(res, value=0.0, basis=(0, 2)) if start else res
+
+        monkeypatch.setattr(rationalization, "solve_equality_lp", chord_warm)
+        counts = dict.fromkeys(rationalization.LP_COUNTERS, 0)
+        assert_allclose(_conjugate_many(G, c, Q, 1e-9, counts), [-0.5, -0.5], atol=1e-12)
+        assert (counts["cold_solves"], counts["warm_solves"], counts["rejected_bases"]) == (2, 1, 1)
+
+    @pytest.mark.parametrize(
+        "menu, step, most, total",
+        [
+            (lambda: benchmark_lowdim_menu(3, 2), 1, 60, None),
+            (lambda: pum_dataset("negentropy", np.random.default_rng(0), 200, 10), 10, 382, 3191),
+        ],
+        ids=["lowdim-3-2", "softmax-200-10"],
+    )
+    def test_vertex_solves_are_short_and_certified(self, menu, step, most, total):
+        # Pivot counts, not timings: Bland's rule after m zero-length pivots
+        # ends the degenerate runs that once took up to 545 pivots on the
+        # first menu and 1,178 (13,510 in all) on the second.  Phase 1 once
+        # also pivoted on dust (3.9e-11 at vertex 51 of the first menu, and
+        # 8 of these 20 vertices of the second) in the redundant sum-to-one
+        # row, leaving rank-deficient bases; it now compares entries with
+        # the tableau's scale, so every basis has full rank and passes the
+        # dual certificate.
+        d = menu()
+        G, c = _max_affine_data(compute_potentials(d), d)
+        A = np.vstack([G.T, np.ones((1, d.n))])
+        pivots = []
+        for g in G[::step]:
+            res = solve_equality_lp(c, A, np.append(g, 1.0))
+            pivots.append(res.pivots)
+            cols = list(res.basis)
+            AB, cB = A[:, cols], c[cols]
+            assert np.linalg.matrix_rank(AB) == len(cols)
+            y = np.linalg.pinv(AB).T @ cB
+            assert np.abs(AB.T @ y - cB).max() <= 1e-9 * (1.0 + np.abs(cB).max())
+            assert (c - A.T @ y).min() >= -1e-9
+        assert max(pivots) <= most
+        assert total is None or sum(pivots) <= total
 
     def test_matches_exact_two_alternative_oracle(self):
         rng = np.random.default_rng(37)
@@ -457,15 +541,18 @@ class TestVerifyRationalization:
         assert_allclose(report.fenchel_gaps, np.array(exact) - phi, atol=1e-12)
 
     def test_large_menu_solves_mixtures_only(self, monkeypatch):
-        # A count, not a timing: at n = 1000, |A| = 10 the LP sees at most
-        # the 1000 mixture queries, most of them answered by reused bases.
+        # A count, not a timing: at n = 1000, |A| = 10 the LP sees only the
+        # 1000 mixture queries, one of them solved cold, the others answered
+        # by reused bases or warm started from one.
         calls = _count_lp_calls(monkeypatch)
         d = pum_dataset("negentropy", np.random.default_rng(70), 1000, 10)
         fit = compute_potentials(d, 1e-9)
         report = verify_rationalization(d, fit, 1e-8, rng=np.random.default_rng(71))
         assert report.passed  # every gap <= 1e-8
         assert report.n_mixture_points == 1000
-        assert 0 < len(calls) <= 1000
+        lp = report.to_dict()["lp"]
+        assert len(calls) == lp["cold_solves"] + lp["warm_solves"] <= 1000
+        assert lp["cold_solves"] <= 2
 
     def test_lowered_potential_is_rejected(self, softmax_fixture):
         # phi_2 = 0.5 is tight against phi_1 - w(1 -> 2); lowering it by 1e-6
