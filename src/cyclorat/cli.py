@@ -129,7 +129,7 @@ def _analyze_menu(d: Dataset, config: RunConfig) -> tuple[dict, bool, bool]:
     cm_ok = verdict.is_pass
     verify_ok = True
     if depth != "check" and cm_ok:
-        fit = compute_potentials(d, config.tol_cm)
+        fit = compute_potentials(d, config.tol_cm, verdict=verdict)
         section["potentials"] = fit.to_dict()
         section["cost"] = cost_description(fit, d)
         if depth in ("verify", "report-all"):

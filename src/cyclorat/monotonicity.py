@@ -11,10 +11,11 @@ per-edge slack eps: the data pass iff every cycle mean is at least -eps,
 i.e. iff Afriat potentials exist that hold every inequality to within eps.
 The fast check runs Howard policy iteration for the minimum cycle mean,
 O(n^2) per round; its final potentials certify a lower bound on every cycle
-mean, which, net of the edge-weight rounding bound, decides a pass, and its
-cycle, recomputed with compensated summation, decides a violation.  Only in
-the certificate's gap does a vectorized Bellman-Ford relaxation on the
-weights raised by eps decide, from the one predecessor cycle it closes.
+mean, which, net of the edge-weight rounding bound, decides a pass that
+carries them, and its cycle, recomputed with compensated summation, decides
+a violation.  Only in the certificate's gap does a vectorized Bellman-Ford
+relaxation on the weights raised by eps decide, from the one predecessor
+cycle it closes.
 The exhaustive ``brute_force_cm`` enumerates all simple cycles and serves
 as the independent oracle at small n.
 
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -70,12 +71,17 @@ class CMVerdict:
     ``-tol``, else the Bellman-Ford predecessor cycle; either way in
     canonical rotation (smallest index first), and ties between least-mean
     policy cycles go to the lexicographically smallest.
+    A fast-check pass carries the Afriat ``potentials`` certifying it, 0 at
+    the first observation (see step 3 of the check for the exception);
+    ``policy_iterations`` counts the fast check's rounds.  Neither compares.
     """
 
     status: str
     witness: CycleWitness | None
     min_cycle_mean: float | None
     min_cycle_sum: float | None
+    potentials: np.ndarray | None = field(default=None, compare=False, repr=False)
+    policy_iterations: int | None = field(default=None, compare=False)
 
     @property
     def is_pass(self) -> bool:
@@ -86,6 +92,7 @@ class CMVerdict:
             "status": self.status,
             "min_cycle_mean": self.min_cycle_mean,
             "min_cycle_sum": self.min_cycle_sum,
+            "policy_iterations": self.policy_iterations,
         }
         if self.witness is not None:
             out["witness"] = {
@@ -213,13 +220,15 @@ class MinMeanCycle(NamedTuple):
     ``cycle`` lists 0-based nodes in canonical rotation (None when n < 2) and
     ``mean`` is its weight sum, compensated, over its length, so the minimum
     cycle mean is at most ``mean``; it is at least ``lower``.
-    ``iterations`` counts policy-iteration rounds.
+    ``iterations`` counts policy-iteration rounds.  The final relative
+    values ``x`` satisfy x_i <= x_j + W_ij - lower for every edge.
     """
 
     mean: float
     cycle: tuple[int, ...] | None
     lower: float
     iterations: int
+    x: np.ndarray
 
 
 def _policy_values(
@@ -276,7 +285,7 @@ def _min_mean_cycle(W: np.ndarray) -> MinMeanCycle:
     """
     n = W.shape[0]
     if n < 2:
-        return MinMeanCycle(math.inf, None, math.inf, 0)
+        return MinMeanCycle(math.inf, None, math.inf, 0, np.zeros(n))
     rows = np.arange(n)
     buf = np.empty_like(W)  # W + x, reused every round
     pi = np.argmin(W, axis=1)
@@ -305,7 +314,7 @@ def _min_mean_cycle(W: np.ndarray) -> MinMeanCycle:
     u = np.finfo(float).eps / 2
     delta = slack + 5.0 * u / (1.0 - 5.0 * u) * scale
     cycle = min(c for mean, c in cycles if mean == lam)
-    return MinMeanCycle(lam, cycle, lam - delta, iterations)
+    return MinMeanCycle(lam, cycle, lam - delta, iterations, x)
 
 
 def check_cyclic_monotonicity(dataset: Dataset, tol: float = TOL_CM) -> CMVerdict:
@@ -319,13 +328,14 @@ def check_cyclic_monotonicity(dataset: Dataset, tol: float = TOL_CM) -> CMVerdic
 
     1. Policy iteration finds a minimum-mean cycle and a certified lower
        bound on every cycle mean.  When lower - err >= -tol, with err the
-       edge-weight rounding bound, the verdict is a pass.
+       edge-weight rounding bound, the verdict is a pass, and the final
+       relative values x give its potentials x - x_1.
     2. When the min-mean cycle's compensated mean is below ``-tol``, that
        cycle is the witness.
     3. Otherwise (a run cut short, or a tie within rounding) Bellman-Ford
-       on W + tol decides: the verdict is a pass unless the predecessor
-       cycle it closes has a compensated mean below ``-tol``, and then that
-       cycle is the witness.
+       on W + tol decides.  If it settles, the pass carries potentials
+       dist_1 - dist.  If it closes a cycle of compensated mean below
+       ``-tol``, that cycle is the witness; else the pass carries none.
 
     Any returned witness has a compensated mean, hence also a sum, below
     ``-tol``; it is not guaranteed to be the most negative cycle.
@@ -334,7 +344,7 @@ def check_cyclic_monotonicity(dataset: Dataset, tol: float = TOL_CM) -> CMVerdic
     mm = _min_mean_cycle(W)
     min_mean = None if mm.cycle is None else mm.mean
     if mm.lower - _edge_weight_error(dataset) >= -tol:
-        return CMVerdict("pass", None, min_mean, None)
+        return CMVerdict("pass", None, min_mean, None, mm.x - mm.x[0], mm.iterations)
 
     sums: dict[tuple[int, ...], float] = {}
 
@@ -346,12 +356,13 @@ def check_cyclic_monotonicity(dataset: Dataset, tol: float = TOL_CM) -> CMVerdic
 
     cycle = mm.cycle
     if not violates(cycle):
-        _, pred, relaxable = _bellman_ford(W + tol)
+        dist, pred, relaxable = _bellman_ford(W + tol)
         cycle = _predecessor_cycle(pred, relaxable)
         if not violates(cycle):
-            return CMVerdict("pass", None, min_mean, min(sums.values()))
+            phi = None if cycle else dist[0] - dist
+            return CMVerdict("pass", None, min_mean, min(sums.values()), phi, mm.iterations)
     witness = CycleWitness(tuple(i + 1 for i in cycle), sums[cycle])
-    return CMVerdict("violation", witness, min_mean, min(sums.values()))
+    return CMVerdict("violation", witness, min_mean, min(sums.values()), None, mm.iterations)
 
 
 #: Exhaustive enumeration guard; simple-cycle count grows factorially.

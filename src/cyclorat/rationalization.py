@@ -1,9 +1,10 @@
 """Convex-cost rationalization of cyclically monotone choice data.
 
-Forward direction: from a cyclically monotone dataset, build per-observation
-potentials phi_i (Afriat's construction: shortest distances over the edge
-weights w(i -> k) = <p^i, v^i - v^k>), extend them off the data as the
-max-affine convex function
+Forward direction: from a cyclically monotone dataset, take per-observation
+Afriat potentials phi_i, phi_i <= phi_k + w(i -> k) + tol over the edge
+weights w(i -> k) = <p^i, v^i - v^k>, from the certificate with which
+``check_cyclic_monotonicity`` passed the data; extend them off the data as
+the max-affine convex function
 
     f(v) = max_i [ phi_i + <g_i, v - v^i> ],      g_i = p^i,
 
@@ -45,8 +46,7 @@ from .errors import (
     NotCyclicallyMonotoneError,
 )
 from .lp import solve_equality_lp
-from .monotonicity import CycleWitness, cycle_sum, edge_weights
-from .monotonicity import _bellman_ford, _edge_weight_error, _min_mean_cycle, _predecessor_cycle
+from .monotonicity import CMVerdict, check_cyclic_monotonicity, edge_weights
 
 #: Feasibility slack used when deciding p in conv{g_i}.
 FEAS_TOL = 1e-9
@@ -94,43 +94,23 @@ class PotentialFit:
         }
 
 
-def compute_potentials(dataset: Dataset, tol: float = TOL_CM) -> PotentialFit:
-    """Fit Afriat potentials as shortest distances from a virtual source.
+def compute_potentials(
+    dataset: Dataset, tol: float = TOL_CM, *, verdict: CMVerdict | None = None
+) -> PotentialFit:
+    """Afriat potentials within ``tol``, read off a passing check's certificate.
 
-    With edge weights w(i -> k) = <p^i, v^i - v^k>, the Bellman-Ford
-    distances d from a source joined to every observation at weight 0
-    satisfy d_k <= d_i + w(i -> k), which is exactly the Afriat inequality
-    for phi = d_1 - d (shifted so phi_1 = 0).  Unless the min-mean
-    certificate attains a negative cycle, the relaxation runs on w; if it
-    does, or w does not settle, on w + s, with s the slack the certificate
-    proves sufficient, capped at ``tol``; failing that on w + tol.  The
-    potentials hold every inequality to within the slack used.  If w + tol
-    does not settle either, ``NotCyclicallyMonotoneError`` is raised with
-    the predecessor cycle as the witness.
+    ``verdict`` is ``check_cyclic_monotonicity(dataset, tol)``, run here when
+    not given.  Its policy-iteration values hold every inequality with a
+    margin up to the minimum cycle mean, if positive.  A verdict without
+    potentials raises ``NotCyclicallyMonotoneError`` with its witness.
     """
-    W = edge_weights(dataset)
-    mm = _min_mean_cycle(W)
-    # Every cycle mean of W is at least mm.lower, so a slack of -mm.lower
-    # settles the relaxation in exact arithmetic; err is a margin for its
-    # rounding.
-    slack = min(tol, _edge_weight_error(dataset) - mm.lower)
-    shifts = [slack, tol] if slack < tol else [tol]
-    if mm.cycle is None or mm.mean >= 0:
-        shifts.insert(0, 0.0)
-    for s in shifts:
-        dist, pred, relaxable = _bellman_ford(W + s if s else W)
-        if not relaxable.any():
-            break
-    cycle = _predecessor_cycle(pred, relaxable)
-    if cycle is not None:
-        indices = [i + 1 for i in cycle]
+    if verdict is None:
+        verdict = check_cyclic_monotonicity(dataset, tol)
+    if verdict.potentials is None:
         raise NotCyclicallyMonotoneError(
-            f"dataset has a cycle of mean below -{tol:g}; potentials are unbounded",
-            witness=CycleWitness(tuple(indices), cycle_sum(dataset, indices)),
+            f"no Afriat potentials within per-edge slack {tol:g}", witness=verdict.witness
         )
-
-    phi = dist[0] - dist
-    return PotentialFit(1, phi, dataset.probs_matrix)
+    return PotentialFit(1, verdict.potentials, dataset.probs_matrix)
 
 
 def evaluate_extension(fit: PotentialFit, dataset: Dataset, v) -> float:

@@ -101,7 +101,8 @@ class TestFitVerify:
         assert main(["fit", "--input", str(softmax_path), "--output", str(out)]) == EXIT_OK
         fit_report = json.loads(out.read_text())
         menu = fit_report["menus"][0]
-        assert menu["potentials"]["potentials"] == [0, 0.5]
+        assert menu["potentials"]["potentials"] == [0, 0.61553]
+        assert menu["cyclic_monotonicity"]["policy_iterations"] == 1
         assert menu["cost"]["kind"] == "max-affine conjugate"
 
         assert main(["verify", "--input", str(softmax_path), "--output", str(out)]) == EXIT_OK

@@ -23,7 +23,8 @@ from cyclorat import (
     make_dataset,
     verify_rationalization,
 )
-from cyclorat import monotonicity, rationalization
+from cyclorat import monotonicity
+from cyclorat.cli import RunConfig, _analyze_menu
 from cyclorat.monotonicity import _bellman_ford, _min_mean_cycle, edge_weights
 
 from conftest import (
@@ -246,7 +247,12 @@ class TestMinMeanCycle:
             assert mm.iterations == 1
             assert mm.lower <= exact <= mm.mean
             loose += mm.lower < exact - 1e-6
-            assert check_cyclic_monotonicity(d, 1e-9).status == brute_force_cm(d, 1e-9).status
+            verdict = check_cyclic_monotonicity(d, 1e-9)
+            assert verdict.status == brute_force_cm(d, 1e-9).status
+            assert verdict.policy_iterations == 1
+            if verdict.is_pass:
+                phi = verdict.potentials
+                assert np.min(phi[None, :] - phi[:, None] + W) >= -1e-9 - ROUNDING
         assert loose > 5
 
     def test_single_node(self):
@@ -347,9 +353,12 @@ class TestCheckOrder:
         assert verdict.status == brute_force_cm(d, 0.15).status == "violation"
         assert verdict.witness.indices == (1, 2, 3)
         assert_allclose(verdict.witness.cycle_sum, -0.65, atol=1e-9)
-        assert check_cyclic_monotonicity(d, 0.25).is_pass
+        phi = check_cyclic_monotonicity(d, 0.25).potentials
         assert brute_force_cm(d, 0.25).is_pass
         assert len(calls) == 2
+        # The settled distances on W + tol are the pass's potentials.
+        slack = phi[None, :] - phi[:, None] + edge_weights(d)
+        assert phi[0] == 0 and np.min(slack) >= -0.25 - ROUNDING
 
     @pytest.mark.parametrize("seed", [39, 40, 41])
     def test_transposed_bellman_ford_is_bit_identical(self, seed):
@@ -434,19 +443,25 @@ class TestToleranceRule:
         assert verdict.is_pass
         assert verdict.min_cycle_mean < 0
 
-    def test_near_tie_fits_in_one_settling_relaxation(self, monkeypatch):
-        # The certificate sizes the slack: one Bellman-Ford run on W + s
-        # settles, with s a little over the -1.5e-12 cycle mean, not tol.
+    def test_near_tie_fits_from_the_check_certificate(self, monkeypatch):
+        # A CLI fit runs one policy iteration and no Bellman-Ford: the check's
+        # certificate carries the potentials, within a slack a little over
+        # the -1.5e-12 cycle mean, not tol.
         d = _near_tie_dataset()
         runs = []
 
-        def recorded(W):
-            runs.append(_bellman_ford(W))
-            return runs[-1]
+        def no_bellman_ford(W):
+            raise AssertionError("Bellman-Ford ran although the certificate decided")
 
-        monkeypatch.setattr(rationalization, "_bellman_ford", recorded)
-        phi = compute_potentials(d, 1e-9).potentials
-        assert len(runs) == 1 and not runs[0][2].any()
+        def recorded(W):
+            runs.append(W.shape)
+            return _min_mean_cycle(W)
+
+        monkeypatch.setattr(monotonicity, "_bellman_ford", no_bellman_ford)
+        monkeypatch.setattr(monotonicity, "_min_mean_cycle", recorded)
+        section, cm_ok, _ = _analyze_menu(d, RunConfig("fit", tol_cm=1e-9))
+        assert cm_ok and len(runs) == 1
+        phi = np.array(section["potentials"]["potentials"])
         slack = phi[None, :] - phi[:, None] + edge_weights(d)
         assert -2e-12 < np.min(slack) < -1e-12
 

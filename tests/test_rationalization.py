@@ -53,9 +53,11 @@ class TestComputePotentials:
         assert fit.potentials.tolist() == [0.0]
 
     def test_softmax_fixture(self, softmax_fixture):
-        # Longest path 1 -> 2 uses <p1, v2 - v1> = 0.5; the base stays at 0.
+        # Policy iteration holds both edges of the two-cycle with margin
+        # equal to its mean 0.11553: phi_2 = <p1, v2 - v1> + 0.11553 over
+        # the base, which stays at 0.
         fit = compute_potentials(softmax_fixture)
-        assert_allclose(fit.potentials, [0.0, 0.5], atol=1e-15)
+        assert_allclose(fit.potentials, [0.0, 0.61553], atol=1e-15)
         assert np.array_equal(fit.gradients, softmax_fixture.probs_matrix)
 
     def test_violation_raises_with_witness(self, violation_fixture):
@@ -91,10 +93,12 @@ class TestComputePotentials:
 class TestEvaluateExtension:
     def test_fixture_values(self, softmax_fixture):
         fit = compute_potentials(softmax_fixture)
-        # At v1 the candidate pieces are 0 and 0.5 - 0.73106 < 0.
+        # At v1 the candidate pieces are 0 and 0.61553 - 0.73106 < 0.
         assert evaluate_extension(fit, softmax_fixture, [0.0, 0.0]) == 0.0
-        # At v2 both pieces evaluate to 0.5.
-        assert_allclose(evaluate_extension(fit, softmax_fixture, [1.0, 0.0]), 0.5, atol=1e-15)
+        # At v2 the pieces are 0.5 and 0.61553.
+        assert_allclose(
+            evaluate_extension(fit, softmax_fixture, [1.0, 0.0]), 0.61553, atol=1e-15
+        )
 
     def test_base_point_is_zero(self):
         rng = np.random.default_rng(32)
@@ -133,7 +137,7 @@ class TestConjugateCost:
         fit = compute_potentials(softmax_fixture)
         assert_allclose(conjugate_cost(fit, softmax_fixture, [0.5, 0.5]), 0.0, atol=1e-12)
         assert_allclose(
-            conjugate_cost(fit, softmax_fixture, [0.73106, 0.26894]), 0.23106, atol=1e-12
+            conjugate_cost(fit, softmax_fixture, [0.73106, 0.26894]), 0.11553, atol=1e-12
         )
         assert math.isinf(conjugate_cost(fit, softmax_fixture, [0.9, 0.1]))
 
@@ -188,11 +192,10 @@ class TestConjugateCost:
         assert_allclose(_conjugate_many(G, c, Q, 1e-9), [-1.0, -0.5, -0.5], atol=1e-12)
 
     def test_dust_basis_is_not_reused(self):
-        # At seed 3 of the benchmark, menu lowdim_02, phase 1 pivots dust
-        # into the redundant sum-to-one row while solving vertex 130: its
-        # basis has rank 4 of 5 and prices a column at -0.035.  Reused
-        # without the dual certificate it puts vertex 132 at 2.7070 for
-        # 2.6716.
+        # At seed 3 of the benchmark, menu lowdim_02, a phase 1 that pivoted
+        # on dust in the redundant sum-to-one row returned a basis of rank 4
+        # of 5 for vertex 130, which, reused without the dual certificate,
+        # mispriced vertex 132.  Every batch value must equal its cold solve.
         d = benchmark_lowdim_menu(3, 2)
         fit = compute_potentials(d)
         G, c = _max_affine_data(fit, d)
@@ -201,7 +204,7 @@ class TestConjugateCost:
         A = np.vstack([G.T, np.ones((1, d.n))])
         expected = np.array([solve_equality_lp(c, A, np.append(q, 1.0)).value for q in Q])
         assert_allclose(values, expected, atol=1e-9)
-        assert_allclose(values[131], 2.67158024, atol=1e-8)
+        assert_allclose(values[131], 2.7965869, atol=1e-8)
 
     @pytest.mark.parametrize("n, size", [(25, 4), (25, 10), (200, 4), (200, 10)])
     def test_warm_starts_match_cold_solves(self, n, size):
@@ -391,7 +394,21 @@ class TestGeneralSolver:
         assert_allclose(sol.probs.entries, [0.5, 0.5], atol=1e-12)
         assert not sol.unique
         sol2 = pum_solve_general(cost, [1.0, 0.0], 1e-8)
-        assert abs(sol2.objective - 0.5) <= 1e-8
+        assert abs(sol2.objective - 0.61553) <= 1e-8
+
+    def test_fitted_cost_reproduces_every_observation(self):
+        # Softmax data are strictly cyclically monotone, so the certificate's
+        # potentials hold every Afriat inequality with a positive margin and
+        # each p^i is the unique maximizing vertex at v^i.
+        rng = np.random.default_rng(0)
+        V = rng.uniform(-3.0, 3.0, (200, 10))
+        d = make_dataset("m", V.tolist(), (np.exp(V) / np.exp(V).sum(axis=1, keepdims=True)).tolist())
+        fit = compute_potentials(d)
+        phi = fit.potentials
+        assert np.min(phi[None, :] - phi[:, None] + edge_weights(d)) > 0.05
+        cost = DataDerivedCost(fit, d)
+        for v, p in zip(d.values_matrix, d.probs_matrix):
+            assert np.array_equal(pum_solve_general(cost, v).probs.entries, p)
 
     @pytest.mark.parametrize("epsilon", [1e-2, 1e-4])
     def test_smoothing_bias_is_bounded(self, epsilon):
@@ -411,7 +428,7 @@ class TestGeneralSolver:
             unsmoothed_obj = comp_dot(v, q) - plain.value(q)
             assert unsmoothed_obj >= best - epsilon * math.log(size) - 1e-7
 
-    @pytest.mark.parametrize("epsilon, most, total", [(0.01, 2, 69), (0.1, 10, 86)])
+    @pytest.mark.parametrize("epsilon, most, total", [(0.01, 1, 40), (0.1, 18, 60)])
     def test_smoothed_solve_starts_at_unsmoothed_maximizer(self, epsilon, most, total):
         # From the unsmoothed maximizer a solve takes a few pairwise
         # Frank-Wolfe steps; from the uniform mixture it took one drop step
@@ -555,10 +572,10 @@ class TestVerifyRationalization:
         assert lp["cold_solves"] <= 2
 
     def test_lowered_potential_is_rejected(self, softmax_fixture):
-        # phi_2 = 0.5 is tight against phi_1 - w(1 -> 2); lowering it by 1e-6
+        # phi_2 = 0.5 is tight against phi_1 - w(1 -> 2); 1e-6 below it
         # breaks that Afriat inequality and the Fenchel equality at v^2.
         fit = compute_potentials(softmax_fixture)
-        bad = dataclasses.replace(fit, potentials=fit.potentials - [0.0, 1e-6])
+        bad = dataclasses.replace(fit, potentials=[0.0, 0.5 - 1e-6])
         report = verify_rationalization(softmax_fixture, bad)
         assert not report.passed
         assert_allclose(report.fenchel_gaps, [0.0, 1e-6], atol=1e-12)
