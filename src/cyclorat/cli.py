@@ -98,7 +98,7 @@ def _wst_section(datasets: dict[str, Dataset], tol: float) -> dict | None:
         if d.menu.size != 2 or d.n != 1:
             continue
         x, y = d.menu.alternatives
-        p = float(d.observations[0].probs.entries[0])
+        p = float(d.probs_matrix[0, 0])
         for key, val in (((x, y), p), ((y, x), 1.0 - p)):
             if key in binary and abs(binary[key] - val) > tol:
                 return {

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -213,37 +214,43 @@ class Observation:
         )
 
 
-@dataclass(frozen=True, eq=False)
 class Dataset:
     """An ordered collection of observations over a single menu.
 
-    Observation positions (1..n) are stable and are the indices used in
-    witness cycles and reports.
+    It holds read-only n-by-|A| value and probability matrices and builds
+    the ``observations`` tuple from them on first access.  Observation
+    positions (1..n) are stable and are the indices used in witness cycles
+    and reports.
     """
 
-    menu: Menu
-    observations: tuple[Observation, ...]
-
-    def __post_init__(self):
-        obs = tuple(self.observations)
-        object.__setattr__(self, "observations", obs)
+    def __init__(self, menu: Menu, observations: Iterable[Observation]):
+        obs = tuple(observations)
         if not obs:
-            raise EmptyDatasetError(f"dataset over menu {self.menu.id!r} has no observations")
+            raise EmptyDatasetError(f"dataset over menu {menu.id!r} has no observations")
         for k, o in enumerate(obs):
-            if len(o.values) != self.menu.size:
+            if len(o.values) != menu.size:
                 raise LengthMismatchError(
-                    f"observation {k + 1} has {len(o.values)} entries, menu has {self.menu.size}"
+                    f"observation {k + 1} has {len(o.values)} entries, menu has {menu.size}"
                 )
         values = np.vstack([o.values.entries for o in obs])
-        probs = np.vstack([o.probs.entries for o in obs])
-        values.flags.writeable = False
-        probs.flags.writeable = False
-        object.__setattr__(self, "_values", values)
-        object.__setattr__(self, "_probs", probs)
+        self._hold(menu, values, np.vstack([o.probs.entries for o in obs]), observations=obs)
+
+    def _hold(self, menu: Menu, values: np.ndarray, probs: np.ndarray, **cached) -> Dataset:
+        """Take over the matrices, read-only, and any precomputed attributes."""
+        values.flags.writeable = probs.flags.writeable = False
+        self.__dict__.update(menu=menu, _values=values, _probs=probs, **cached)
+        return self
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    @cached_property
+    def observations(self) -> tuple[Observation, ...]:
+        return tuple(map(Observation, map(ValueVector, self._values), map(SimplexPoint, self._probs)))
 
     @property
     def n(self) -> int:
-        return len(self.observations)
+        return self._values.shape[0]
 
     @property
     def values_matrix(self) -> np.ndarray:
@@ -259,8 +266,8 @@ class Dataset:
         return (
             isinstance(other, Dataset)
             and self.menu == other.menu
-            and len(self.observations) == len(other.observations)
-            and all(a == b for a, b in zip(self.observations, other.observations))
+            and np.array_equal(self._values, other._values)
+            and np.array_equal(self._probs, other._probs)
         )
 
     def __repr__(self):
@@ -280,8 +287,14 @@ def validate_dataset(
     Duplicate value vectors with differing probabilities are kept (cycle sums
     remain well defined) but trigger a ``DuplicateValuesWarning``, since such
     data cannot come from a single-valued choice map.
+
+    The records are screened as two n-by-|A| matrices: a row of finite values
+    and probabilities in [0, 1] whose compensated sum is within the bit-level
+    slack of one is what ``validate_simplex`` returns unchanged.  Every other
+    record (all of them, if the rows are ragged) goes through the scalar
+    validators, so results and errors are theirs.
     """
-    records = list(records)
+    records = [(menu_id, values, probs) for menu_id, values, probs in records]
     if not records:
         raise EmptyDatasetError("no records supplied")
     menu_ids = {r[0] for r in records}
@@ -293,40 +306,53 @@ def validate_dataset(
         alternatives = tuple(f"a{k + 1}" for k in range(size))
     menu = Menu(records[0][0], tuple(alternatives))
 
-    obs: list[Observation] = []
+    shape = (len(records), menu.size)
+    try:
+        values = np.array([r[1] for r in records], dtype=float)
+        probs = np.array([r[2] for r in records], dtype=float)
+    except (TypeError, ValueError):
+        values = probs = np.empty(0)
+    if values.shape == probs.shape == shape:
+        clean = np.isfinite(values).all(axis=1) & (probs.min(axis=1) >= 0.0) & (probs.max(axis=1) <= 1.0)
+        rows = np.flatnonzero(clean)
+        totals = np.fromiter(map(math.fsum, probs[rows].tolist()), float, rows.size)
+        clean[rows[np.abs(totals - 1.0) > _EXACT_SUM_SLACK * menu.size]] = False
+        redo = np.flatnonzero(~clean).tolist()
+    else:
+        values, probs, redo = np.empty(shape), np.empty(shape), range(shape[0])
     failures: list[tuple[int, Exception]] = []
-    for k, (_, values, probs) in enumerate(records):
+    for k in redo:
         try:
-            v = ValueVector(np.asarray(values, dtype=float))
+            v = ValueVector(np.asarray(records[k][1], dtype=float))
             if len(v) != menu.size:
                 raise LengthMismatchError(
                     f"{len(v)} values against a menu of size {menu.size}"
                 )
-            p = validate_simplex(probs, tol)
+            p = validate_simplex(records[k][2], tol)
             if len(p) != menu.size:
                 raise LengthMismatchError(
                     f"{len(p)} probabilities against a menu of size {menu.size}"
                 )
-            obs.append(Observation(v, p))
+            values[k], probs[k] = v.entries, p.entries
         except Exception as exc:  # aggregated below with record indices
             failures.append((k + 1, exc))
     if failures:
         raise RecordValidationError(failures)
 
-    seen: dict[bytes, tuple[int, bytes]] = {}
-    for k, o in enumerate(obs):
-        key = o.values.entries.tobytes()
-        pkey = o.probs.entries.tobytes()
-        if key in seen and seen[key][1] != pkey:
-            warnings.warn(
-                f"observations {seen[key][0] + 1} and {k + 1} share a value vector "
-                "but differ in probabilities",
-                DuplicateValuesWarning,
-                stacklevel=2,
-            )
-        seen.setdefault(key, (k, pkey))
+    # Rows are keyed by their bytes, so -0.0 and 0.0 differ.
+    row = np.dtype((np.void, values.itemsize * menu.size))
+    value_keys, prob_keys = values.view(row).ravel(), probs.view(row).ravel()
+    _, first, group = np.unique(value_keys, return_index=True, return_inverse=True)
+    first = first[group]  # each row's first row with the same values
+    for k in np.flatnonzero(prob_keys != prob_keys[first]).tolist():
+        warnings.warn(
+            f"observations {first[k] + 1} and {k + 1} share a value vector "
+            "but differ in probabilities",
+            DuplicateValuesWarning,
+            stacklevel=2,
+        )
 
-    return Dataset(menu, tuple(obs))
+    return Dataset.__new__(Dataset)._hold(menu, values, probs)
 
 
 def make_dataset(

@@ -10,17 +10,31 @@ independent of the library's batched pseudo-inverse scan, and a cold
 two-phase simplex solve per query, which shares no basis between queries
 as the batched route does.  The series CSV's
 reference builds every row as a tuple and formats them one at a time.
+Dataset validation's reference builds a ``ValueVector``, a
+``SimplexPoint`` and an ``Observation`` per record, one record at a time,
+and the CSV parser's reference reads one row at a time into nested dicts.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 
-from cyclorat.dataio import fmt17
+from cyclorat.core import Dataset, Menu, Observation, ValueVector, validate_simplex
+from cyclorat.dataio import CSV_COLUMNS, MissingColumnError, ParseError, fmt17
+from cyclorat.errors import (
+    DuplicateValuesWarning,
+    EmptyDatasetError,
+    LengthMismatchError,
+    MixedMenusError,
+    RecordValidationError,
+    ValidationError,
+)
 from cyclorat.lp import solve_equality_lp
 from cyclorat.monotonicity import edge_weights
 
@@ -208,3 +222,113 @@ def write_series_csv(path: Path, rows: list[tuple[str, str, str, float]]) -> Non
         fh.write("menu_id,series,key,value\n")
         for menu_id, series, key, value in rows:
             fh.write(f"{menu_id},{series},{key},{fmt17(value)}\n")
+
+
+def validate_dataset_per_record(records, *, alternatives=None, tol=1e-9) -> Dataset:
+    """``validate_dataset`` one record at a time, through the scalar validators."""
+    records = list(records)
+    if not records:
+        raise EmptyDatasetError("no records supplied")
+    menu_ids = {r[0] for r in records}
+    if len(menu_ids) != 1:
+        raise MixedMenusError(f"records span menus {sorted(menu_ids)!r}")
+
+    size = len(records[0][1])
+    if alternatives is None:
+        alternatives = tuple(f"a{k + 1}" for k in range(size))
+    menu = Menu(records[0][0], tuple(alternatives))
+
+    obs: list[Observation] = []
+    failures: list[tuple[int, Exception]] = []
+    for k, (_, values, probs) in enumerate(records):
+        try:
+            v = ValueVector(np.asarray(values, dtype=float))
+            if len(v) != menu.size:
+                raise LengthMismatchError(
+                    f"{len(v)} values against a menu of size {menu.size}"
+                )
+            p = validate_simplex(probs, tol)
+            if len(p) != menu.size:
+                raise LengthMismatchError(
+                    f"{len(p)} probabilities against a menu of size {menu.size}"
+                )
+            obs.append(Observation(v, p))
+        except Exception as exc:  # aggregated below with record indices
+            failures.append((k + 1, exc))
+    if failures:
+        raise RecordValidationError(failures)
+
+    seen: dict[bytes, tuple[int, bytes]] = {}
+    for k, o in enumerate(obs):
+        key = o.values.entries.tobytes()
+        pkey = o.probs.entries.tobytes()
+        if key in seen and seen[key][1] != pkey:
+            warnings.warn(
+                f"observations {seen[key][0] + 1} and {k + 1} share a value vector "
+                "but differ in probabilities",
+                DuplicateValuesWarning,
+                stacklevel=2,
+            )
+        seen.setdefault(key, (k, pkey))
+
+    return Dataset(menu, tuple(obs))
+
+
+def parse_datasets_csv_per_row(path, tol: float = 1e-9) -> dict[str, Dataset]:
+    """``parse_datasets_csv`` one row at a time, validating per record."""
+    with Path(path).open("r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError(1, "file is empty; expected a header row") from None
+        header = [h.strip() for h in header]
+        missing = [c for c in CSV_COLUMNS if c not in header]
+        if missing:
+            raise MissingColumnError(f"missing column(s): {', '.join(missing)}")
+        extra = [c for c in header if c not in CSV_COLUMNS]
+        if extra:
+            raise ParseError(1, f"unexpected column(s): {', '.join(extra)}")
+        col = {name: header.index(name) for name in CSV_COLUMNS}
+
+        # menu_id -> {"alts": [...], "obs": {obs_id: {alt: (value, prob)}}}
+        menus: dict[str, dict] = {}
+        for line_no, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) != len(header):
+                raise ParseError(line_no, f"expected {len(header)} fields, got {len(row)}")
+            menu_id = row[col["menu_id"]].strip()
+            obs_id = row[col["obs_id"]].strip()
+            alt = row[col["alternative"]].strip()
+            try:
+                value = float(row[col["value"]])
+                prob = float(row[col["prob"]])
+            except ValueError as exc:
+                raise ParseError(line_no, str(exc)) from None
+            entry = menus.setdefault(menu_id, {"alts": [], "obs": {}})
+            if alt not in entry["alts"]:
+                entry["alts"].append(alt)
+            cells = entry["obs"].setdefault(obs_id, {})
+            if alt in cells:
+                raise ParseError(
+                    line_no,
+                    f"duplicate alternative {alt!r} for menu {menu_id!r}, observation {obs_id!r}",
+                )
+            cells[alt] = (value, prob)
+
+    out: dict[str, Dataset] = {}
+    for menu_id, entry in menus.items():
+        alts = entry["alts"]
+        records = []
+        for obs_id, cells in entry["obs"].items():
+            absent = [a for a in alts if a not in cells]
+            if absent:
+                raise ValidationError(
+                    f"menu {menu_id!r}, observation {obs_id!r} lacks alternatives {absent!r}"
+                )
+            values = [cells[a][0] for a in alts]
+            probs = [cells[a][1] for a in alts]
+            records.append((menu_id, values, probs))
+        out[menu_id] = validate_dataset_per_record(records, alternatives=alts, tol=tol)
+    return out

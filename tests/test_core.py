@@ -1,6 +1,7 @@
 """Tests for domain types, simplex validation, and dataset assembly."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from cyclorat import (
     validate_dataset,
     validate_simplex,
 )
+
+from oracles import validate_dataset_per_record
 
 
 class TestValidateSimplex:
@@ -188,3 +191,100 @@ def test_wrong_length_record_is_aggregated():
     with pytest.raises(RecordValidationError) as err:
         validate_dataset(records)
     assert [i for i, _ in err.value.record_errors] == [2]
+
+
+def _random_records(rng: np.random.Generator, tol: float) -> list:
+    """Seeded records mixing clean rows with every kind of defect the validator screens."""
+    n, size = int(rng.integers(1, 10)), int(rng.integers(2, 5))
+    values = rng.integers(-2, 3, size=(n, size)).astype(float)  # small grid: repeated rows
+    probs = rng.dirichlet(np.ones(size), size=n)
+    defect_rate = rng.choice([0.05, 0.2, 0.8])
+    records = []
+    for k in range(n):
+        v, p = values[k].tolist(), probs[k].copy()
+        kind = int(rng.integers(1, 13)) if rng.random() < defect_rate else 0
+        if kind == 1:  # negative dust within tolerance, down to the smallest subnormal
+            dust = max(tol * 10.0 ** -rng.uniform(0.0, 320.0), 5e-324)
+            p[1] += p[0] + dust if rng.random() < 0.5 else 0.0  # sum kept near one, or not
+            p[0] = -dust
+        elif kind == 2:  # an entry below -tol
+            p[0] = -rng.uniform(2 * tol, 0.5)
+        elif kind == 3:  # sum off by more than tol, or by less
+            p = p * (1.0 + rng.choice([1e-3, 5e-10, 3e-16]))
+        elif kind == 4:
+            v[int(rng.integers(size))] = rng.choice([np.nan, np.inf, -np.inf])
+        elif kind == 5:
+            p[int(rng.integers(size))] = rng.choice([np.nan, np.inf, -np.inf])
+        elif kind == 6:  # ragged lengths
+            v = v + [0.0] if rng.random() < 0.5 else v[:-1]
+        elif kind == 7:
+            p = np.append(p, 0.0) if rng.random() < 0.5 else p[:-1]
+        elif kind == 8 and k:  # an earlier value row, probabilities kept or not
+            j = int(rng.integers(k))
+            v = list(records[j][1])
+            if rng.random() < 0.5:
+                p = np.array(records[j][2], dtype=float)
+        elif kind == 9:  # signed zeros tell value rows apart
+            v = [-0.0 if x == 0.0 else x for x in v]
+        elif kind == 10:
+            p = np.array([1e308] * size)
+        elif kind == 11:  # on the simplex but entries above one
+            p = np.zeros(size)
+            p[0], p[1] = 1.5, -0.5
+        elif kind == 12:
+            p[0] = -0.0 if p[0] < 1e-3 else p[0]
+        records.append(("m", v, p.tolist() if rng.random() < 0.5 else p))
+    return records
+
+
+def _outcome(validate, records, **kwargs):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            d = validate(records, **kwargs)
+        except RecordValidationError as exc:
+            result = [(i, type(e), str(e)) for i, e in exc.record_errors]
+        except Exception as exc:
+            result = (type(exc), str(exc))
+        else:
+            result = (
+                d.menu,
+                d.values_matrix.tobytes(),
+                d.probs_matrix.tobytes(),
+                [(o.values.entries.tobytes(), o.probs.entries.tobytes()) for o in d.observations],
+            )
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def test_batched_validation_matches_per_record_oracle():
+    rng = np.random.default_rng(2024)
+    kinds = {"dataset": 0, "failures": 0, "warned": 0}
+    for _ in range(600):
+        tol = float(rng.choice([1e-9, 1e-6]))
+        records = _random_records(rng, tol)
+        kwargs = {"tol": tol}
+        if rng.random() < 0.5:
+            kwargs["alternatives"] = tuple("xyzw"[: len(records[0][1])])
+        got = _outcome(validate_dataset, records, **kwargs)
+        assert got == _outcome(validate_dataset_per_record, records, **kwargs)
+        kinds["dataset" if isinstance(got[0], tuple) and len(got[0]) == 4 else "failures"] += 1
+        kinds["warned"] += bool(got[1])
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_signed_zero_value_rows_are_distinct():
+    records = [("m", [0.0, 1.0], [0.5, 0.5]), ("m", [-0.0, 1.0], [0.6, 0.4]), ("m", [0.0, 1.0], [0.7, 0.3])]
+    with pytest.warns(DuplicateValuesWarning) as caught:
+        d = validate_dataset(records)
+    assert [str(w.message) for w in caught] == [
+        "observations 1 and 3 share a value vector but differ in probabilities"
+    ]
+    assert np.signbit(d.values_matrix[1, 0])
+
+
+def test_subnormal_dust_is_clamped_as_by_validate_simplex():
+    records = [("m", [0.0, 1.0], [1.0, -5e-324]), ("m", [1.0, 0.0], [1.0, -1e-300])]
+    d = validate_dataset(records)
+    assert d.probs_matrix.tolist() == [[1.0, 0.0], [1.0, 0.0]]
+    assert not np.signbit(d.probs_matrix).any()
+    assert _outcome(validate_dataset, records) == _outcome(validate_dataset_per_record, records)
