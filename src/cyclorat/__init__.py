@@ -4,85 +4,49 @@ The package turns strength-of-preference models into choice probabilities,
 tests finite (value, probability) datasets for cyclic monotonicity with
 witness extraction, and constructs and verifies the convex-cost
 (perturbed-utility) representation of any dataset that passes.
+
+Public names resolve on first use (PEP 562), so importing one submodule,
+such as the command line, loads only what that submodule imports.
 """
 
-from .core import (
-    TOL_CM,
-    TOL_OPT,
-    TOL_SIMPLEX,
-    Dataset,
-    Menu,
-    Observation,
-    SimplexPoint,
-    ValueVector,
-    comp_dot,
-    comp_sum,
-    make_dataset,
-    validate_dataset,
-    validate_simplex,
-)
-from .errors import (
-    BadSumError,
-    CycloratError,
-    DuplicateValuesWarning,
-    EmptyDatasetError,
-    EmptyDomainError,
-    InconsistentPairError,
-    IndexOutOfRangeError,
-    LengthMismatchError,
-    MixedMenusError,
-    NegativeEntryError,
-    NoProgressError,
-    NonFiniteError,
-    NotCyclicallyMonotoneError,
-    RecordValidationError,
-    TableLookupError,
-    TooLargeError,
-    ValidationError,
-    ZeroStrengthError,
-)
-from .models import (
-    CustomTable,
-    LuceExponential,
-    PairwiseRegret,
-    PreferenceModel,
-    SalienceWeighted,
-    choice_probabilities,
-    eval_preference,
-    model_from_spec,
-    normalize,
-    simulate_dataset,
-)
-from .monotonicity import (
-    CMVerdict,
-    CycleWitness,
-    TwoPointViolation,
-    brute_force_cm,
-    check_cyclic_monotonicity,
-    check_two_point_monotonicity,
-    check_weak_stochastic_transitivity,
-    cycle_sum,
-)
-from .rationalization import (
-    CostEvaluator,
-    DataDerivedCost,
-    NegEntropyCost,
-    PotentialFit,
-    PumSolution,
-    QuadraticCost,
-    RationalizationReport,
-    SmoothedDataDerivedCost,
-    compute_potentials,
-    conjugate_cost,
-    cost_description,
-    evaluate_extension,
-    pum_solve_closed,
-    pum_solve_general,
-    simplex_projection,
-    softmax_probabilities,
-    verify_rationalization,
-)
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+_EXPORTS = {
+    "core": """TOL_CM TOL_OPT TOL_SIMPLEX Dataset Menu Observation SimplexPoint
+        ValueVector comp_dot comp_sum make_dataset validate_dataset validate_simplex""",
+    "errors": """BadSumError CycloratError DuplicateValuesWarning EmptyDatasetError
+        EmptyDomainError InconsistentPairError IndexOutOfRangeError LengthMismatchError
+        MixedMenusError NegativeEntryError NoProgressError NonFiniteError
+        NotCyclicallyMonotoneError RecordValidationError TableLookupError TooLargeError
+        ValidationError ZeroStrengthError""",
+    "lp": "",  # public as a submodule only
+    "models": """CustomTable LuceExponential PairwiseRegret PreferenceModel
+        SalienceWeighted choice_probabilities eval_preference model_from_spec normalize
+        simulate_dataset""",
+    "monotonicity": """CMVerdict CycleWitness TwoPointViolation brute_force_cm
+        check_cyclic_monotonicity check_two_point_monotonicity
+        check_weak_stochastic_transitivity cycle_sum""",
+    "rationalization": """CostEvaluator DataDerivedCost NegEntropyCost PotentialFit
+        PumSolution QuadraticCost RationalizationReport SmoothedDataDerivedCost
+        compute_potentials conjugate_cost cost_description evaluate_extension
+        pum_solve_closed pum_solve_general simplex_projection softmax_probabilities
+        verify_rationalization""",
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted([*_SOURCE, *_EXPORTS])
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return _import_module(f".{name}", __name__)
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(_import_module(f".{_SOURCE[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

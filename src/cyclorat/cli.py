@@ -32,7 +32,6 @@ from . import __version__
 from .core import TOL_CM, TOL_OPT, TOL_SIMPLEX, Dataset
 from .dataio import csv_field, load_model_spec, parse_datasets_csv, write_dataset_csv
 from .errors import CycloratError, InconsistentPairError
-from .models import simulate_dataset
 from .monotonicity import (
     check_cyclic_monotonicity,
     check_two_point_monotonicity,
@@ -40,15 +39,9 @@ from .monotonicity import (
     edge_weights,
     pair_blocks,
 )
-from .rationalization import (
-    SmoothedDataDerivedCost,
-    compute_potentials,
-    cost_description,
-    pum_solve_general,
-    verify_rationalization,
-)
 from .report import SCHEMA_VERSION, dumps_report
 
+# ``models`` and ``rationalization`` are imported by the subcommands that run them.
 log = logging.getLogger("cyclorat")
 
 EXIT_OK = 0
@@ -129,19 +122,21 @@ def _analyze_menu(d: Dataset, config: RunConfig) -> tuple[dict, bool, bool]:
     cm_ok = verdict.is_pass
     verify_ok = True
     if depth != "check" and cm_ok:
-        fit = compute_potentials(d, config.tol_cm, verdict=verdict)
+        from . import rationalization as rat
+
+        fit = rat.compute_potentials(d, config.tol_cm, verdict=verdict)
         section["potentials"] = fit.to_dict()
-        section["cost"] = cost_description(fit, d)
+        section["cost"] = rat.cost_description(fit, d)
         if depth in ("verify", "report-all"):
             rng = np.random.default_rng(config.seed)
-            report = verify_rationalization(d, fit, config.tol_opt, rng=rng)
+            report = rat.verify_rationalization(d, fit, config.tol_opt, rng=rng)
             section["verification"] = report.to_dict()
             verify_ok = report.passed
             if config.epsilon > 0:
-                smoothed = SmoothedDataDerivedCost(fit, d, config.epsilon)
+                smoothed = rat.SmoothedDataDerivedCost(fit, d, config.epsilon)
                 rows = []
                 for i, (v, p) in enumerate(zip(d.values_matrix, d.probs_matrix), start=1):
-                    sol = pum_solve_general(smoothed, v, config.tol_opt)
+                    sol = rat.pum_solve_general(smoothed, v, config.tol_opt)
                     q = sol.probs.entries
                     rows.append(
                         {
@@ -178,6 +173,7 @@ def _write_series_csv(path: Path, datasets: dict[str, Dataset], report: dict) ->
                 rows = zip((i + 1).tolist(), (j + 1).tolist(), (W[i, j] + W[j, i]).tolist())
                 text = (head + "two_cycle_sum,%d-%d,%.17g\n") * i.size
                 fh.write(text % tuple(chain.from_iterable(rows)))
+            del W  # before the next menu's W is built
             section = by_id.get(menu_id, {})
             verification = section.get("verification", {})
             for series, values in (
@@ -196,6 +192,8 @@ def run(config: RunConfig) -> tuple[int, dict]:
     if config.command == "simulate":
         if not config.model or not config.output:
             raise CycloratError("simulate needs --model and --output")
+        from .models import simulate_dataset
+
         model, menu, design = load_model_spec(config.model)
         if isinstance(design, dict):
             rng = np.random.default_rng(config.seed)

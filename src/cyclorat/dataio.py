@@ -14,13 +14,15 @@ import io
 import json
 from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .core import TOL_SIMPLEX, Dataset, Menu, validate_dataset
 from .errors import MixedMenusError, ValidationError
-from .models import PreferenceModel, model_from_spec
+
+if TYPE_CHECKING:
+    from .models import PreferenceModel
 
 CSV_COLUMNS = ("menu_id", "obs_id", "alternative", "value", "prob")
 
@@ -230,6 +232,8 @@ def load_model_spec(path) -> tuple[PreferenceModel, Menu, list[list[float]] | di
           "design": {"count": 20, "low": -5, "high": 5}   # random, seeded
         }
     """
+    from .models import model_from_spec
+
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
         spec = json.load(fh)

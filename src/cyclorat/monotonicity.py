@@ -137,13 +137,24 @@ def cycle_sum(dataset: Dataset, cycle: Sequence[int]) -> float:
 def edge_weights(dataset: Dataset) -> np.ndarray:
     """Matrix W with W[i, j] = <p^i, v^i - v^j> (0-based, +inf diagonal).
 
-    One matrix product: W = diag(M) - M with M = P V^T.  Each finite entry
-    is within ``_edge_weight_error`` of exact arithmetic.
+    One matrix product, M = P V^T, overwritten in place by W = diag(M) - M.
+    Each finite entry is within ``_edge_weight_error`` of exact arithmetic.
     """
-    M = dataset.probs_matrix @ dataset.values_matrix.T
-    W = M.diagonal()[:, None] - M
+    W = dataset.probs_matrix @ dataset.values_matrix.T
+    np.subtract(W.diagonal().copy()[:, None], W, out=W)
     np.fill_diagonal(W, np.inf)
     return W
+
+
+#: Cells of W in one row block: readers of W form one block at a time.
+ROW_BLOCK_CELLS = 2**15
+
+
+def row_blocks(n: int) -> list[slice]:
+    """Row slices of an n-column matrix, ROW_BLOCK_CELLS // n rows each (at
+    least one); the first is the largest."""
+    step = max(1, ROW_BLOCK_CELLS // n)
+    return [slice(r, min(r + step, n)) for r in range(0, n, step)]
 
 
 def _edge_weight_error(dataset: Dataset) -> float:
@@ -267,6 +278,23 @@ def _policy_values(
     return np.array(eta), np.array(x), cycles
 
 
+def _improve(
+    W: np.ndarray, x: np.ndarray, cols: np.ndarray | None, blocks: list[slice], buf: np.ndarray
+) -> np.ndarray:
+    # Row by row, the first argmin over j in cols (all columns when None) of
+    # W_ij + x_j, formed one row block at a time in buf.
+    xc = x if cols is None else x[cols]
+    succ = np.empty(W.shape[0], dtype=np.intp)
+    for rows in blocks:
+        block = buf[: (rows.stop - rows.start) * xc.size].reshape(-1, xc.size)
+        if cols is None:
+            np.add(W[rows], xc, out=block)
+        else:  # cols are in range; "clip" lets take write straight into block
+            np.add(np.take(W[rows], cols, axis=1, out=block, mode="clip"), xc, out=block)
+        np.argmin(block, axis=1, out=succ[rows])
+    return succ if cols is None else cols[succ]
+
+
 def _min_mean_cycle(W: np.ndarray) -> MinMeanCycle:
     """Minimum mean-weight cycle by Howard policy iteration, certified.
 
@@ -275,7 +303,9 @@ def _min_mean_cycle(W: np.ndarray) -> MinMeanCycle:
     value x; improvement first moves nodes to the least-mean cycles, then
     switches a node to an edge that strictly lowers
     x_i = min_j (W_ij + x_j) - eta.  Each round is O(n^2) (Cochet-Terrasson
-    et al. 1998; Dasdan 2004).
+    et al. 1998; Dasdan 2004) and reads W in ``row_blocks``, so no second
+    n x n array is formed; blocks split rows only, so each argmin keeps its
+    smallest index.
 
     The result holds however the iteration ends: ``mean`` is attained by the
     returned cycle, and for any lam and x every cycle mean is at least
@@ -287,29 +317,33 @@ def _min_mean_cycle(W: np.ndarray) -> MinMeanCycle:
     if n < 2:
         return MinMeanCycle(math.inf, None, math.inf, 0, np.zeros(n))
     rows = np.arange(n)
-    buf = np.empty_like(W)  # W + x, reused every round
+    blocks = row_blocks(n)
+    buf = np.empty(blocks[0].stop * n)  # one block of W + x, reused every round
     pi = np.argmin(W, axis=1)
     for iterations in range(1, MIN_MEAN_MAX_ITERATIONS + 1):
         eta, x, cycles = _policy_values(pi.tolist(), W[rows, pi].tolist())
         lam = float(eta.min())
         tied = eta == lam
-        if tied.all():
-            succ = np.argmin(np.add(W, x, out=buf), axis=1)
-        else:
-            cols = np.flatnonzero(tied)
-            succ = cols[np.argmin(W[:, cols] + x[cols], axis=1)]
+        succ = _improve(W, x, None if tied.all() else np.flatnonzero(tied), blocks, buf)
         best = W[rows, succ] + x[succ]
         switch = (~tied | (best - lam < x)) & (succ != pi)
         if not switch.any():
             break
         pi = np.where(switch, succ, pi)
     if not tied.all():
-        best = np.min(np.add(W, x, out=buf), axis=1)
+        succ = _improve(W, x, None, blocks, buf)
+        best = W[rows, succ] + x[succ]
     # Each (x_i - fl(W_ij + x_j)) + lam carries three roundings and forming
     # lam - delta two more, so gamma_5 times the summed magnitudes bounds
     # the error (Higham, sec. 3.1).
     slack = float(np.max((x - best) + lam))
-    wmax = max(-float(W.min()), float(np.max(W, where=np.isfinite(W), initial=0.0)))
+    # The off-diagonal entries, in place: row i of this view runs from W[i, i+1]
+    # to W[i+1, i].  Only an overflowed entry needs the finite mask.
+    off = W.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]
+    top = float(off.max())
+    if top == math.inf:
+        top = float(np.max(off, where=np.isfinite(off), initial=0.0))
+    wmax = max(-float(off.min()), top)
     scale = 2.0 * float(np.max(np.abs(x))) + wmax + abs(lam) + abs(slack)
     u = np.finfo(float).eps / 2
     delta = slack + 5.0 * u / (1.0 - 5.0 * u) * scale

@@ -46,7 +46,7 @@ from .errors import (
     NotCyclicallyMonotoneError,
 )
 from .lp import solve_equality_lp
-from .monotonicity import CMVerdict, check_cyclic_monotonicity, edge_weights
+from .monotonicity import CMVerdict, check_cyclic_monotonicity, edge_weights, row_blocks
 
 #: Feasibility slack used when deciding p in conv{g_i}.
 FEAS_TOL = 1e-9
@@ -612,8 +612,14 @@ def verify_rationalization(
     n = dataset.n
 
     # f(v^j) = max(phi_j, max_i phi_i - W[i, j]); the +inf diagonal drops i = j.
+    # The maximum over i runs over row blocks of W, exact in any order, and W
+    # is dropped before the competitor matrix is formed.
     phi = fit.potentials
-    extension = np.maximum(phi, np.max(phi[:, None] - edge_weights(dataset), axis=0))
+    W = edge_weights(dataset)
+    extension = phi.copy()
+    for rows in row_blocks(n):
+        np.maximum(extension, np.max(phi[rows, None] - W[rows], axis=0), out=extension)
+    del W
     pool = np.vstack([G, rng.dirichlet(np.ones(n), size=mixtures) @ G])
     lp = dict.fromkeys(LP_COUNTERS, 0)
     pool_cost = np.concatenate([c, _conjugate_many(G, c, pool[n:], feas_tol, lp)])

@@ -4,12 +4,14 @@ These deliberately avoid the library's LP code paths: the exact
 two-alternative conjugate is resolved by enumerating piece crossings of the
 one-dimensional slice, and the grid transform scans value differences
 directly.  The minimum cycle mean has two references: Karp's O(n^3)
-dynamic program and, for small n, enumeration of every simple cycle.  The
-conjugate LP has two: a one-query support scan by least squares,
-independent of the library's batched pseudo-inverse scan, and a cold
-two-phase simplex solve per query, which shares no basis between queries
-as the batched route does.  The series CSV's
-reference builds every row as a tuple and formats them one at a time.
+dynamic program and, for small n, enumeration of every simple cycle.
+Policy iteration's row-blocked rounds and verification's blocked extension
+are checked bit for bit against their dense forms.  The conjugate LP has
+two: a one-query support scan by least squares, independent of the
+library's batched pseudo-inverse scan, and a cold two-phase simplex solve
+per query, which shares no basis between queries as the batched route
+does.  The series CSV's reference builds every row as a tuple and formats
+them one at a time.
 Dataset validation's reference builds a ``ValueVector``, a
 ``SimplexPoint`` and an ``Observation`` per record, one record at a time,
 and the CSV parser's reference reads one row at a time into nested dicts.
@@ -36,7 +38,8 @@ from cyclorat.errors import (
     ValidationError,
 )
 from cyclorat.lp import solve_equality_lp
-from cyclorat.monotonicity import edge_weights
+from cyclorat import monotonicity
+from cyclorat.monotonicity import MinMeanCycle, _policy_values, edge_weights
 
 
 def conjugate_exact_2alt(slopes: np.ndarray, offsets: np.ndarray, x: float) -> float:
@@ -150,6 +153,49 @@ def min_mean_by_enumeration(W: np.ndarray) -> float:
                 total = math.fsum(W[i, j] for i, j in zip(cyc, cyc[1:] + cyc[:1]))
                 best = min(best, total / k)
     return best
+
+
+def dense_min_mean_cycle(W: np.ndarray) -> MinMeanCycle:
+    """Howard policy iteration as the library ran it before row blocks.
+
+    Each round forms the whole n x n matrix W + x (or W[:, cols] + x[cols])
+    and the final pass masks W with ``isfinite``; the blocked routine must
+    return the same result bit for bit.
+    """
+    n = W.shape[0]
+    if n < 2:
+        return MinMeanCycle(math.inf, None, math.inf, 0, np.zeros(n))
+    rows = np.arange(n)
+    buf = np.empty_like(W)
+    pi = np.argmin(W, axis=1)
+    for iterations in range(1, monotonicity.MIN_MEAN_MAX_ITERATIONS + 1):
+        eta, x, cycles = _policy_values(pi.tolist(), W[rows, pi].tolist())
+        lam = float(eta.min())
+        tied = eta == lam
+        if tied.all():
+            succ = np.argmin(np.add(W, x, out=buf), axis=1)
+        else:
+            cols = np.flatnonzero(tied)
+            succ = cols[np.argmin(W[:, cols] + x[cols], axis=1)]
+        best = W[rows, succ] + x[succ]
+        switch = (~tied | (best - lam < x)) & (succ != pi)
+        if not switch.any():
+            break
+        pi = np.where(switch, succ, pi)
+    if not tied.all():
+        best = np.min(np.add(W, x, out=buf), axis=1)
+    slack = float(np.max((x - best) + lam))
+    wmax = max(-float(W.min()), float(np.max(W, where=np.isfinite(W), initial=0.0)))
+    scale = 2.0 * float(np.max(np.abs(x))) + wmax + abs(lam) + abs(slack)
+    u = np.finfo(float).eps / 2
+    delta = slack + 5.0 * u / (1.0 - 5.0 * u) * scale
+    cycle = min(c for mean, c in cycles if mean == lam)
+    return MinMeanCycle(lam, cycle, lam - delta, iterations, x)
+
+
+def dense_extension(phi: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """f(v^j) = max(phi_j, max_i phi_i - W[i, j]) from one n x n temporary."""
+    return np.maximum(phi, np.max(phi[:, None] - W, axis=0))
 
 
 def enumerate_basic_values(

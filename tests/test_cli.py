@@ -130,7 +130,7 @@ class TestFitVerify:
                 n_mixture_points=0,
             )
 
-        monkeypatch.setattr("cyclorat.cli.verify_rationalization", failing_verify)
+        monkeypatch.setattr("cyclorat.rationalization.verify_rationalization", failing_verify)
         out = tmp_path / "report.json"
         assert main([command, "--input", str(softmax_path), "--output", str(out)]) == EXIT_REJECTED
         assert json.loads(out.read_text())["menus"][0]["verification"]["passed"] is False

@@ -1,6 +1,7 @@
 """Tests for cycle sums, the monotonicity checks, and diagnostics."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +26,7 @@ from cyclorat import (
 )
 from cyclorat import monotonicity
 from cyclorat.cli import RunConfig, _analyze_menu
-from cyclorat.monotonicity import _bellman_ford, _min_mean_cycle, edge_weights
+from cyclorat.monotonicity import _bellman_ford, _min_mean_cycle, edge_weights, row_blocks
 
 from conftest import (
     luce_dataset,
@@ -34,7 +35,7 @@ from conftest import (
     random_probs_dataset,
     regret_dataset,
 )
-from oracles import karp_min_mean, min_mean_by_enumeration
+from oracles import dense_min_mean_cycle, karp_min_mean, min_mean_by_enumeration
 
 
 class TestCycleSum:
@@ -299,6 +300,144 @@ class TestMinMeanCycle:
             d = pum_dataset(family, rng, 500, 4)
         mm = _min_mean_cycle(edge_weights(d))
         assert 1 <= mm.iterations <= 50
+
+
+def _assert_same_bits(got, want):
+    assert (got.cycle, got.iterations) == (want.cycle, want.iterations)
+    assert np.array([got.mean, got.lower]).tobytes() == np.array([want.mean, want.lower]).tobytes()
+    assert got.x.tobytes() == want.x.tobytes()
+
+
+def _with_repeated_rows(d, rng, count):
+    # Appends copies of `count` seeded rows: each copy ties its original on
+    # a zero-weight two-cycle, so several policy cycles share the least mean.
+    k = rng.choice(d.n, count, replace=False)
+    V = np.vstack([d.values_matrix, d.values_matrix[k]])
+    P = np.vstack([d.probs_matrix, d.probs_matrix[k]])
+    return make_dataset("m", V.tolist(), P.tolist())
+
+
+class TestRowBlocks:
+    # Blocks split rows, never columns, so every argmin keeps its smallest
+    # index and the blocked rounds return what the dense rounds return.
+
+    @pytest.fixture
+    def branches(self, monkeypatch):
+        # Names the improvement branches the rounds took: all columns, or
+        # only the columns of the least-mean policy cycles.
+        seen = set()
+        real = monotonicity._improve
+
+        def recording(W, x, cols, blocks, buf):
+            seen.add("all" if cols is None else "tied")
+            return real(W, x, cols, blocks, buf)
+
+        monkeypatch.setattr(monotonicity, "_improve", recording)
+        return seen
+
+    @pytest.mark.parametrize("n", [300, 150])
+    def test_matches_dense_rounds(self, n, branches):
+        # n = 300 takes 109-row blocks, the last one of 82 rows; n = 150
+        # fits in one block.
+        assert len(row_blocks(n)) == (3 if n == 300 else 1)
+        rng = np.random.default_rng(90 + n)
+        for d in (
+            pum_dataset("negentropy", rng, n, 5),
+            regret_dataset(rng, n, 4),
+            random_probs_dataset(rng, n, 3),
+            _with_repeated_rows(pum_dataset("quadratic", rng, n - 20, 4), rng, 20),
+        ):
+            W = edge_weights(d)
+            _assert_same_bits(_min_mean_cycle(W), dense_min_mean_cycle(W))
+        assert branches == {"all", "tied"}
+
+    def test_one_row_blocks(self, monkeypatch, branches):
+        monkeypatch.setattr(monotonicity, "ROW_BLOCK_CELLS", 1)
+        assert len(row_blocks(40)) == 40
+        rng = np.random.default_rng(92)
+        for _ in range(10):
+            d = mixed_pool_dataset(rng, int(rng.integers(2, 40)), int(rng.integers(2, 6)))
+            W = edge_weights(d)
+            _assert_same_bits(_min_mean_cycle(W), dense_min_mean_cycle(W))
+        assert branches == {"all", "tied"}
+
+    @pytest.mark.parametrize("cells", [None, 1, 7 * 60])
+    def test_repeated_rows_take_the_tied_columns(self, cells, monkeypatch, branches):
+        if cells is not None:
+            monkeypatch.setattr(monotonicity, "ROW_BLOCK_CELLS", cells)
+        rng = np.random.default_rng(93)
+        for d in (_duplicated_rows_dataset(), _with_repeated_rows(luce_dataset(rng, 50, 3), rng, 10)):
+            W = edge_weights(d)
+            _assert_same_bits(_min_mean_cycle(W), dense_min_mean_cycle(W))
+        assert "tied" in branches
+
+    @pytest.mark.parametrize("cells", [None, 1, 7 * 90])
+    def test_ties_keep_the_smallest_index(self, cells, monkeypatch, branches):
+        # Small integer weights tie often, within and across blocks: the
+        # first argmin of each row must be the one the dense round takes.
+        # Row offsets give the first policy cycles of different means.
+        if cells is not None:
+            monkeypatch.setattr(monotonicity, "ROW_BLOCK_CELLS", cells)
+        rng = np.random.default_rng(97)
+        for _ in range(10):
+            W = (rng.integers(-2, 3, (90, 90)) + rng.integers(0, 3, (90, 1))).astype(float)
+            np.fill_diagonal(W, np.inf)
+            _assert_same_bits(_min_mean_cycle(W), dense_min_mean_cycle(W))
+        assert branches == {"all", "tied"}
+
+    def test_overflowed_weights_match_dense(self):
+        # Weights of values near the float limit can overflow to +-inf; the
+        # certificate's scale then takes the finite entries, as the dense
+        # round's mask did, or is infinite itself.
+        rng = np.random.default_rng(98)
+        for bad in (np.inf, -np.inf):
+            W = rng.uniform(-1.0, 1.0, (60, 60))
+            W[rng.integers(0, 60, 30), rng.integers(0, 60, 30)] = bad
+            np.fill_diagonal(W, np.inf)
+            with np.errstate(invalid="ignore"):  # inf - inf in the values
+                _assert_same_bits(_min_mean_cycle(W), dense_min_mean_cycle(W))
+
+    @pytest.mark.parametrize("extreme", [50.0, -50.0])
+    def test_bound_reads_every_off_diagonal_entry(self, extreme):
+        # The certificate's scale takes max |W_ij| over i != j; one extreme
+        # entry next to the diagonal or in a corner must move it as it
+        # moves the dense bound.
+        n = 30
+        positions = [(0, 1), (1, 0), (5, 6), (6, 5), (n - 2, n - 1), (n - 1, n - 2), (0, n - 1), (n - 1, 0)]
+        for i, j in positions:
+            W = np.random.default_rng(99).uniform(-1.0, 1.0, (n, n))
+            W[i, j] = extreme
+            np.fill_diagonal(W, np.inf)
+            _assert_same_bits(_min_mean_cycle(W), dense_min_mean_cycle(W))
+
+    def test_cut_short_run_matches_dense(self, monkeypatch):
+        monkeypatch.setattr(monotonicity, "MIN_MEAN_MAX_ITERATIONS", 1)
+        rng = np.random.default_rng(94)
+        for _ in range(5):
+            W = edge_weights(mixed_pool_dataset(rng, 200, 4))
+            _assert_same_bits(_min_mean_cycle(W), dense_min_mean_cycle(W))
+
+    @pytest.mark.parametrize("status", ["pass", "violation"])
+    def test_check_holds_one_weight_matrix(self, status, monkeypatch):
+        # tracemalloc sees numpy's buffers: the check's peak is W plus one
+        # row block and O(n) vectors, not the two or three n x n arrays of
+        # a dense round.  The violation is decided by the min-mean cycle.
+        def no_bellman_ford(W):
+            raise AssertionError("Bellman-Ford ran although policy iteration decided")
+
+        monkeypatch.setattr(monotonicity, "_bellman_ford", no_bellman_ford)
+        n = 800
+        rng = np.random.default_rng(95)
+        d = pum_dataset("negentropy", rng, n, 10) if status == "pass" else regret_dataset(rng, n, 4)
+        d.values_matrix, d.probs_matrix  # built before tracing starts
+        tracemalloc.start()
+        try:
+            verdict = check_cyclic_monotonicity(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.status == status
+        assert peak < 1.25 * 8 * n * n
 
 
 class TestCheckOrder:

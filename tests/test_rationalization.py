@@ -25,7 +25,7 @@ from cyclorat import (
     pum_solve_general,
     verify_rationalization,
 )
-from cyclorat import rationalization
+from cyclorat import monotonicity, rationalization
 from cyclorat.core import comp_dot
 from cyclorat.lp import batch_support_values, solve_equality_lp
 from cyclorat.monotonicity import _bellman_ford, edge_weights
@@ -41,6 +41,7 @@ from oracles import (
     cold_conjugate_values,
     conjugate_exact_2alt,
     conjugate_grid_2alt,
+    dense_extension,
     enumerate_basic_values,
 )
 
@@ -627,3 +628,17 @@ class TestSolverErrorPaths:
         fit = compute_potentials(softmax_fixture)
         with pytest.raises(ValueError):
             SmoothedDataDerivedCost(fit, softmax_fixture, 0.0)
+
+
+@pytest.mark.parametrize("cells", [None, 1, 7 * 150])
+def test_blocked_extension_matches_dense(cells, monkeypatch):
+    # The extension's maximum over rows runs over row blocks of W; the
+    # Fenchel gaps must equal those of one dense n x n temporary bit for bit.
+    if cells is not None:
+        monkeypatch.setattr(monotonicity, "ROW_BLOCK_CELLS", cells)
+    rng = np.random.default_rng(96)
+    for d in (pum_dataset("negentropy", rng, 150, 4), luce_dataset(rng, 301, 3)):
+        fit = compute_potentials(d)
+        report = verify_rationalization(d, fit, mixtures=0)
+        want = dense_extension(fit.potentials, edge_weights(d)) - fit.potentials
+        assert report.fenchel_gaps.tobytes() == want.tobytes()
