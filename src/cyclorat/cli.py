@@ -9,9 +9,9 @@ Subcommands wire the library into a pipeline over CSV datasets:
 * ``report-all`` - the full pipeline plus two-point and weak-stochastic-
   transitivity diagnostics
 
-Exit codes: 0 success, 2 usage/IO/config failure, 3 analysis ran and the
-hypothesis was rejected (a violation was found or verification exceeded its
-tolerance).  Menus in a multi-menu file are analyzed independently; report
+Exit codes: 0 success, 2 usage/IO/config failure or a solver that stopped
+undecided, 3 analysis ran and the hypothesis was rejected (a violation was
+found or verification exceeded its tolerance).  Menus in a multi-menu file are analyzed independently; report
 sections are ordered by menu id.  ``CYCLORAT_LOG`` sets log verbosity.
 """
 

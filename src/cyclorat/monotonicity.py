@@ -10,12 +10,12 @@ w(i -> j) = <p^i, v^i - v^j> has no negative cycle.  A tolerance is a
 per-edge slack eps: the data pass iff every cycle mean is at least -eps,
 i.e. iff Afriat potentials exist that hold every inequality to within eps.
 The fast check runs Howard policy iteration for the minimum cycle mean,
-O(n^2) per round; its final potentials certify a lower bound on every cycle
-mean, which, net of the edge-weight rounding bound, decides a pass that
-carries them, and its cycle, recomputed with compensated summation, decides
-a violation.  Only in the certificate's gap does a vectorized Bellman-Ford
-relaxation on the weights raised by eps decide, from the one predecessor
-cycle it closes.
+O(n^2) per round, and decides from that one run: its final potentials
+certify a lower bound on every cycle mean, which, net of the edge-weight
+rounding bound, decides a pass that carries them; its cycle, recomputed
+with compensated summation, decides a violation; and a converged run whose
+cycle sits between the two passes with the same potentials, which then hold
+every inequality to within eps plus rounding.
 The exhaustive ``brute_force_cm`` enumerates all simple cycles and serves
 as the independent oracle at small n.
 
@@ -33,7 +33,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .core import TOL_CM, TOL_SIMPLEX, Dataset
-from .errors import IndexOutOfRangeError, InconsistentPairError, TooLargeError
+from .errors import IndexOutOfRangeError, InconsistentPairError, NoProgressError, TooLargeError
 
 
 @dataclass(frozen=True)
@@ -64,16 +64,15 @@ class CMVerdict:
     ``min_cycle_mean`` is the most negative cycle mean found: for the fast
     check, the compensated mean of the policy-iteration cycle, an attained
     mean within the certificate of the true minimum (None when no cycle
-    exists, i.e. n = 1).  ``min_cycle_sum`` is the smallest recomputed sum
-    among cycles the check materialized; exhaustive search always fills it,
-    the fast check only when the lower bound does not certify a pass.  The
-    fast check's witness is the min-mean cycle when its mean is below
-    ``-tol``, else the Bellman-Ford predecessor cycle; either way in
-    canonical rotation (smallest index first), and ties between least-mean
-    policy cycles go to the lexicographically smallest.
-    A fast-check pass carries the Afriat ``potentials`` certifying it, 0 at
-    the first observation (see step 3 of the check for the exception);
-    ``policy_iterations`` counts the fast check's rounds.  Neither compares.
+    exists, i.e. n = 1).  ``min_cycle_sum`` is a recomputed cycle sum:
+    exhaustive search fills it with the smallest one, the fast check with
+    its cycle's sum when the lower bound does not certify a pass.  The fast
+    check's witness is the min-mean cycle, in canonical rotation (smallest
+    index first); ties between least-mean policy cycles go to the
+    lexicographically smallest.
+    Every fast-check pass carries the Afriat ``potentials`` certifying it, 0
+    at the first observation; ``policy_iterations`` counts the fast check's
+    rounds.  Neither compares.
     """
 
     status: str
@@ -173,55 +172,9 @@ def _canonical_cycle(nodes: Sequence[int]) -> tuple[int, ...]:
     return tuple(nodes[k:] + nodes[:k])
 
 
-def _predecessor_cycle(pred: np.ndarray, relaxable: np.ndarray) -> tuple[int, ...] | None:
-    # Each predecessor step from a node that improved in pass t lands on one
-    # that improved in pass t - 1 or later, so n steps back from a node that
-    # still relaxes in the n-th pass never reach the virtual source and end
-    # inside the cycle the walk closes; read that cycle forwards.  None when
-    # no node relaxes.
-    if not relaxable.any():
-        return None
-    node = int(np.flatnonzero(relaxable)[0])
-    for _ in range(pred.size):
-        node = int(pred[node])
-    backward = [node]
-    cur = int(pred[node])
-    while cur != node:
-        backward.append(cur)
-        cur = int(pred[cur])
-    return _canonical_cycle(backward[::-1])
-
-
-def _bellman_ford(W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Relax from a virtual source connected to every node at distance 0.
-
-    Returns (dist, pred, relaxable) where ``relaxable`` marks nodes that
-    still improved in the extra n-th pass; any such node's predecessor chain
-    leads into a negative cycle.  Passes run over the rows of W^T, so each
-    minimum over predecessors reads contiguous memory.
-    """
-    n = W.shape[0]
-    WT = np.ascontiguousarray(W.T)
-    rows = np.arange(n)
-    cand = np.empty_like(WT)
-    dist = np.zeros(n)
-    pred = np.full(n, -1, dtype=int)
-    for k in range(n):
-        np.add(WT, dist, out=cand)
-        arg = np.argmin(cand, axis=1)
-        best = cand[rows, arg]
-        improved = best < dist
-        if not improved.any():
-            break
-        pred = np.where(improved, arg, pred)
-        if k == n - 1:
-            return dist, pred, improved
-        dist = np.where(improved, best, dist)
-    return dist, pred, np.zeros(n, dtype=bool)
-
-
 #: Cap on policy-iteration rounds.  A run cut short still returns an attained
-#: cycle mean and a valid, only looser, lower bound.
+#: cycle mean and a valid, only looser, lower bound; a check that neither
+#: decides raises rather than pass on that bound.
 MIN_MEAN_MAX_ITERATIONS = 500
 
 
@@ -357,46 +310,41 @@ def check_cyclic_monotonicity(dataset: Dataset, tol: float = TOL_CM) -> CMVerdic
     Passes iff potentials phi exist with
     phi_j >= phi_i + <p^i, v^j - v^i> - tol for every ordered pair, which
     holds iff every cycle has mean weight at least ``-tol`` (Afriat 1967,
-    with the goodness-of-fit reading of Varian 1990).  Three steps, each
-    ending the check when it decides:
+    with the goodness-of-fit reading of Varian 1990).  One policy-iteration
+    run gives a minimum-mean cycle of compensated mean ``mean``, a certified
+    lower bound ``lower`` on every cycle mean, and relative values x with
+    x_i <= x_j + W_ij - lower on every edge.  Three steps decide from it:
 
-    1. Policy iteration finds a minimum-mean cycle and a certified lower
-       bound on every cycle mean.  When lower - err >= -tol, with err the
-       edge-weight rounding bound, the verdict is a pass, and the final
-       relative values x give its potentials x - x_1.
-    2. When the min-mean cycle's compensated mean is below ``-tol``, that
-       cycle is the witness.
-    3. Otherwise (a run cut short, or a tie within rounding) Bellman-Ford
-       on W + tol decides.  If it settles, the pass carries potentials
-       dist_1 - dist.  If it closes a cycle of compensated mean below
-       ``-tol``, that cycle is the witness; else the pass carries none.
+    1. Certificate: when lower - err >= -tol, with err the edge-weight
+       rounding bound, the verdict is a pass with potentials x - x_1.
+    2. Witness: when the cycle's compensated mean is below ``-tol``, the
+       verdict is a violation with that cycle as the witness.
+    3. Rounding band: otherwise a converged run passes with potentials
+       x - x_1 and ``min_cycle_sum`` its cycle's sum.  They hold every
+       inequality within tol + (mean - lower) + err, and converged rounds
+       leave mean - lower at rounding level.  A run that reached
+       ``MIN_MEAN_MAX_ITERATIONS`` rounds may carry a loose bound, so it
+       raises ``NoProgressError`` instead.
 
-    Any returned witness has a compensated mean, hence also a sum, below
-    ``-tol``; it is not guaranteed to be the most negative cycle.
+    Every pass carries its potentials.  A witness has a compensated mean,
+    hence also a sum, below ``-tol``; it is not guaranteed to be the most
+    negative cycle.
     """
     W = edge_weights(dataset)
     mm = _min_mean_cycle(W)
-    min_mean = None if mm.cycle is None else mm.mean
     if mm.lower - _edge_weight_error(dataset) >= -tol:
+        min_mean = None if mm.cycle is None else mm.mean
         return CMVerdict("pass", None, min_mean, None, mm.x - mm.x[0], mm.iterations)
-
-    sums: dict[tuple[int, ...], float] = {}
-
-    def violates(cycle: tuple[int, ...] | None) -> bool:
-        if cycle is None:
-            return False
-        sums[cycle] = cycle_sum(dataset, [i + 1 for i in cycle])
-        return sums[cycle] / len(cycle) < -tol
-
-    cycle = mm.cycle
-    if not violates(cycle):
-        dist, pred, relaxable = _bellman_ford(W + tol)
-        cycle = _predecessor_cycle(pred, relaxable)
-        if not violates(cycle):
-            phi = None if cycle else dist[0] - dist
-            return CMVerdict("pass", None, min_mean, min(sums.values()), phi, mm.iterations)
-    witness = CycleWitness(tuple(i + 1 for i in cycle), sums[cycle])
-    return CMVerdict("violation", witness, min_mean, min(sums.values()), None, mm.iterations)
+    total = cycle_sum(dataset, [i + 1 for i in mm.cycle])
+    if total / len(mm.cycle) < -tol:
+        witness = CycleWitness(tuple(i + 1 for i in mm.cycle), total)
+        return CMVerdict("violation", witness, mm.mean, total, None, mm.iterations)
+    if mm.iterations == MIN_MEAN_MAX_ITERATIONS:
+        raise NoProgressError(
+            f"policy iteration hit its {mm.iterations}-round cap before deciding per-edge "
+            f"slack {tol:g}: cycle means are bounded below only by {mm.lower:.3e}"
+        )
+    return CMVerdict("pass", None, mm.mean, total, mm.x - mm.x[0], mm.iterations)
 
 
 #: Exhaustive enumeration guard; simple-cycle count grows factorially.

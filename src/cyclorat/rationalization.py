@@ -68,6 +68,9 @@ class PotentialFit:
     potentials were fitted with, up to rounding:
 
         potentials[j] >= potentials[i] + <gradients[i], v^j - v^i> - tol.
+
+    That rounding is the check's allowance: none when its certificate
+    decides, and at most (mean - lower) + err in its rounding band.
     """
 
     base_index: int
@@ -101,8 +104,9 @@ def compute_potentials(
 
     ``verdict`` is ``check_cyclic_monotonicity(dataset, tol)``, run here when
     not given.  Its policy-iteration values hold every inequality with a
-    margin up to the minimum cycle mean, if positive.  A verdict without
-    potentials raises ``NotCyclicallyMonotoneError`` with its witness.
+    margin up to the minimum cycle mean, if positive, and within ``tol``
+    plus rounding otherwise.  Every pass carries them; a violation raises
+    ``NotCyclicallyMonotoneError`` with its witness.
     """
     if verdict is None:
         verdict = check_cyclic_monotonicity(dataset, tol)

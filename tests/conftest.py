@@ -89,6 +89,19 @@ def mixed_pool_dataset(rng: np.random.Generator, n: int, size: int) -> Dataset:
     return random_probs_dataset(rng, n, size)
 
 
+def realize_weights(W_target: np.ndarray, rng: np.random.Generator) -> Dataset:
+    """Data whose edge weights are W_target up to rounding.
+
+    With P of full row rank (|A| > n), V solves P V^T = M for M = -W_target
+    off the diagonal, and W[i, j] = M[i, i] - M[i, j].
+    """
+    n = W_target.shape[0]
+    P = rng.dirichlet(np.ones(n + 1), n)
+    M = -np.where(np.eye(n, dtype=bool), 0.0, W_target)
+    V = (np.linalg.pinv(P) @ M).T
+    return make_dataset("m", V.tolist(), P.tolist())
+
+
 def benchmark_lowdim_menu(seed: int, k: int) -> Dataset:
     """Menu ``lowdim_0k`` of the benchmark's ``report_menus`` workload.
 

@@ -11,10 +11,11 @@ import pytest
 
 from cyclorat import monotonicity
 from cyclorat.cli import EXIT_OK, EXIT_REJECTED, EXIT_USAGE, RunConfig, main, run
-from cyclorat.dataio import parse_dataset_csv, parse_datasets_csv
+from cyclorat.dataio import parse_dataset_csv, parse_datasets_csv, write_dataset_csv
 from cyclorat.rationalization import RationalizationReport
 from cyclorat.report import dumps_report, strip_timing
 
+from conftest import realize_weights
 from oracles import series_rows, write_series_csv
 
 VIOLATION_CSV = """menu_id,obs_id,alternative,value,prob
@@ -93,6 +94,19 @@ class TestCheck:
         report = json.loads(out.read_text())
         assert report["menus"][0]["cyclic_monotonicity"]["status"] == "pass"
         assert report["schema_version"] == 1
+
+    def test_cut_short_band_exits_2(self, tmp_path, monkeypatch, capsys):
+        # One policy round leaves the three-cycle 1 -> 2 -> 3 -> 1 (mean
+        # -0.65/3) undecided at tol 0.15: no pass on a loose bound, no guess.
+        W = np.full((3, 3), 10.0)
+        W[0, 1], W[1, 0], W[1, 2], W[2, 0] = -0.5, 0.3, 0.35, -0.5
+        path = tmp_path / "three.csv"
+        write_dataset_csv(path, realize_weights(W, np.random.default_rng(47)))
+        monkeypatch.setattr(monotonicity, "MIN_MEAN_MAX_ITERATIONS", 1)
+        code = main(["check", "--input", str(path), "--tol-cm", "0.15"])
+        assert code == EXIT_USAGE
+        lines = capsys.readouterr().err.splitlines()
+        assert any(line.startswith("error: ") and "1-round cap" in line for line in lines)
 
 
 class TestFitVerify:

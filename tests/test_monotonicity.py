@@ -12,6 +12,7 @@ from cyclorat import (
     DuplicateValuesWarning,
     InconsistentPairError,
     IndexOutOfRangeError,
+    NoProgressError,
     NotCyclicallyMonotoneError,
     TooLargeError,
     brute_force_cm,
@@ -26,13 +27,14 @@ from cyclorat import (
 )
 from cyclorat import monotonicity
 from cyclorat.cli import RunConfig, _analyze_menu
-from cyclorat.monotonicity import _bellman_ford, _min_mean_cycle, edge_weights, row_blocks
+from cyclorat.monotonicity import _edge_weight_error, _min_mean_cycle, edge_weights, row_blocks
 
 from conftest import (
     luce_dataset,
     mixed_pool_dataset,
     pum_dataset,
     random_probs_dataset,
+    realize_weights,
     regret_dataset,
 )
 from oracles import dense_min_mean_cycle, karp_min_mean, min_mean_by_enumeration
@@ -162,39 +164,6 @@ class TestCheckCyclicMonotonicity:
                 assert abs(cycle_sum(shifted, list(a.witness.indices)) - a.witness.cycle_sum) <= 1e-9
 
 
-def _realize(W_target: np.ndarray, rng: np.random.Generator):
-    # Data whose edge weights are W_target up to rounding: with P of full row
-    # rank (|A| > n), V solves P V^T = M for M = -W_target off the diagonal,
-    # and W[i, j] = M[i, i] - M[i, j].
-    n = W_target.shape[0]
-    P = rng.dirichlet(np.ones(n + 1), n)
-    M = -np.where(np.eye(n, dtype=bool), 0.0, W_target)
-    V = (np.linalg.pinv(P) @ M).T
-    return make_dataset("m", V.tolist(), P.tolist())
-
-
-def _old_bellman_ford(W):
-    # The axis-0 kernel the transposed one replaced.
-    n = W.shape[0]
-    dist = np.zeros(n)
-    pred = np.full(n, -1, dtype=int)
-    for _ in range(n - 1):
-        cand = dist[:, None] + W
-        arg = np.argmin(cand, axis=0)
-        best = cand[arg, np.arange(n)]
-        improved = best < dist
-        if not improved.any():
-            return dist, pred, np.zeros(n, dtype=bool)
-        dist = np.where(improved, best, dist)
-        pred = np.where(improved, arg, pred)
-    cand = dist[:, None] + W
-    arg = np.argmin(cand, axis=0)
-    best = cand[arg, np.arange(n)]
-    relaxable = best < dist
-    pred = np.where(relaxable, arg, pred)
-    return dist, pred, relaxable
-
-
 class TestMinMeanCycle:
     @pytest.mark.parametrize("family", ["random", "pum", "regret"])
     def test_brackets_enumerated_minimum(self, family):
@@ -235,11 +204,11 @@ class TestMinMeanCycle:
             assert abs(mm.mean - karp) <= err
 
     def test_cut_short_run_stays_certified(self, monkeypatch):
-        # One round only: the bound loosens but never overstates, and the
-        # check falls back to its later steps without changing any verdict.
+        # One round only: the bound loosens but never overstates.  The check
+        # either decides from it, with the oracle's verdict, or raises.
         monkeypatch.setattr(monotonicity, "MIN_MEAN_MAX_ITERATIONS", 1)
         rng = np.random.default_rng(43)
-        loose = 0
+        loose = decided = raised = 0
         for _ in range(30):
             d = mixed_pool_dataset(rng, int(rng.integers(3, 8)), int(rng.integers(2, 5)))
             W = edge_weights(d)
@@ -248,13 +217,19 @@ class TestMinMeanCycle:
             assert mm.iterations == 1
             assert mm.lower <= exact <= mm.mean
             loose += mm.lower < exact - 1e-6
-            verdict = check_cyclic_monotonicity(d, 1e-9)
+            try:
+                verdict = check_cyclic_monotonicity(d, 1e-9)
+            except NoProgressError:
+                raised += 1
+                continue
+            decided += 1
             assert verdict.status == brute_force_cm(d, 1e-9).status
             assert verdict.policy_iterations == 1
             if verdict.is_pass:
                 phi = verdict.potentials
                 assert np.min(phi[None, :] - phi[:, None] + W) >= -1e-9 - ROUNDING
         assert loose > 5
+        assert decided > 0 and raised > 0
 
     def test_single_node(self):
         mm = _min_mean_cycle(np.full((1, 1), np.inf))
@@ -418,14 +393,10 @@ class TestRowBlocks:
             _assert_same_bits(_min_mean_cycle(W), dense_min_mean_cycle(W))
 
     @pytest.mark.parametrize("status", ["pass", "violation"])
-    def test_check_holds_one_weight_matrix(self, status, monkeypatch):
+    def test_check_holds_one_weight_matrix(self, status):
         # tracemalloc sees numpy's buffers: the check's peak is W plus one
         # row block and O(n) vectors, not the two or three n x n arrays of
         # a dense round.  The violation is decided by the min-mean cycle.
-        def no_bellman_ford(W):
-            raise AssertionError("Bellman-Ford ran although policy iteration decided")
-
-        monkeypatch.setattr(monotonicity, "_bellman_ford", no_bellman_ford)
         n = 800
         rng = np.random.default_rng(95)
         d = pum_dataset("negentropy", rng, n, 10) if status == "pass" else regret_dataset(rng, n, 4)
@@ -441,17 +412,12 @@ class TestRowBlocks:
 
 
 class TestCheckOrder:
-    def test_min_mean_witness_skips_bellman_ford(self, monkeypatch):
+    def test_min_mean_cycle_is_the_witness(self):
         rng = np.random.default_rng(37)
         d = regret_dataset(rng, 40, 4)
         mm = _min_mean_cycle(edge_weights(d))
         expected = tuple(i + 1 for i in mm.cycle)
         assert cycle_sum(d, list(expected)) < -1e-9
-
-        def no_bellman_ford(W):
-            raise AssertionError("Bellman-Ford ran although the min-mean cycle decided")
-
-        monkeypatch.setattr(monotonicity, "_bellman_ford", no_bellman_ford)
         verdict = check_cyclic_monotonicity(d, 1e-9)
         assert verdict.status == "violation"
         assert verdict.witness.indices == expected
@@ -465,7 +431,7 @@ class TestCheckOrder:
         W = np.full((5, 5), 10.0)
         W[0, 1] = W[1, 0] = -0.4
         W[2, 3] = W[3, 4] = W[4, 2] = -0.35
-        d = _realize(W, np.random.default_rng(38))
+        d = realize_weights(W, np.random.default_rng(38))
         assert _min_mean_cycle(edge_weights(d)).cycle == (0, 1)
         assert check_cyclic_monotonicity(d, 1.0).is_pass
         assert brute_force_cm(d, 1.0).is_pass
@@ -475,48 +441,31 @@ class TestCheckOrder:
         assert fast.witness.indices == slow.witness.indices == (1, 2)
         assert_allclose(fast.witness.cycle_sum, -0.8, atol=1e-9)
 
-    def test_gap_is_decided_by_bellman_ford_on_slackened_weights(self, monkeypatch):
+    def test_three_cycle_is_decided_by_converged_rounds(self, monkeypatch):
         # Every node's cheapest edge points into 1 <-> 2 (mean -0.1), so one
         # policy round leaves the three-cycle 1 -> 2 -> 3 -> 1 (mean -0.65/3)
-        # to Bellman-Ford on W + tol.
+        # in the band; converged rounds find it.
         W = np.full((3, 3), 10.0)
         W[0, 1], W[1, 0], W[1, 2], W[2, 0] = -0.5, 0.3, 0.35, -0.5
-        d = _realize(W, np.random.default_rng(47))
-        monkeypatch.setattr(monotonicity, "MIN_MEAN_MAX_ITERATIONS", 1)
-        mm = _min_mean_cycle(edge_weights(d))
-        assert mm.cycle == (0, 1) and mm.lower < -0.25
-        calls = []
-        real = monotonicity._bellman_ford
-        monkeypatch.setattr(monotonicity, "_bellman_ford", lambda W: calls.append(1) or real(W))
+        d = realize_weights(W, np.random.default_rng(47))
         verdict = check_cyclic_monotonicity(d, 0.15)
         assert verdict.status == brute_force_cm(d, 0.15).status == "violation"
         assert verdict.witness.indices == (1, 2, 3)
         assert_allclose(verdict.witness.cycle_sum, -0.65, atol=1e-9)
         phi = check_cyclic_monotonicity(d, 0.25).potentials
         assert brute_force_cm(d, 0.25).is_pass
-        assert len(calls) == 2
-        # The settled distances on W + tol are the pass's potentials.
         slack = phi[None, :] - phi[:, None] + edge_weights(d)
         assert phi[0] == 0 and np.min(slack) >= -0.25 - ROUNDING
-
-    @pytest.mark.parametrize("seed", [39, 40, 41])
-    def test_transposed_bellman_ford_is_bit_identical(self, seed):
-        rng = np.random.default_rng(seed)
-        for d in (
-            pum_dataset("negentropy", rng, 60, 4),
-            regret_dataset(rng, 60, 4),
-            random_probs_dataset(rng, 60, 3),
-        ):
-            W = edge_weights(d)
-            dist, pred, relaxable = _bellman_ford(W)
-            old_dist, old_pred, old_relaxable = _old_bellman_ford(W)
-            assert np.array_equal(dist, old_dist)
-            assert np.array_equal(pred, old_pred)
-            assert np.array_equal(relaxable, old_relaxable)
+        # Cut short at one round, neither the bound nor the cycle decides.
+        monkeypatch.setattr(monotonicity, "MIN_MEAN_MAX_ITERATIONS", 1)
+        mm = _min_mean_cycle(edge_weights(d))
+        assert mm.cycle == (0, 1) and mm.lower < -0.25
+        with pytest.raises(NoProgressError, match="1-round cap"):
+            check_cyclic_monotonicity(d, 0.15)
 
 
-#: Tight edges of the graph raised by tol sit at slack -tol exactly; the
-#: potentials and gaps carry a few ulps of rounding either side of it.
+#: Tight edges sit at slack -tol exactly; the potentials and gaps carry a
+#: few ulps of rounding either side of it.
 ROUNDING = 1e-12
 
 
@@ -555,7 +504,7 @@ class TestToleranceRule:
         W = np.full((5, 5), 10.0)
         W[0, 1] = W[1, 0] = -0.4
         W[1, 2] = W[2, 3] = W[3, 4] = W[4, 0] = -0.25
-        d = _realize(W, np.random.default_rng(44))
+        d = realize_weights(W, np.random.default_rng(44))
         status = _assert_stages_agree(d, tol)
         assert status == ("pass" if tol > 0.4 else "violation")
         if status == "violation":
@@ -566,37 +515,59 @@ class TestToleranceRule:
         seen = set()
         for _ in range(150):
             n = int(rng.integers(2, 7))
-            d = _realize(rng.uniform(-1.0, 1.0, (n, n)), rng)
+            d = realize_weights(rng.uniform(-1.0, 1.0, (n, n)), rng)
             for tol in (1e-9, 0.05, 0.2, 0.5):
                 seen.add((tol, _assert_stages_agree(d, tol)))
         assert len(seen) == 8  # both verdicts at every tolerance
 
-    def test_near_tie_is_decided_by_the_certificate(self, monkeypatch):
-        d = _near_tie_dataset()
+    def test_knife_edge_pass_carries_its_potentials(self):
+        # At tol = -mean, the attained min-mean cycle sits exactly on the
+        # boundary, so the check lands in its rounding band.  Every pass
+        # there carries potentials that the fit reads and that hold every
+        # inequality within tol + (mean - lower) + err.
+        seen = {"pass": 0, "violation": 0}
+        band = 0
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(3, 61))
+            for d in (
+                regret_dataset(rng, n, 4),
+                random_probs_dataset(rng, n, 3),
+                mixed_pool_dataset(rng, n, 4),
+            ):
+                W = edge_weights(d)
+                mm = _min_mean_cycle(W)
+                if mm.mean >= 0:
+                    continue
+                tol = -mm.mean
+                verdict = check_cyclic_monotonicity(d, tol)
+                seen[verdict.status] += 1
+                if not verdict.is_pass:
+                    continue
+                band += verdict.min_cycle_sum is not None
+                assert verdict.potentials is not None
+                phi = compute_potentials(d, tol, verdict=verdict).potentials
+                allowance = tol + (mm.mean - mm.lower) + _edge_weight_error(d)
+                assert np.min(phi[None, :] - phi[:, None] + W) >= -allowance
+        assert seen["pass"] > 0 and seen["violation"] > 0 and band > 0
 
-        def no_bellman_ford(W):
-            raise AssertionError("Bellman-Ford ran although the certificate decided")
-
-        monkeypatch.setattr(monotonicity, "_bellman_ford", no_bellman_ford)
-        verdict = check_cyclic_monotonicity(d, 1e-9)
-        assert verdict.is_pass
+    def test_near_tie_is_decided_by_the_certificate(self):
+        # A pass from step 1 has no cycle sum; the band would record one.
+        verdict = check_cyclic_monotonicity(_near_tie_dataset(), 1e-9)
+        assert verdict.is_pass and verdict.min_cycle_sum is None
         assert verdict.min_cycle_mean < 0
 
     def test_near_tie_fits_from_the_check_certificate(self, monkeypatch):
-        # A CLI fit runs one policy iteration and no Bellman-Ford: the check's
-        # certificate carries the potentials, within a slack a little over
-        # the -1.5e-12 cycle mean, not tol.
+        # A CLI fit runs one policy iteration: the check's certificate
+        # carries the potentials, within a slack a little over the -1.5e-12
+        # cycle mean, not tol.
         d = _near_tie_dataset()
         runs = []
-
-        def no_bellman_ford(W):
-            raise AssertionError("Bellman-Ford ran although the certificate decided")
 
         def recorded(W):
             runs.append(W.shape)
             return _min_mean_cycle(W)
 
-        monkeypatch.setattr(monotonicity, "_bellman_ford", no_bellman_ford)
         monkeypatch.setattr(monotonicity, "_min_mean_cycle", recorded)
         section, cm_ok, _ = _analyze_menu(d, RunConfig("fit", tol_cm=1e-9))
         assert cm_ok and len(runs) == 1
