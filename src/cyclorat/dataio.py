@@ -219,6 +219,12 @@ def write_dataset_csv(path, datasets: Dataset | Sequence[Dataset]) -> None:
             fh.write((text * d.n) % tuple(chain.from_iterable(cells)))
 
 
+def _spec_field(spec, key: str, where: str = "model spec"):
+    if not isinstance(spec, dict) or key not in spec:
+        raise ValidationError(f"{where} lacks the {key!r} field")
+    return spec[key]
+
+
 def load_model_spec(path) -> tuple[PreferenceModel, Menu, list[list[float]] | dict]:
     """Load a simulation spec: model family, menu, and the value design.
 
@@ -237,19 +243,17 @@ def load_model_spec(path) -> tuple[PreferenceModel, Menu, list[list[float]] | di
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
         spec = json.load(fh)
-    for key in ("family", "menu"):
-        if key not in spec:
-            raise ValidationError(f"model spec lacks the {key!r} field")
-    model = model_from_spec(spec["family"], spec.get("params"))
-    menu_spec = spec["menu"]
-    menu = Menu(str(menu_spec["id"]), tuple(menu_spec["alternatives"]))
+    family, menu_spec = _spec_field(spec, "family"), _spec_field(spec, "menu")
+    model = model_from_spec(family, spec.get("params"))
+    menu_id = _spec_field(menu_spec, "id", "model spec menu")
+    menu = Menu(str(menu_id), tuple(_spec_field(menu_spec, "alternatives", "model spec menu")))
     if "values" in spec:
         design = [[float(x) for x in row] for row in spec["values"]]
         return model, menu, design
     if "design" in spec:
         d = spec["design"]
         return model, menu, {
-            "count": int(d["count"]),
+            "count": int(_spec_field(d, "count", "model spec design")),
             "low": float(d.get("low", -5.0)),
             "high": float(d.get("high", 5.0)),
         }

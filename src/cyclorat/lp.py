@@ -13,6 +13,10 @@ Each result counts its pivots.
 ``batch_support_values`` scans candidate supports directly, for many
 right-hand sides at once; it is combinatorial in the column count and is
 the tests' reference, with ``enumerate_basic_values`` as its one-query form.
+
+Every solve takes its tolerances from three constants: ``FEAS_TOL``, the
+feasibility slack, scaled by 1 + max|b|; ``PIVOT_TOL``, below which a tableau
+entry, reduced cost or step counts as zero; ``MAX_PIVOTS``, per phase.
 """
 
 from __future__ import annotations
@@ -22,6 +26,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+FEAS_TOL = 1e-9
+PIVOT_TOL = 1e-11
+MAX_PIVOTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -42,7 +50,7 @@ def _pivot(T: np.ndarray, row: int, col: int) -> None:
 
 
 def _run_simplex(
-    T: np.ndarray, basis: list[int], ncols: int, tol: float, max_iter: int, dual: float | None = None
+    T: np.ndarray, basis: list[int], ncols: int, dual: float | None = None
 ) -> tuple[str, int]:
     # Reduced costs live in T[-1, :ncols].  Primal pivots enter the most
     # negative one.  Dual pivots, given ``dual``, keep them >= 0 and drop the
@@ -54,40 +62,40 @@ def _run_simplex(
     m = T.shape[0] - 1
     basis_arr = np.asarray(basis)
     stuck = 0
-    for it in range(max_iter):
+    for it in range(MAX_PIVOTS):
         if dual is None:
             red = T[-1, :ncols]
-            col = int(np.argmin(red) if stuck < m else np.argmax(red < -tol))
-            if red[col] >= -tol:
+            col = int(np.argmin(red) if stuck < m else np.argmax(red < -PIVOT_TOL))
+            if red[col] >= -PIVOT_TOL:
                 return "optimal", it
             colvals = T[:m, col]
-            pos = colvals > tol
+            pos = colvals > PIVOT_TOL
             if not pos.any():
                 return "unbounded", it
             ratios = np.full(m, np.inf)
             ratios[pos] = T[:m, -1][pos] / colvals[pos]
             step = float(np.min(ratios))
-            tied = np.flatnonzero(ratios <= step + tol * (1.0 + abs(step)))
+            tied = np.flatnonzero(ratios <= step + PIVOT_TOL * (1.0 + abs(step)))
             row = int(tied[np.argmin(basis_arr[tied])])
         else:
             vals = T[:m, -1]
-            negs = np.flatnonzero(vals < -tol)
+            negs = np.flatnonzero(vals < -PIVOT_TOL)
             if negs.size == 0:
                 return "optimal", it
             row = int(negs[np.argmin(vals[negs] if stuck < m else basis_arr[negs])])
             rowvals = T[row, :ncols]
-            neg = rowvals < -tol
+            neg = rowvals < -PIVOT_TOL
             if not neg.any():
                 return ("infeasible" if vals[row] < -dual else "stalled"), it
             ratios = np.full(ncols, np.inf)
             ratios[neg] = np.maximum(T[-1, :ncols][neg], 0.0) / -rowvals[neg]
             step = float(np.min(ratios))
-            col = int(np.flatnonzero(ratios <= step + tol * (1.0 + step))[0])
+            col = int(np.flatnonzero(ratios <= step + PIVOT_TOL * (1.0 + step))[0])
         _pivot(T, row, col)
         basis[row] = col
         basis_arr[row] = col
-        stuck = stuck + 1 if step <= tol else 0
-    return "stalled", max_iter
+        stuck = stuck + 1 if step <= PIVOT_TOL else 0
+    return "stalled", MAX_PIVOTS
 
 
 def _warm_tableau(
@@ -107,14 +115,7 @@ def _warm_tableau(
 
 
 def solve_equality_lp(
-    c: np.ndarray,
-    A: np.ndarray,
-    b: np.ndarray,
-    *,
-    feas_tol: float = 1e-9,
-    pivot_tol: float = 1e-11,
-    max_iter: int = 10_000,
-    start: tuple[int, ...] | None = None,
+    c: np.ndarray, A: np.ndarray, b: np.ndarray, *, start: tuple[int, ...] | None = None
 ) -> LPResult:
     """Simplex for min c'x, A x = b, x >= 0, cold or from ``start``.
 
@@ -125,12 +126,12 @@ def solve_equality_lp(
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
     m, n = A.shape
-    bound = feas_tol * (1.0 + float(np.abs(b).max(initial=0.0)))
+    bound = FEAS_TOL * (1.0 + float(np.abs(b).max(initial=0.0)))
     basis = list(start or ())
     T2 = _warm_tableau(c, A, b, basis, bound) if start else None
     pivots = 0
     if T2 is not None:
-        status, pivots = _run_simplex(T2, basis, n, pivot_tol, max_iter, bound)
+        status, pivots = _run_simplex(T2, basis, n, bound)
         if status == "infeasible":
             return LPResult("infeasible", None, math.inf, (), pivots)
         if status != "optimal":
@@ -148,7 +149,7 @@ def solve_equality_lp(
         T[-1, :n] = -A.sum(axis=0)
         T[-1, -1] = -b.sum()
         basis = list(range(n, n + m))
-        status, phase1 = _run_simplex(T, basis, n + m, pivot_tol, max_iter)
+        status, phase1 = _run_simplex(T, basis, n + m)
         pivots += phase1
         if status != "optimal":
             return LPResult("stalled", None, math.nan, (), pivots)
@@ -157,7 +158,7 @@ def solve_equality_lp(
 
         # Drive leftover artificials out of the basis where possible,
         # pivoting only on entries that stand out of the tableau's rounding.
-        dust = pivot_tol * max(1.0, float(np.abs(T[:m, :n]).max(initial=0.0)))
+        dust = PIVOT_TOL * max(1.0, float(np.abs(T[:m, :n]).max(initial=0.0)))
         for r in range(m):
             if basis[r] >= n:
                 cols = np.flatnonzero(np.abs(T[r, :n]) > dust)
@@ -175,7 +176,7 @@ def solve_equality_lp(
         T2[:-1, :n] = T[keep, :n]
         T2[:-1, -1] = T[keep, -1]
         T2[-1] = np.append(c, 0.0) - c[basis] @ T2[:-1]
-    status, phase2 = _run_simplex(T2, basis, n, pivot_tol, max_iter)
+    status, phase2 = _run_simplex(T2, basis, n)
     pivots += phase2
     if status == "unbounded":
         return LPResult("unbounded", None, -math.inf, (), pivots)
@@ -186,13 +187,7 @@ def solve_equality_lp(
     return LPResult("optimal", x, float(np.dot(c, x)), tuple(basis), pivots)
 
 
-def batch_support_values(
-    c: np.ndarray,
-    A: np.ndarray,
-    B: np.ndarray,
-    *,
-    feas_tol: float = 1e-9,
-) -> np.ndarray:
+def batch_support_values(c: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Minimum objective over basic feasible solutions, per right-hand side.
 
     Every vertex of {x >= 0, A x = b} has a support whose columns are
@@ -217,20 +212,14 @@ def batch_support_values(
         pinv = np.linalg.pinv(cols)  # (ns, size, m)
         lam = pinv @ B.T  # (ns, size, nq)
         resid = np.abs(cols @ lam - B.T[None, :, :]).max(axis=1)  # (ns, nq)
-        feas = (lam.min(axis=1) >= -feas_tol) & (resid <= feas_tol * scale[None, :])
+        feas = (lam.min(axis=1) >= -FEAS_TOL) & (resid <= FEAS_TOL * scale[None, :])
         vals = np.einsum("ns,nsq->nq", c[idx], lam)
         vals = np.where(feas, vals, np.inf)
         best = np.minimum(best, vals.min(axis=0))
     return best
 
 
-def enumerate_basic_values(
-    c: np.ndarray,
-    A: np.ndarray,
-    b: np.ndarray,
-    *,
-    feas_tol: float = 1e-9,
-) -> float:
+def enumerate_basic_values(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> float:
     """``batch_support_values`` for the single right-hand side ``b``."""
     B = np.asarray(b, dtype=float)[None, :]
-    return float(batch_support_values(c, A, B, feas_tol=feas_tol)[0])
+    return float(batch_support_values(c, A, B)[0])

@@ -29,7 +29,8 @@ Families:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -42,7 +43,7 @@ from .core import (
     ValueVector,
     exact_simplex_array,
 )
-from .errors import EmptyDatasetError, TableLookupError, ZeroStrengthError
+from .errors import EmptyDatasetError, TableLookupError, ValidationError, ZeroStrengthError
 
 # Largest exponent fed to exp() before the shared max-shift guard engages.
 _EXP_GUARD = 700.0
@@ -129,10 +130,6 @@ class CustomTable:
             self, "_lookup", {vals: np.array(st) for vals, st in normalized}
         )
 
-    @property
-    def listed_values(self) -> tuple[tuple[float, ...], ...]:
-        return tuple(vals for vals, _ in self.rows)
-
     def strengths(self, v: np.ndarray) -> np.ndarray:
         key = tuple(float(x) for x in v)
         try:
@@ -216,6 +213,8 @@ def model_from_spec(family: str, params: dict | None = None) -> PreferenceModel:
 
     ``custom_table`` expects ``params = {"rows": [{"values": [...],
     "strengths": [...]}, ...]}``; ``strengths`` may be given as ``probs``.
+    The other families take their numeric fields by name.  A missing,
+    unexpected or non-numeric entry raises ``ValidationError`` naming it.
     """
     params = dict(params or {})
     try:
@@ -228,13 +227,21 @@ def model_from_spec(family: str, params: dict | None = None) -> PreferenceModel:
         rows = params.pop("rows", None)
         if rows is None:
             raise ValueError("custom_table requires a 'rows' parameter")
-        table = tuple(
-            (tuple(r["values"]), tuple(r.get("strengths", r.get("probs"))))
-            for r in rows
-        )
+        table = []
+        for k, r in enumerate(rows, start=1):
+            strengths = r.get("strengths", r.get("probs"))
+            if "values" not in r or strengths is None:
+                raise ValidationError(f"custom_table row {k} needs 'values' and 'strengths'")
+            table.append((tuple(r["values"]), tuple(strengths)))
         if params:
             raise ValueError(f"unexpected custom_table parameters: {sorted(params)}")
-        return CustomTable(table)
+        return CustomTable(tuple(table))
     if cls is PairwiseRegret and "regret_fn" in params:
         raise ValueError("regret_fn is not configurable from a spec; use the API")
+    unexpected = sorted(set(params) - {f.name for f in fields(cls)})
+    if unexpected:
+        raise ValidationError(f"unexpected {family} parameters: {unexpected}")
+    for key, x in params.items():
+        if not isinstance(x, numbers.Real):
+            raise ValidationError(f"{family} parameter {key!r} must be a number, got {x!r}")
     return cls(**params)

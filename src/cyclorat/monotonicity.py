@@ -467,21 +467,16 @@ def check_weak_stochastic_transitivity(
                 f"p({x},{y}) + p({y},{x}) = {p + q!r}, expected 1 within {tol:g}"
             )
 
-    def lookup(x: str, y: str) -> float | None:
-        p = probs.get((x, y))
-        if p is not None:
-            return p
-        q = probs.get((y, x))
-        return None if q is None else 1.0 - q
-
+    # M[x, y] = p(x, y), stored or implied; NaN (never flagged) if missing or x = y.
     items = sorted({z for pair in probs for z in pair})
-    violations: list[tuple[str, str, str]] = []
-    for x, y, z in itertools.permutations(items, 3):
-        pxy = lookup(x, y)
-        pyz = lookup(y, z)
-        pxz = lookup(x, z)
-        if pxy is None or pyz is None or pxz is None:
-            continue
-        if pxy >= 0.5 and pyz >= 0.5 and pxz < 0.5:
-            violations.append((x, y, z))
-    return violations
+    index = {z: k for k, z in enumerate(items)}
+    M = np.full((len(items), len(items)), np.nan)
+    for (x, y), p in probs.items():
+        M[index[x], index[y]] = p
+        if (y, x) not in probs:
+            M[index[y], index[x]] = 1.0 - p
+    return [
+        (items[i], items[j], items[k])
+        for i, row in enumerate(M)
+        for j, k in np.argwhere((row >= 0.5)[:, None] & (M >= 0.5) & (row < 0.5)).tolist()
+    ]

@@ -45,11 +45,8 @@ from .errors import (
     NoProgressError,
     NotCyclicallyMonotoneError,
 )
-from .lp import solve_equality_lp
+from .lp import FEAS_TOL, solve_equality_lp
 from .monotonicity import CMVerdict, check_cyclic_monotonicity, edge_weights, row_blocks
-
-#: Feasibility slack used when deciding p in conv{g_i}.
-FEAS_TOL = 1e-9
 
 #: Counts of a ``_conjugate_many`` batch: solves from an artificial and from a
 #: certified basis, their pivots, queries reused bases answered, failed bases.
@@ -155,22 +152,7 @@ def cost_description(fit: PotentialFit, dataset: Dataset) -> dict:
     }
 
 
-def _conjugate_lp_matrix(G: np.ndarray) -> np.ndarray:
-    # Constraint rows: sum_i lam_i g_i = p, then sum_i lam_i = 1.
-    return np.vstack([G.T, np.ones((1, G.shape[0]))])
-
-
-def _conjugate_single(G: np.ndarray, c: np.ndarray, q: np.ndarray, feas_tol: float) -> float:
-    return float(_conjugate_many(G, c, np.asarray(q, dtype=float)[None, :], feas_tol)[0])
-
-
-def conjugate_cost(
-    fit: PotentialFit,
-    dataset: Dataset,
-    p,
-    *,
-    feas_tol: float = FEAS_TOL,
-) -> float:
+def conjugate_cost(fit: PotentialFit, dataset: Dataset, p) -> float:
     """Convex conjugate of the max-affine extension, as a finite LP.
 
     Returns the minimum of sum_i lam_i (<g_i, v^i> - phi_i) over mixture
@@ -179,13 +161,12 @@ def conjugate_cost(
     signal, not an error).  Solved by the dense two-phase simplex, the
     one-query case of ``_conjugate_many``.
     """
-    q = p.entries if isinstance(p, SimplexPoint) else np.asarray(p, dtype=float)
-    G, c = _max_affine_data(fit, dataset)
-    return _conjugate_single(G, c, q, feas_tol)
+    q = p.entries if isinstance(p, SimplexPoint) else p
+    return DataDerivedCost(fit, dataset).value(q)
 
 
 def _conjugate_many(
-    G: np.ndarray, c: np.ndarray, Q: np.ndarray, feas_tol: float, counts: dict | None = None
+    G: np.ndarray, c: np.ndarray, Q: np.ndarray, counts: dict | None = None
 ) -> np.ndarray:
     """Conjugate values at a batch of points, +inf outside conv{g_i}.
 
@@ -193,10 +174,10 @@ def _conjugate_many(
     optimal basis B stays dual feasible for all of them (Chvatal, Linear
     Programming, ch. 10).  Each basis the simplex returns must pass a dual
     certificate: y = (B^+)'c_B must solve B'y = c_B and price every column
-    at c - A'y >= -feas_tol.  A certified basis then answers every other
-    query it is primal feasible for (lam_B = B^+ b >= -feas_tol, with the
+    at c - A'y >= -FEAS_TOL.  A certified basis then answers every other
+    query it is primal feasible for (lam_B = B^+ b >= -FEAS_TOL, with the
     residual test of ``batch_support_values``); as lam sums to one, weak
-    duality bounds each reused value's error by feas_tol plus its residual
+    duality bounds each reused value's error by FEAS_TOL plus its residual
     terms.  The first query is solved cold; each later unanswered query
     starts from the certified basis whose lam_B was least infeasible for
     it, so dual pivots replace phase 1.  A cold basis that fails the
@@ -204,7 +185,7 @@ def _conjugate_many(
     warm one answers nothing and its query is solved cold.  ``counts``, a
     dict keyed by ``LP_COUNTERS``, accumulates the batch's LP work.
     """
-    A = _conjugate_lp_matrix(G)
+    A = np.vstack([G.T, np.ones((1, G.shape[0]))])  # sum lam_i g_i = q, sum lam_i = 1
     rhs = np.hstack([Q, np.ones((Q.shape[0], 1))])
     scale = 1.0 + np.abs(rhs).max(axis=1)
     values = np.empty(rhs.shape[0])
@@ -216,7 +197,7 @@ def _conjugate_many(
     while todo.any():
         k = int(np.argmax(todo))
         start = bases[nearest[k]] if nearest[k] >= 0 else None
-        res = solve_equality_lp(c, A, rhs[k], feas_tol=feas_tol, start=start)
+        res = solve_equality_lp(c, A, rhs[k], start=start)
         counts["warm_solves" if start else "cold_solves"] += 1
         counts["pivots"] += res.pivots
         if res.status == "infeasible":
@@ -229,8 +210,8 @@ def _conjugate_many(
         AB, cB = A[:, cols], c[cols]
         pinv = np.linalg.pinv(AB)
         y = pinv.T @ cB
-        solved = np.abs(AB.T @ y - cB).max() <= feas_tol * (1.0 + np.abs(cB).max())
-        if not solved or (c - A.T @ y).min() < -feas_tol:
+        solved = np.abs(AB.T @ y - cB).max() <= FEAS_TOL * (1.0 + np.abs(cB).max())
+        if not solved or (c - A.T @ y).min() < -FEAS_TOL:
             counts["rejected_bases"] += 1
             values[k], todo[k], nearest[k] = res.value, bool(start), -1  # warm: redo cold
             continue
@@ -241,7 +222,7 @@ def _conjugate_many(
         lam = pinv @ rhs[rest].T
         resid = np.abs(AB @ lam - rhs[rest].T).max(axis=0)
         low = lam.min(axis=0)
-        hit = (low >= -feas_tol) & (resid <= feas_tol * scale[rest])
+        hit = (low >= -FEAS_TOL) & (resid <= FEAS_TOL * scale[rest])
         values[rest[hit]] = cB @ lam[:, hit]
         todo[rest[hit]] = False
         counts["reused"] += int(hit.sum())
@@ -337,14 +318,11 @@ class DataDerivedCost(CostEvaluator):
 
     smooth = False
 
-    def __init__(self, fit: PotentialFit, dataset: Dataset, *, feas_tol: float = FEAS_TOL):
-        self.fit = fit
-        self.dataset = dataset
-        self.feas_tol = feas_tol
+    def __init__(self, fit: PotentialFit, dataset: Dataset):
         self.vertices, self.offsets = _max_affine_data(fit, dataset)
 
     def value(self, p: np.ndarray) -> float:
-        return _conjugate_single(self.vertices, self.offsets, np.asarray(p, float), self.feas_tol)
+        return float(_conjugate_many(self.vertices, self.offsets, np.asarray(p, float)[None, :])[0])
 
 
 class SmoothedDataDerivedCost(DataDerivedCost):
@@ -354,17 +332,10 @@ class SmoothedDataDerivedCost(DataDerivedCost):
     the unsmoothed cost is at most epsilon * ln(number of alternatives).
     """
 
-    def __init__(
-        self,
-        fit: PotentialFit,
-        dataset: Dataset,
-        epsilon: float,
-        *,
-        feas_tol: float = FEAS_TOL,
-    ):
+    def __init__(self, fit: PotentialFit, dataset: Dataset, epsilon: float):
         if epsilon <= 0:
             raise ValueError(f"epsilon must be positive, got {epsilon}")
-        super().__init__(fit, dataset, feas_tol=feas_tol)
+        super().__init__(fit, dataset)
         self.epsilon = epsilon
 
     def value(self, p: np.ndarray) -> float:
@@ -597,7 +568,6 @@ def verify_rationalization(
     *,
     mixtures: int = 1000,
     rng: np.random.Generator | None = None,
-    feas_tol: float = FEAS_TOL,
 ) -> RationalizationReport:
     """Check Fenchel equality and sampled optimality at every observation.
 
@@ -626,7 +596,7 @@ def verify_rationalization(
     del W
     pool = np.vstack([G, rng.dirichlet(np.ones(n), size=mixtures) @ G])
     lp = dict.fromkeys(LP_COUNTERS, 0)
-    pool_cost = np.concatenate([c, _conjugate_many(G, c, pool[n:], feas_tol, lp)])
+    pool_cost = np.concatenate([c, _conjugate_many(G, c, pool[n:], lp)])
     if not np.all(np.isfinite(pool_cost)):
         raise CycloratError("conjugate reported infeasible at an in-hull point")
 

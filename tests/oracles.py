@@ -15,6 +15,8 @@ them one at a time.
 Dataset validation's reference builds a ``ValueVector``, a
 ``SimplexPoint`` and an ``Observation`` per record, one record at a time,
 and the CSV parser's reference reads one row at a time into nested dicts.
+Weak stochastic transitivity's reference looks up every ordered triple of
+labels in turn.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from cyclorat.dataio import CSV_COLUMNS, MissingColumnError, ParseError, fmt17
 from cyclorat.errors import (
     DuplicateValuesWarning,
     EmptyDatasetError,
+    InconsistentPairError,
     LengthMismatchError,
     MixedMenusError,
     RecordValidationError,
@@ -231,6 +234,40 @@ def enumerate_basic_values(
             if val < best:
                 best = val
     return best
+
+
+def wst_by_permutations(binary: dict, tol: float = 1e-9) -> list[tuple[str, str, str]]:
+    """Weak-stochastic-transitivity triples, one ordered triple at a time."""
+    probs: dict[tuple[str, str], float] = {}
+    for (x, y), p in binary.items():
+        if x == y:
+            raise InconsistentPairError(f"pair ({x!r}, {x!r}) compares an item to itself")
+        probs[(x, y)] = float(p)
+    for (x, y), p in probs.items():
+        q = probs.get((y, x))
+        if q is not None and abs(p + q - 1.0) > tol:
+            raise InconsistentPairError(
+                f"p({x},{y}) + p({y},{x}) = {p + q!r}, expected 1 within {tol:g}"
+            )
+
+    def lookup(x: str, y: str) -> float | None:
+        p = probs.get((x, y))
+        if p is not None:
+            return p
+        q = probs.get((y, x))
+        return None if q is None else 1.0 - q
+
+    items = sorted({z for pair in probs for z in pair})
+    violations: list[tuple[str, str, str]] = []
+    for x, y, z in itertools.permutations(items, 3):
+        pxy = lookup(x, y)
+        pyz = lookup(y, z)
+        pxz = lookup(x, z)
+        if pxy is None or pyz is None or pxz is None:
+            continue
+        if pxy >= 0.5 and pyz >= 0.5 and pxz < 0.5:
+            violations.append((x, y, z))
+    return violations
 
 
 def cold_conjugate_values(c: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:

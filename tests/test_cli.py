@@ -171,6 +171,17 @@ class TestSimulate:
     def test_simulate_needs_model(self, tmp_path):
         assert main(["simulate", "--output", str(tmp_path / "x.csv")]) == EXIT_USAGE
 
+    def test_malformed_spec_exits_2(self, tmp_path, capsys):
+        spec = tmp_path / "model.json"
+        spec.write_text(
+            '{"family": "pairwise_regret", "params": {"theta": "a"},'
+            ' "menu": {"id": "sim", "alternatives": ["a", "b"]}, "values": [[0, 1]]}'
+        )
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--model", str(spec), "--output", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: pairwise_regret parameter 'theta'")
+        assert not out.exists()
+
 
 class TestReportAll:
     def test_multi_menu_sections_sorted_and_wst(self, tmp_path):

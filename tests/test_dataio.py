@@ -1,6 +1,7 @@
 """Tests for CSV ingestion/emission and model-spec loading."""
 
 import csv
+import json
 import random
 import warnings
 
@@ -199,10 +200,27 @@ def test_load_model_spec_random_design(tmp_path):
     assert design == {"count": 5, "low": -1.0, "high": 1.0}
 
 
-def test_load_model_spec_requires_design(tmp_path):
+MENU_AB = {"id": "m", "alternatives": ["a", "b"]}
+REGRET = {"family": "pairwise_regret", "menu": MENU_AB, "values": [[0, 0]]}
+
+
+@pytest.mark.parametrize(
+    "spec, field",
+    [
+        ({"family": "luce_exponential", "menu": MENU_AB}, "design"),
+        ({**REGRET, "menu": {"alternatives": ["a", "b"]}}, "id"),
+        ({"family": "luce_exponential", "menu": MENU_AB, "design": {"low": 0}}, "count"),
+        ({**REGRET, "params": {"foo": 1}}, "foo"),
+        ({**REGRET, "family": "custom_table", "params": {"rows": [{"values": [0, 0]}]}}, "strengths"),
+        ({**REGRET, "params": {"theta": "a"}}, "theta"),
+    ],
+    ids=["design", "menu-id", "design-count", "unknown-param", "table-strengths", "theta"],
+)
+def test_load_model_spec_requires_design(tmp_path, spec, field):
+    # A missing or malformed field is a validation error that names it.
     path = tmp_path / "model.json"
-    path.write_text('{"family": "luce_exponential", "menu": {"id": "m", "alternatives": ["a", "b"]}}')
-    with pytest.raises(ValidationError):
+    path.write_text(json.dumps(spec))
+    with pytest.raises(ValidationError, match=field):
         load_model_spec(path)
 
 

@@ -37,7 +37,12 @@ from conftest import (
     realize_weights,
     regret_dataset,
 )
-from oracles import dense_min_mean_cycle, karp_min_mean, min_mean_by_enumeration
+from oracles import (
+    dense_min_mean_cycle,
+    karp_min_mean,
+    min_mean_by_enumeration,
+    wst_by_permutations,
+)
 
 
 class TestCycleSum:
@@ -758,6 +763,38 @@ def test_wst_one_sided_storage_implies_complement():
     # Only one orientation stored per pair; complements are derived.
     binary = {("x", "y"): 0.6, ("y", "z"): 0.55, ("z", "x"): 0.6}
     assert ("x", "y", "z") in check_weak_stochastic_transitivity(binary)
+
+
+def _wst_outcome(check, binary):
+    try:
+        return check(binary)
+    except InconsistentPairError as exc:
+        return str(exc)
+
+
+def test_wst_matches_the_permutation_oracle():
+    # 1-8 labels with missing pairs, p at 1/2 and 1/2 +- 1e-10, one- and
+    # two-sided storage (the reverse off 1 - p by up to 5e-10, inside the
+    # tolerance), and some inconsistent pairs: the same triples in the same
+    # order, or the same error.
+    rng = np.random.default_rng(90)
+    for _ in range(600):
+        labels = [f"a{k}" for k in range(int(rng.integers(1, 9)))]
+        binary = {}
+        for i, x in enumerate(labels):
+            for y in labels[i + 1 :]:
+                kind = rng.integers(6)
+                if kind == 0:
+                    continue  # missing
+                p = [0.5, 0.5 + 1e-10, 0.5 - 1e-10, float(rng.uniform())][rng.integers(4)]
+                x1, y1 = (x, y) if rng.integers(2) else (y, x)
+                binary[(x1, y1)] = p
+                if kind == 1:
+                    binary[(y1, x1)] = 1.0 - p + [0.0, 5e-10, -5e-10][rng.integers(3)]
+                elif kind == 2 and rng.integers(20) == 0:
+                    binary[(y1, x1)] = p + 0.1  # inconsistent
+        got = _wst_outcome(check_weak_stochastic_transitivity, binary)
+        assert got == _wst_outcome(wst_by_permutations, binary)
 
 
 def test_two_point_treats_sub_tolerance_drift_as_equal():

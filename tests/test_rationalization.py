@@ -167,7 +167,7 @@ class TestConjugateCost:
         d = luce_dataset(rng, n, size)
         G, c = _max_affine_data(compute_potentials(d), d)
         Q = np.vstack([G, rng.dirichlet(np.ones(n), size=40) @ G, np.eye(size), 0.5 * G[:1]])
-        values = _conjugate_many(G, c, Q, 1e-9)
+        values = _conjugate_many(G, c, Q)
         assert np.all(np.isinf(values[-size - 1 :]))
         assert np.all(np.isfinite(values[: -size - 1]))
         A = np.vstack([G.T, np.ones((1, n))])
@@ -191,7 +191,7 @@ class TestConjugateCost:
             return dataclasses.replace(honest(*args, **kwargs), basis=(0, 2))
 
         monkeypatch.setattr(rationalization, "solve_equality_lp", chord_basis)
-        assert_allclose(_conjugate_many(G, c, Q, 1e-9), [-1.0, -0.5, -0.5], atol=1e-12)
+        assert_allclose(_conjugate_many(G, c, Q), [-1.0, -0.5, -0.5], atol=1e-12)
 
     def test_dust_basis_is_not_reused(self):
         # At seed 3 of the benchmark, menu lowdim_02, a phase 1 that pivoted
@@ -202,7 +202,7 @@ class TestConjugateCost:
         fit = compute_potentials(d)
         G, c = _max_affine_data(fit, d)
         Q = np.vstack([G, np.random.default_rng(0).dirichlet(np.ones(d.n), size=100) @ G])
-        values = _conjugate_many(G, c, Q, 1e-9)
+        values = _conjugate_many(G, c, Q)
         A = np.vstack([G.T, np.ones((1, d.n))])
         expected = np.array([solve_equality_lp(c, A, np.append(q, 1.0)).value for q in Q])
         assert_allclose(values, expected, atol=1e-9)
@@ -217,7 +217,7 @@ class TestConjugateCost:
         G, c = _max_affine_data(compute_potentials(d), d)
         Q = rng.dirichlet(np.ones(n), size=1000) @ G
         counts = dict.fromkeys(rationalization.LP_COUNTERS, 0)
-        values = _conjugate_many(G, c, Q, 1e-9, counts)
+        values = _conjugate_many(G, c, Q, counts)
         A = np.vstack([G.T, np.ones((1, n))])
         expected = cold_conjugate_values(c, A, np.hstack([Q, np.ones((1000, 1))]))
         assert_allclose(values, expected, rtol=0, atol=1e-12)
@@ -231,7 +231,7 @@ class TestConjugateCost:
         G, c = _max_affine_data(compute_potentials(d), d)
         Q = np.vstack([G.mean(axis=0), np.eye(3)[:1]])
         counts = dict.fromkeys(rationalization.LP_COUNTERS, 0)
-        values = _conjugate_many(G, c, Q, 1e-9, counts)
+        values = _conjugate_many(G, c, Q, counts)
         assert np.isfinite(values[0]) and math.isinf(values[1])
         assert (counts["cold_solves"], counts["warm_solves"]) == (1, 1)
 
@@ -251,7 +251,7 @@ class TestConjugateCost:
 
         monkeypatch.setattr(rationalization, "solve_equality_lp", chord_warm)
         counts = dict.fromkeys(rationalization.LP_COUNTERS, 0)
-        assert_allclose(_conjugate_many(G, c, Q, 1e-9, counts), [-0.5, -0.5], atol=1e-12)
+        assert_allclose(_conjugate_many(G, c, Q, counts), [-0.5, -0.5], atol=1e-12)
         assert (counts["cold_solves"], counts["warm_solves"], counts["rejected_bases"]) == (2, 1, 1)
 
     @pytest.mark.parametrize(
