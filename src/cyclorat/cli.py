@@ -26,6 +26,11 @@ from dataclasses import asdict, dataclass
 from itertools import chain
 from pathlib import Path
 
+# One OpenBLAS thread unless the caller set a count: a second thread's worker
+# spins between calls and slows the small products a CLI run makes.  numpy
+# reads the setting when it loads OpenBLAS, so it comes before that import.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import __version__

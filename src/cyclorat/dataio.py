@@ -248,7 +248,10 @@ def load_model_spec(path) -> tuple[PreferenceModel, Menu, list[list[float]] | di
     menu_id = _spec_field(menu_spec, "id", "model spec menu")
     menu = Menu(str(menu_id), tuple(_spec_field(menu_spec, "alternatives", "model spec menu")))
     if "values" in spec:
-        design = [[float(x) for x in row] for row in spec["values"]]
+        values = spec["values"]
+        if not isinstance(values, list) or not all(isinstance(row, list) for row in values):
+            raise ValidationError(f"model spec 'values' must be a list of rows, got {values!r}")
+        design = [[float(x) for x in row] for row in values]
         return model, menu, design
     if "design" in spec:
         d = spec["design"]

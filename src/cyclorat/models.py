@@ -214,8 +214,10 @@ def model_from_spec(family: str, params: dict | None = None) -> PreferenceModel:
     ``custom_table`` expects ``params = {"rows": [{"values": [...],
     "strengths": [...]}, ...]}``; ``strengths`` may be given as ``probs``.
     The other families take their numeric fields by name.  A missing,
-    unexpected or non-numeric entry raises ``ValidationError`` naming it.
+    unexpected or mistyped entry raises ``ValidationError`` naming it.
     """
+    if params is not None and not isinstance(params, dict):
+        raise ValidationError(f"{family} 'params' must be an object, got {params!r}")
     params = dict(params or {})
     try:
         cls = _FAMILY_NAMES[family]
@@ -225,13 +227,14 @@ def model_from_spec(family: str, params: dict | None = None) -> PreferenceModel:
         ) from None
     if cls is CustomTable:
         rows = params.pop("rows", None)
-        if rows is None:
-            raise ValueError("custom_table requires a 'rows' parameter")
+        if not isinstance(rows, (list, tuple)):
+            raise ValidationError(f"custom_table needs a 'rows' list, got {rows!r}")
         table = []
         for k, r in enumerate(rows, start=1):
+            r = r if isinstance(r, dict) else {}
             strengths = r.get("strengths", r.get("probs"))
-            if "values" not in r or strengths is None:
-                raise ValidationError(f"custom_table row {k} needs 'values' and 'strengths'")
+            if not all(isinstance(x, (list, tuple)) for x in (r.get("values"), strengths)):
+                raise ValidationError(f"custom_table row {k} needs 'values' and 'strengths' lists")
             table.append((tuple(r["values"]), tuple(strengths)))
         if params:
             raise ValueError(f"unexpected custom_table parameters: {sorted(params)}")

@@ -72,7 +72,9 @@ class CMVerdict:
     lexicographically smallest.
     Every fast-check pass carries the Afriat ``potentials`` certifying it, 0
     at the first observation; ``policy_iterations`` counts the fast check's
-    rounds.  Neither compares.
+    rounds, and ``decided_by`` names the step that decided it:
+    ``"certificate"``, ``"witness"`` or ``"band"``.  None of the three
+    compares.
     """
 
     status: str
@@ -81,6 +83,7 @@ class CMVerdict:
     min_cycle_sum: float | None
     potentials: np.ndarray | None = field(default=None, compare=False, repr=False)
     policy_iterations: int | None = field(default=None, compare=False)
+    decided_by: str | None = field(default=None, compare=False)
 
     @property
     def is_pass(self) -> bool:
@@ -92,6 +95,7 @@ class CMVerdict:
             "min_cycle_mean": self.min_cycle_mean,
             "min_cycle_sum": self.min_cycle_sum,
             "policy_iterations": self.policy_iterations,
+            "decided_by": self.decided_by,
         }
         if self.witness is not None:
             out["witness"] = {
@@ -133,15 +137,22 @@ def cycle_sum(dataset: Dataset, cycle: Sequence[int]) -> float:
     return math.fsum(terms)
 
 
-def edge_weights(dataset: Dataset) -> np.ndarray:
-    """Matrix W with W[i, j] = <p^i, v^i - v^j> (0-based, +inf diagonal).
+def edge_weights(dataset: Dataset, rows: slice | None = None) -> np.ndarray:
+    """Matrix W with W[i, j] = <p^i, v^i - v^j> (0-based, +inf diagonal), or
+    its rows ``rows``, one of ``row_blocks(n)``.
 
-    One matrix product, M = P V^T, overwritten in place by W = diag(M) - M.
-    Each finite entry is within ``_edge_weight_error`` of exact arithmetic.
+    W is formed by row blocks, each one product M = P[rows] V^T overwritten
+    in place by diag(M) - M, so a block has the bits of its rows of W however
+    BLAS rounds.  Each finite entry is within ``_edge_weight_error`` of exact
+    arithmetic.
     """
-    W = dataset.probs_matrix @ dataset.values_matrix.T
-    np.subtract(W.diagonal().copy()[:, None], W, out=W)
-    np.fill_diagonal(W, np.inf)
+    P, V = dataset.probs_matrix, dataset.values_matrix
+    W = np.empty((dataset.n, dataset.n)) if rows is None else P[rows] @ V.T
+    for block in row_blocks(dataset.n) if rows is None else ():
+        np.matmul(P[block], V.T, out=W[block])
+    square = W[:, 0 if rows is None else rows.start :]  # M_ii of W's rows on its diagonal
+    np.subtract(square.diagonal().copy()[:, None], W, out=W)
+    np.fill_diagonal(square, np.inf)
     return W
 
 
@@ -149,11 +160,11 @@ def edge_weights(dataset: Dataset) -> np.ndarray:
 ROW_BLOCK_CELLS = 2**15
 
 
-def row_blocks(n: int) -> list[slice]:
-    """Row slices of an n-column matrix, ROW_BLOCK_CELLS // n rows each (at
-    least one); the first is the largest."""
-    step = max(1, ROW_BLOCK_CELLS // n)
-    return [slice(r, min(r + step, n)) for r in range(0, n, step)]
+def row_blocks(n: int, m: int | None = None) -> list[slice]:
+    """Row slices of an m x n matrix (n x n by default), ROW_BLOCK_CELLS // n
+    rows each (at least one); the first is the largest."""
+    step, m = max(1, ROW_BLOCK_CELLS // n), n if m is None else m
+    return [slice(r, min(r + step, m)) for r in range(0, m, step)]
 
 
 def _edge_weight_error(dataset: Dataset) -> float:
@@ -334,17 +345,18 @@ def check_cyclic_monotonicity(dataset: Dataset, tol: float = TOL_CM) -> CMVerdic
     mm = _min_mean_cycle(W)
     if mm.lower - _edge_weight_error(dataset) >= -tol:
         min_mean = None if mm.cycle is None else mm.mean
-        return CMVerdict("pass", None, min_mean, None, mm.x - mm.x[0], mm.iterations)
+        x = mm.x - mm.x[0]
+        return CMVerdict("pass", None, min_mean, None, x, mm.iterations, "certificate")
     total = cycle_sum(dataset, [i + 1 for i in mm.cycle])
     if total / len(mm.cycle) < -tol:
         witness = CycleWitness(tuple(i + 1 for i in mm.cycle), total)
-        return CMVerdict("violation", witness, mm.mean, total, None, mm.iterations)
+        return CMVerdict("violation", witness, mm.mean, total, None, mm.iterations, "witness")
     if mm.iterations == MIN_MEAN_MAX_ITERATIONS:
         raise NoProgressError(
             f"policy iteration hit its {mm.iterations}-round cap before deciding per-edge "
             f"slack {tol:g}: cycle means are bounded below only by {mm.lower:.3e}"
         )
-    return CMVerdict("pass", None, mm.mean, total, mm.x - mm.x[0], mm.iterations)
+    return CMVerdict("pass", None, mm.mean, total, mm.x - mm.x[0], mm.iterations, "band")
 
 
 #: Exhaustive enumeration guard; simple-cycle count grows factorially.

@@ -578,35 +578,40 @@ def verify_rationalization(
     read off the edge weights, so the gradients must be the probabilities.
     Vertices are priced at c_j, within the Afriat shortfall of C(g_j) (see
     ``RationalizationReport``), so only the mixtures go to the LP.
+
+    Memory is O((n + mixtures) |A|) plus ``ROW_BLOCK_CELLS``-cell blocks: W,
+    the Dirichlet draws and the competitor values <v^i, q> - C(q) are formed
+    one block at a time, and each block is reduced to pool points or to
+    maxima, which are exact in any order.
     """
+    if mixtures < 0:
+        raise ValueError(f"mixtures must be non-negative, got {mixtures}")
     if rng is None:
         rng = np.random.default_rng(0)
     G, c = _max_affine_data(fit, dataset)
-    V = dataset.values_matrix
-    n = dataset.n
+    V, n = dataset.values_matrix, dataset.n
 
     # f(v^j) = max(phi_j, max_i phi_i - W[i, j]); the +inf diagonal drops i = j.
-    # The maximum over i runs over row blocks of W, exact in any order, and W
-    # is dropped before the competitor matrix is formed.
     phi = fit.potentials
-    W = edge_weights(dataset)
     extension = phi.copy()
     for rows in row_blocks(n):
-        np.maximum(extension, np.max(phi[rows, None] - W[rows], axis=0), out=extension)
-    del W
-    pool = np.vstack([G, rng.dirichlet(np.ones(n), size=mixtures) @ G])
+        W = edge_weights(dataset, rows)
+        np.maximum(extension, np.max(np.subtract(phi[rows, None], W, out=W), axis=0), out=extension)
+    # numpy draws a Dirichlet sample row by row, so blocks continue one stream.
+    draws = (rng.dirichlet(np.ones(n), size=b.stop - b.start) @ G for b in row_blocks(n, mixtures))
+    pool = np.vstack([G, *draws])
     lp = dict.fromkeys(LP_COUNTERS, 0)
     pool_cost = np.concatenate([c, _conjugate_many(G, c, pool[n:], lp)])
     if not np.all(np.isfinite(pool_cost)):
         raise CycloratError("conjugate reported infeasible at an in-hull point")
 
     # <v^i, g_i> - c_i = phi_i, so the Fenchel gap is the Afriat shortfall.
-    fenchel = extension - phi
-    competitor = V @ pool.T - pool_cost[None, :]
-    opt_gaps = competitor.max(axis=1) - phi
+    best = np.full(n, -np.inf)
+    for cols in row_blocks(n, pool.shape[0]):
+        np.maximum(best, (V @ pool[cols].T - pool_cost[cols]).max(axis=1), out=best)
     return RationalizationReport(
-        fenchel_gaps=fenchel,
-        optimality_gaps=opt_gaps,
+        fenchel_gaps=extension - phi,
+        optimality_gaps=best - phi,
         tolerance=tol,
         n_vertex_points=n,
         n_mixture_points=pool.shape[0] - n,

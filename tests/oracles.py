@@ -5,7 +5,7 @@ two-alternative conjugate is resolved by enumerating piece crossings of the
 one-dimensional slice, and the grid transform scans value differences
 directly.  The minimum cycle mean has two references: Karp's O(n^3)
 dynamic program and, for small n, enumeration of every simple cycle.
-Policy iteration's row-blocked rounds and verification's blocked extension
+Policy iteration's row-blocked rounds and verification's streamed blocks
 are checked bit for bit against their dense forms.  The conjugate LP has
 two: a one-query support scan by least squares, independent of the
 library's batched pseudo-inverse scan, and a cold two-phase simplex solve
@@ -42,7 +42,13 @@ from cyclorat.errors import (
 )
 from cyclorat.lp import solve_equality_lp
 from cyclorat import monotonicity
-from cyclorat.monotonicity import MinMeanCycle, _policy_values, edge_weights
+from cyclorat.monotonicity import MinMeanCycle, _policy_values, edge_weights, row_blocks
+from cyclorat.rationalization import (
+    LP_COUNTERS,
+    RationalizationReport,
+    _conjugate_many,
+    _max_affine_data,
+)
 
 
 def conjugate_exact_2alt(slopes: np.ndarray, offsets: np.ndarray, x: float) -> float:
@@ -196,9 +202,32 @@ def dense_min_mean_cycle(W: np.ndarray) -> MinMeanCycle:
     return MinMeanCycle(lam, cycle, lam - delta, iterations, x)
 
 
-def dense_extension(phi: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """f(v^j) = max(phi_j, max_i phi_i - W[i, j]) from one n x n temporary."""
-    return np.maximum(phi, np.max(phi[:, None] - W, axis=0))
+def dense_verify(
+    dataset: Dataset, fit, tol: float = 1e-8, *, mixtures: int = 1000, rng=None, blocked: bool = True
+) -> RationalizationReport:
+    """``verify_rationalization`` with every operand whole: W, the mixtures x n
+    Dirichlet draws made in one call, and the n x (n + mixtures) competitor
+    matrix, maximized in one pass.
+
+    BLAS may round a block of a product differently from the same entries of
+    the whole product.  So by default the pool is formed from the library's
+    row blocks of the draws and the competitor matrix from its column blocks
+    of the pool, and a comparison tests the streaming, not BLAS.
+    ``blocked=False`` forms both as single products, as verification did
+    before it streamed.
+    """
+    rng = np.random.default_rng(0) if rng is None else rng
+    G, c = _max_affine_data(fit, dataset)
+    V, n, phi = dataset.values_matrix, dataset.n, fit.potentials
+    extension = np.maximum(phi, np.max(phi[:, None] - edge_weights(dataset), axis=0))
+    draws = rng.dirichlet(np.ones(n), size=mixtures)
+    blocks = row_blocks(n, mixtures) if blocked else [slice(None)]
+    pool = np.vstack([G] + [draws[b] @ G for b in blocks])
+    lp = dict.fromkeys(LP_COUNTERS, 0)
+    pool_cost = np.concatenate([c, _conjugate_many(G, c, pool[n:], lp)])
+    cols = row_blocks(n, pool.shape[0]) if blocked else [slice(None)]
+    competitor = np.hstack([V @ pool[b].T for b in cols]) - pool_cost
+    return RationalizationReport(extension - phi, competitor.max(axis=1) - phi, tol, n, mixtures, lp)
 
 
 def enumerate_basic_values(

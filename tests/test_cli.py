@@ -171,15 +171,24 @@ class TestSimulate:
     def test_simulate_needs_model(self, tmp_path):
         assert main(["simulate", "--output", str(tmp_path / "x.csv")]) == EXIT_USAGE
 
-    def test_malformed_spec_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "fields, error",
+        [
+            ({"params": {"theta": "a"}}, "pairwise_regret parameter 'theta'"),
+            ({"params": [1]}, "pairwise_regret 'params' must be an object"),
+            ({"values": 5}, "model spec 'values' must be a list of rows"),
+            ({"family": "custom_table", "params": {"rows": [1]}}, "custom_table row 1 needs"),
+        ],
+        ids=["theta", "params", "values", "rows"],
+    )
+    def test_malformed_spec_exits_2(self, fields, error, tmp_path, capsys):
+        # A malformed or mistyped field is an error line and exit 2, not a traceback.
         spec = tmp_path / "model.json"
-        spec.write_text(
-            '{"family": "pairwise_regret", "params": {"theta": "a"},'
-            ' "menu": {"id": "sim", "alternatives": ["a", "b"]}, "values": [[0, 1]]}'
-        )
+        menu = {"id": "sim", "alternatives": ["a", "b"]}
+        spec.write_text(json.dumps({"family": "pairwise_regret", "menu": menu, "values": [[0, 1]], **fields}))
         out = tmp_path / "sim.csv"
         assert main(["simulate", "--model", str(spec), "--output", str(out)]) == EXIT_USAGE
-        assert capsys.readouterr().err.startswith("error: pairwise_regret parameter 'theta'")
+        assert capsys.readouterr().err.startswith(f"error: {error}")
         assert not out.exists()
 
 
@@ -360,7 +369,7 @@ def test_report_all_is_identical_across_blas_threads(tmp_path):
     base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     base["PYTHONPATH"] = os.pathsep.join(sys.path)
     outputs = []
-    for env in (base, dict(base, OPENBLAS_NUM_THREADS="1")):
+    for env in (base, dict(base, OPENBLAS_NUM_THREADS="2")):  # the CLI's default is one thread
         cmd = [sys.executable, "-m", "cyclorat.cli", "report-all", "--input", str(data)]
         proc = subprocess.run(cmd + ["--output", str(out)], capture_output=True, env=env)
         assert proc.returncode == EXIT_OK, proc.stderr

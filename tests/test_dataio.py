@@ -213,8 +213,18 @@ REGRET = {"family": "pairwise_regret", "menu": MENU_AB, "values": [[0, 0]]}
         ({**REGRET, "params": {"foo": 1}}, "foo"),
         ({**REGRET, "family": "custom_table", "params": {"rows": [{"values": [0, 0]}]}}, "strengths"),
         ({**REGRET, "params": {"theta": "a"}}, "theta"),
+        ({**REGRET, "params": [1]}, "'params'"),
+        ({**REGRET, "family": "custom_table", "params": {"rows": [1]}}, "row 1"),
+        ({**REGRET, "family": "custom_table", "params": {"rows": 1}}, "'rows'"),
+        ({**REGRET, "family": "custom_table", "params": {"rows": [{"values": 5, "probs": [1]}]}}, "'values'"),
+        ({**REGRET, "values": 5}, "'values'"),
+        ({**REGRET, "values": [5]}, "'values'"),
     ],
-    ids=["design", "menu-id", "design-count", "unknown-param", "table-strengths", "theta"],
+    ids=[
+        "design", "menu-id", "design-count", "unknown-param", "table-strengths", "theta",
+        "params-list", "table-row-number", "table-rows-number", "table-values-number",
+        "values-number", "values-row-number",
+    ],
 )
 def test_load_model_spec_requires_design(tmp_path, spec, field):
     # A missing or malformed field is a validation error that names it.

@@ -415,6 +415,24 @@ class TestRowBlocks:
         assert verdict.status == status
         assert peak < 1.25 * 8 * n * n
 
+    @pytest.mark.parametrize("cells", [None, 1, 7 * 193])
+    def test_weight_blocks_are_rows_of_w(self, cells, monkeypatch):
+        # W is formed from its row blocks, so a block has the bits of its
+        # rows however BLAS rounds a block of a product; at n = 193, |A| = 9
+        # one product P V^T rounds some entries differently.  Either way
+        # every entry is within the rounding bound.
+        if cells is not None:
+            monkeypatch.setattr(monotonicity, "ROW_BLOCK_CELLS", cells)
+        for n, size in [(193, 9), (250, 7), (40, 3)]:
+            d = pum_dataset("negentropy", np.random.default_rng(n + size), n, size)
+            W = edge_weights(d)
+            blocks = [edge_weights(d, rows) for rows in row_blocks(n)]
+            assert np.vstack(blocks).tobytes() == W.tobytes()
+            M = d.probs_matrix @ d.values_matrix.T
+            off = ~np.eye(n, dtype=bool)
+            assert np.all(np.isinf(W.diagonal()))
+            assert np.all(np.abs(W - (M.diagonal()[:, None] - M))[off] <= 2 * _edge_weight_error(d))
+
 
 class TestCheckOrder:
     def test_min_mean_cycle_is_the_witness(self):
@@ -594,6 +612,29 @@ def _near_tie_dataset():
     d = make_dataset("m", V.tolist(), P.tolist())
     assert -4e-12 < cycle_sum(d, [1, 2]) < -2e-12
     return d
+
+
+class TestDecidedBy:
+    # The verdict and its report name the step of the check that decided it.
+
+    def test_certificate(self):
+        verdict = check_cyclic_monotonicity(_near_tie_dataset(), 1e-9)
+        assert verdict.is_pass and verdict.min_cycle_sum is None
+        assert verdict.decided_by == verdict.to_dict()["decided_by"] == "certificate"
+
+    def test_witness(self):
+        verdict = check_cyclic_monotonicity(regret_dataset(np.random.default_rng(37), 40, 4), 1e-9)
+        assert verdict.status == "violation"
+        assert verdict.decided_by == verdict.to_dict()["decided_by"] == "witness"
+
+    def test_band(self):
+        # At tol = -mean the certified bound, net of err > 0, is below -tol
+        # and the attained mean is not, so only the band can pass the data.
+        d = regret_dataset(np.random.default_rng(0), 52, 4)
+        mm = _min_mean_cycle(edge_weights(d))
+        verdict = check_cyclic_monotonicity(d, -mm.mean)
+        assert verdict.is_pass and verdict.min_cycle_sum is not None
+        assert verdict.decided_by == verdict.to_dict()["decided_by"] == "band"
 
 
 class TestBruteForce:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ from oracles import (
     cold_conjugate_values,
     conjugate_exact_2alt,
     conjugate_grid_2alt,
-    dense_extension,
+    dense_verify,
     enumerate_basic_values,
     karp_min_mean,
 )
@@ -641,5 +642,86 @@ def test_blocked_extension_matches_dense(cells, monkeypatch):
     for d in (pum_dataset("negentropy", rng, 150, 4), luce_dataset(rng, 301, 3)):
         fit = compute_potentials(d)
         report = verify_rationalization(d, fit, mixtures=0)
-        want = dense_extension(fit.potentials, edge_weights(d)) - fit.potentials
-        assert report.fenchel_gaps.tobytes() == want.tobytes()
+        want = dense_verify(d, fit, mixtures=0)
+        assert report.fenchel_gaps.tobytes() == want.fenchel_gaps.tobytes()
+
+
+def _assert_same_report(got, want):
+    assert got.fenchel_gaps.tobytes() == want.fenchel_gaps.tobytes()
+    assert got.optimality_gaps.tobytes() == want.optimality_gaps.tobytes()
+    assert (got.n_mixture_points, got.lp) == (want.n_mixture_points, want.lp)
+
+
+class TestStreamedVerify:
+    # Verification reads W, the Dirichlet draws and the competitor values
+    # one block at a time; it must equal the dense formula bit for bit.
+
+    @pytest.mark.parametrize("mixtures", [0, 1, 61, 200])
+    def test_one_row_blocks_match_dense(self, mixtures, monkeypatch):
+        # ROW_BLOCK_CELLS // n == 1: every block of W, of the draws and of
+        # the pool is one row.
+        n = 61
+        monkeypatch.setattr(monotonicity, "ROW_BLOCK_CELLS", n + 3)
+        assert len(monotonicity.row_blocks(n, mixtures)) == mixtures
+        d = pum_dataset("negentropy", np.random.default_rng(80), n, 7)
+        fit = compute_potentials(d)
+        got = verify_rationalization(d, fit, mixtures=mixtures, rng=np.random.default_rng(81))
+        _assert_same_report(got, dense_verify(d, fit, mixtures=mixtures, rng=np.random.default_rng(81)))
+
+    @pytest.mark.parametrize("n, size, mixtures", [(193, 9, 1000), (250, 7, 339), (40, 3, 0)])
+    def test_partial_last_blocks_match_dense(self, n, size, mixtures):
+        # 169 and 131 rows per block, so neither n nor the mixture count is
+        # a multiple of the block.  At these odd |A|, BLAS rounded some
+        # blocks of a product differently from the whole product.
+        d = pum_dataset("quadratic", np.random.default_rng(n), n, size)
+        fit = compute_potentials(d)
+        got = verify_rationalization(d, fit, mixtures=mixtures, rng=np.random.default_rng(82))
+        _assert_same_report(got, dense_verify(d, fit, mixtures=mixtures, rng=np.random.default_rng(82)))
+
+    def test_single_products_agree_to_rounding(self):
+        # Against the whole products of the unstreamed formula, only BLAS's
+        # rounding of a block may differ.
+        for n, size in [(193, 9), (200, 10), (250, 7)]:
+            d = pum_dataset("negentropy", np.random.default_rng(n + size), n, size)
+            fit = compute_potentials(d)
+            got = verify_rationalization(d, fit, mixtures=500)
+            want = dense_verify(d, fit, mixtures=500, blocked=False)
+            assert got.fenchel_gaps.tobytes() == want.fenchel_gaps.tobytes()
+            assert_allclose(got.optimality_gaps, want.optimality_gaps, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("cells", [None, 5 * 40])
+    def test_blocked_draws_continue_one_stream(self, cells, monkeypatch):
+        # numpy fills a Dirichlet sample row by row from one stream.
+        if cells is not None:
+            monkeypatch.setattr(monotonicity, "ROW_BLOCK_CELLS", cells)
+        n, mixtures = 40, 1003
+        whole = np.random.default_rng(83).dirichlet(np.ones(n), size=mixtures)
+        rng = np.random.default_rng(83)
+        blocks = [rng.dirichlet(np.ones(n), size=b.stop - b.start) for b in monotonicity.row_blocks(n, mixtures)]
+        assert len(blocks) == (2 if cells is None else 201)
+        assert np.vstack(blocks).tobytes() == whole.tobytes()
+
+    def test_negative_mixture_count_is_rejected(self, softmax_fixture):
+        with pytest.raises(ValueError, match="mixtures"):
+            verify_rationalization(softmax_fixture, compute_potentials(softmax_fixture), mixtures=-1)
+
+    def test_memory_is_linear_in_n_and_mixtures(self):
+        # tracemalloc sees numpy's buffers.  The dense formula held W, a
+        # mixtures x n draw matrix and the n x (n + mixtures) competitor
+        # matrix, 4 x 8n^2 bytes here, and each mixture added two n-wide
+        # rows.  Streamed, the peak is a few blocks plus O((n + mixtures)
+        # |A|), and each mixture adds less than n bytes, an eighth of a row.
+        n = 1000
+        d = pum_dataset("negentropy", np.random.default_rng(84), n, 10)
+        fit = compute_potentials(d)
+        d.values_matrix, d.probs_matrix  # built before tracing starts
+        peaks = []
+        for mixtures in (1000, 3000):
+            tracemalloc.start()
+            try:
+                assert verify_rationalization(d, fit, mixtures=mixtures).passed
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 0.25 * 8 * n * n
+        assert peaks[1] - peaks[0] < 2000 * n
