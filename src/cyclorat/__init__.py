@@ -19,15 +19,14 @@ _EXPORTS = {
     "errors": """BadSumError CycloratError DuplicateValuesWarning EmptyDatasetError
         EmptyDomainError InconsistentPairError IndexOutOfRangeError LengthMismatchError
         MixedMenusError NegativeEntryError NoProgressError NonFiniteError
-        NotCyclicallyMonotoneError RecordValidationError TableLookupError TooLargeError
-        ValidationError ZeroStrengthError""",
+        NotCyclicallyMonotoneError RecordValidationError TableLookupError ValidationError
+        ZeroStrengthError""",
     "lp": "",  # public as a submodule only
     "models": """CustomTable LuceExponential PairwiseRegret PreferenceModel
         SalienceWeighted choice_probabilities eval_preference model_from_spec normalize
         simulate_dataset""",
-    "monotonicity": """CMVerdict CycleWitness TwoPointViolation brute_force_cm
-        check_cyclic_monotonicity check_two_point_monotonicity
-        check_weak_stochastic_transitivity cycle_sum""",
+    "monotonicity": """CMVerdict CycleWitness TwoPointViolation check_cyclic_monotonicity
+        check_two_point_monotonicity check_weak_stochastic_transitivity cycle_sum""",
     "rationalization": """CostEvaluator DataDerivedCost NegEntropyCost PotentialFit
         PumSolution QuadraticCost RationalizationReport SmoothedDataDerivedCost
         compute_potentials conjugate_cost cost_description evaluate_extension

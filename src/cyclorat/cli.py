@@ -36,7 +36,7 @@ import numpy as np
 from . import __version__
 from .core import TOL_CM, TOL_OPT, TOL_SIMPLEX, Dataset
 from .dataio import csv_field, load_model_spec, parse_datasets_csv, write_dataset_csv
-from .errors import CycloratError, InconsistentPairError
+from .errors import CycloratError
 from .monotonicity import (
     check_cyclic_monotonicity,
     check_two_point_monotonicity,
@@ -62,14 +62,13 @@ class RunConfig:
     input: str | None = None
     output: str | None = None
     model: str | None = None
-    tol_simplex: float = TOL_SIMPLEX
     tol_cm: float = TOL_CM
     tol_opt: float = TOL_OPT
     epsilon: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("tol_simplex", "tol_cm", "tol_opt"):
+        for name in ("tol_cm", "tol_opt"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.epsilon < 0:
@@ -86,7 +85,7 @@ def _base_report(config: RunConfig) -> dict:
     }
 
 
-def _wst_section(datasets: dict[str, Dataset], tol: float) -> dict | None:
+def _wst_section(datasets: dict[str, Dataset]) -> dict | None:
     # Weak stochastic transitivity needs plain binary choice frequencies:
     # use menus of exactly two alternatives carrying a single observation.
     binary: dict[tuple[str, str], float] = {}
@@ -98,7 +97,7 @@ def _wst_section(datasets: dict[str, Dataset], tol: float) -> dict | None:
         x, y = d.menu.alternatives
         p = float(d.probs_matrix[0, 0])
         for key, val in (((x, y), p), ((y, x), 1.0 - p)):
-            if key in binary and abs(binary[key] - val) > tol:
+            if key in binary and abs(binary[key] - val) > TOL_SIMPLEX:
                 return {
                     "error": f"conflicting binary probabilities for pair {key!r}",
                     "menus_used": used,
@@ -107,14 +106,9 @@ def _wst_section(datasets: dict[str, Dataset], tol: float) -> dict | None:
         used.append(menu_id)
     if len({z for pair in binary for z in pair}) < 3:
         return None
-    try:
-        triples = check_weak_stochastic_transitivity(binary, tol)
-    except InconsistentPairError as exc:
-        return {"error": str(exc), "menus_used": used}
-    return {
-        "menus_used": used,
-        "violations": [list(t) for t in triples],
-    }
+    # Both orientations of a pair come from one p, and Menu rejects x == y.
+    triples = check_weak_stochastic_transitivity(binary, TOL_SIMPLEX)
+    return {"menus_used": used, "violations": [list(t) for t in triples]}
 
 
 def _analyze_menu(d: Dataset, config: RunConfig) -> tuple[dict, bool, bool]:
@@ -216,7 +210,7 @@ def run(config: RunConfig) -> tuple[int, dict]:
 
     if not config.input:
         raise CycloratError(f"{config.command} needs --input")
-    datasets = parse_datasets_csv(config.input, config.tol_simplex)
+    datasets = parse_datasets_csv(config.input)
 
     sections = []
     all_cm = True
@@ -228,7 +222,7 @@ def run(config: RunConfig) -> tuple[int, dict]:
         all_verified &= verify_ok
     report["menus"] = sections
     if config.command == "report-all":
-        wst = _wst_section(datasets, config.tol_simplex)
+        wst = _wst_section(datasets)
         if wst is not None:
             report["weak_stochastic_transitivity"] = wst
         if config.output:

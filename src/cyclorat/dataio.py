@@ -225,6 +225,13 @@ def _spec_field(spec, key: str, where: str = "model spec"):
     return spec[key]
 
 
+def _spec_number(convert, x, where: str):
+    try:
+        return convert(x)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{where} must be a number, got {x!r}") from None
+
+
 def load_model_spec(path) -> tuple[PreferenceModel, Menu, list[list[float]] | dict]:
     """Load a simulation spec: model family, menu, and the value design.
 
@@ -246,18 +253,23 @@ def load_model_spec(path) -> tuple[PreferenceModel, Menu, list[list[float]] | di
     family, menu_spec = _spec_field(spec, "family"), _spec_field(spec, "menu")
     model = model_from_spec(family, spec.get("params"))
     menu_id = _spec_field(menu_spec, "id", "model spec menu")
-    menu = Menu(str(menu_id), tuple(_spec_field(menu_spec, "alternatives", "model spec menu")))
+    alts = _spec_field(menu_spec, "alternatives", "model spec menu")
+    if not isinstance(alts, list) or not all(isinstance(a, str) for a in alts):
+        raise ValidationError(f"model spec menu 'alternatives' must list labels, got {alts!r}")
+    menu = Menu(str(menu_id), tuple(alts))
     if "values" in spec:
         values = spec["values"]
         if not isinstance(values, list) or not all(isinstance(row, list) for row in values):
             raise ValidationError(f"model spec 'values' must be a list of rows, got {values!r}")
-        design = [[float(x) for x in row] for row in values]
+        entry = "model spec 'values' entry"
+        design = [[_spec_number(float, x, entry) for x in row] for row in values]
         return model, menu, design
     if "design" in spec:
         d = spec["design"]
+        count = _spec_field(d, "count", "model spec design")
         return model, menu, {
-            "count": int(_spec_field(d, "count", "model spec design")),
-            "low": float(d.get("low", -5.0)),
-            "high": float(d.get("high", 5.0)),
+            "count": _spec_number(int, count, "model spec design 'count'"),
+            "low": _spec_number(float, d.get("low", -5.0), "model spec design 'low'"),
+            "high": _spec_number(float, d.get("high", 5.0), "model spec design 'high'"),
         }
     raise ValidationError("model spec needs either 'values' or 'design'")

@@ -59,10 +59,6 @@ class IndexOutOfRangeError(CycloratError):
     """A cycle refers to an observation index outside 1..n."""
 
 
-class TooLargeError(CycloratError):
-    """Input exceeds the size guard of an exhaustive-enumeration routine."""
-
-
 class NotCyclicallyMonotoneError(CycloratError):
     """Potentials cannot be built: the data contain a negative cycle.
 

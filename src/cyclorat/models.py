@@ -216,6 +216,8 @@ def model_from_spec(family: str, params: dict | None = None) -> PreferenceModel:
     The other families take their numeric fields by name.  A missing,
     unexpected or mistyped entry raises ``ValidationError`` naming it.
     """
+    if not isinstance(family, str):
+        raise ValidationError(f"model spec 'family' must be a name, got {family!r}")
     if params is not None and not isinstance(params, dict):
         raise ValidationError(f"{family} 'params' must be an object, got {params!r}")
     params = dict(params or {})

@@ -16,8 +16,6 @@ rounding bound, decides a pass that carries them; its cycle, recomputed
 with compensated summation, decides a violation; and a converged run whose
 cycle sits between the two passes with the same potentials, which then hold
 every inequality to within eps plus rounding.
-The exhaustive ``brute_force_cm`` enumerates all simple cycles and serves
-as the independent oracle at small n.
 
 Observation indices in cycles, witnesses, and violation reports are 1-based
 positions into ``Dataset.observations``.
@@ -25,7 +23,6 @@ positions into ``Dataset.observations``.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
@@ -33,7 +30,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .core import TOL_CM, TOL_SIMPLEX, Dataset
-from .errors import IndexOutOfRangeError, InconsistentPairError, NoProgressError, TooLargeError
+from .errors import IndexOutOfRangeError, InconsistentPairError, NoProgressError
 
 
 @dataclass(frozen=True)
@@ -61,20 +58,17 @@ class CMVerdict:
 
     ``status`` is ``"pass"`` or ``"violation"``; a violation carries a
     ``witness`` whose compensated cycle mean is below ``-tol``.
-    ``min_cycle_mean`` is the most negative cycle mean found: for the fast
-    check, the compensated mean of the policy-iteration cycle, an attained
-    mean within the certificate of the true minimum (None when no cycle
-    exists, i.e. n = 1).  ``min_cycle_sum`` is a recomputed cycle sum:
-    exhaustive search fills it with the smallest one, the fast check with
-    its cycle's sum when the lower bound does not certify a pass.  The fast
-    check's witness is the min-mean cycle, in canonical rotation (smallest
-    index first); ties between least-mean policy cycles go to the
+    ``min_cycle_mean`` is the compensated mean of the policy-iteration
+    cycle, an attained mean within the certificate of the true minimum
+    (None when no cycle exists, i.e. n = 1).  ``min_cycle_sum`` is that
+    cycle's recomputed sum, set when the lower bound does not certify a
+    pass.  The witness is the min-mean cycle, in canonical rotation
+    (smallest index first); ties between least-mean policy cycles go to the
     lexicographically smallest.
-    Every fast-check pass carries the Afriat ``potentials`` certifying it, 0
-    at the first observation; ``policy_iterations`` counts the fast check's
-    rounds, and ``decided_by`` names the step that decided it:
-    ``"certificate"``, ``"witness"`` or ``"band"``.  None of the three
-    compares.
+    Every pass carries the Afriat ``potentials`` certifying it, 0 at the
+    first observation; ``policy_iterations`` counts the check's rounds, and
+    ``decided_by`` names the step that decided it: ``"certificate"``,
+    ``"witness"`` or ``"band"``.  None of the three compares.
     """
 
     status: str
@@ -357,56 +351,6 @@ def check_cyclic_monotonicity(dataset: Dataset, tol: float = TOL_CM) -> CMVerdic
             f"slack {tol:g}: cycle means are bounded below only by {mm.lower:.3e}"
         )
     return CMVerdict("pass", None, mm.mean, total, mm.x - mm.x[0], mm.iterations, "band")
-
-
-#: Exhaustive enumeration guard; simple-cycle count grows factorially.
-BRUTE_FORCE_MAX_N = 8
-
-
-def brute_force_cm(dataset: Dataset, tol: float = TOL_CM) -> CMVerdict:
-    """Enumerate every simple directed cycle; decide on the minimum mean.
-
-    Independent oracle for :func:`check_cyclic_monotonicity`, under the same
-    per-edge rule: a violation iff some cycle's compensated mean is below
-    ``-tol``, with the first least-mean cycle in enumeration order as the
-    witness.  ``min_cycle_sum`` is the smallest cycle sum, a diagnostic.
-    Guarded to n <= 8 because the number of simple cycles grows factorially.
-    """
-    n = dataset.n
-    if n > BRUTE_FORCE_MAX_N:
-        raise TooLargeError(
-            f"exhaustive cycle enumeration is limited to n <= {BRUTE_FORCE_MAX_N}, got {n}"
-        )
-    if n == 1:
-        return CMVerdict("pass", None, None, None)
-    V = dataset.values_matrix
-    P = dataset.probs_matrix
-
-    def sum_of(cyc: tuple[int, ...]) -> float:
-        terms: list[float] = []
-        for pos, i in enumerate(cyc):
-            j = cyc[(pos + 1) % len(cyc)]
-            terms.extend((P[i] * (V[i] - V[j])).tolist())
-        return math.fsum(terms)
-
-    best_sum = math.inf
-    best_mean = math.inf
-    best: tuple[tuple[int, ...], float] | None = None
-    for k in range(2, n + 1):
-        for subset in itertools.combinations(range(n), k):
-            head = subset[0]
-            for rest in itertools.permutations(subset[1:]):
-                cyc = (head,) + rest
-                s = sum_of(cyc)
-                best_sum = min(best_sum, s)
-                if s / k < best_mean:
-                    best_mean = s / k
-                    best = (cyc, s)
-    assert best is not None
-    if best_mean < -tol:
-        witness = CycleWitness(tuple(i + 1 for i in best[0]), best[1])
-        return CMVerdict("violation", witness, best_mean, best_sum)
-    return CMVerdict("pass", None, best_mean, best_sum)
 
 
 #: Coordinates are considered equal when they differ by at most this much.

@@ -55,16 +55,17 @@ LP_COUNTERS = ("cold_solves", "warm_solves", "pivots", "reused", "rejected_bases
 
 @dataclass(frozen=True)
 class PotentialFit:
-    """Potentials and gradients of a convex function fitted to the data.
+    """Potentials of a convex function fitted to the data.
 
     ``potentials[i]`` is the fitted value at observation i+1's value vector;
-    ``gradients[i]`` is that observation's probability vector.  The base
-    observation (1-based ``base_index``) is pinned to potential zero, since
-    the fitted function is only determined up to an additive constant.
-    Subgradient consistency holds to within the per-edge slack ``tol`` the
-    potentials were fitted with, up to rounding:
+    its gradient there is that observation's probability vector p^i, so a
+    fit is read together with its dataset.  The base observation (1-based
+    ``base_index``) is pinned to potential zero, since the fitted function
+    is only determined up to an additive constant.  Subgradient consistency
+    holds to within the per-edge slack ``tol`` the potentials were fitted
+    with, up to rounding:
 
-        potentials[j] >= potentials[i] + <gradients[i], v^j - v^i> - tol.
+        potentials[j] >= potentials[i] + <p^i, v^j - v^i> - tol.
 
     That rounding is the check's allowance: none when its certificate
     decides, and at most (mean - lower) + err in its rounding band.
@@ -72,26 +73,18 @@ class PotentialFit:
 
     base_index: int
     potentials: np.ndarray
-    gradients: np.ndarray
 
     def __post_init__(self):
         pot = np.asarray(self.potentials, dtype=float).copy()
-        grad = np.asarray(self.gradients, dtype=float).copy()
         pot.flags.writeable = False
-        grad.flags.writeable = False
         object.__setattr__(self, "potentials", pot)
-        object.__setattr__(self, "gradients", grad)
 
     @property
     def n(self) -> int:
         return self.potentials.size
 
     def to_dict(self) -> dict:
-        return {
-            "base_index": self.base_index,
-            "potentials": self.potentials.tolist(),
-            "gradients": self.gradients.tolist(),
-        }
+        return {"base_index": self.base_index, "potentials": self.potentials.tolist()}
 
 
 def compute_potentials(
@@ -111,18 +104,17 @@ def compute_potentials(
         raise NotCyclicallyMonotoneError(
             f"no Afriat potentials within per-edge slack {tol:g}", witness=verdict.witness
         )
-    return PotentialFit(1, verdict.potentials, dataset.probs_matrix)
+    return PotentialFit(1, verdict.potentials)
 
 
 def evaluate_extension(fit: PotentialFit, dataset: Dataset, v) -> float:
     """Max-affine extension of the fitted potentials at any value vector.
 
-    Returns max_i [ phi_i + <g_i, v - v^i> ]; convex and piecewise affine,
+    Returns max_i [ phi_i + <p^i, v - v^i> ]; convex and piecewise affine,
     and interpolates the potentials at the observed value vectors.
     """
     vv = v.entries if isinstance(v, ValueVector) else np.asarray(v, dtype=float)
-    V = dataset.values_matrix
-    G = fit.gradients
+    V, G = dataset.values_matrix, dataset.probs_matrix
     phi = fit.potentials
     return max(
         phi[i] + comp_dot(G[i], vv - V[i]) for i in range(fit.n)
@@ -130,9 +122,8 @@ def evaluate_extension(fit: PotentialFit, dataset: Dataset, v) -> float:
 
 
 def _max_affine_data(fit: PotentialFit, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients G and affine offsets c_i = <g_i, v^i> - phi_i."""
-    V = dataset.values_matrix
-    G = fit.gradients
+    """Gradients G = P and affine offsets c_i = <g_i, v^i> - phi_i."""
+    V, G = dataset.values_matrix, dataset.probs_matrix
     c = np.array([comp_dot(G[i], V[i]) - fit.potentials[i] for i in range(fit.n)])
     return G, c
 
@@ -574,9 +565,9 @@ def verify_rationalization(
     The competitor pool contains every gradient vertex g_j plus ``mixtures``
     random convex combinations drawn from the supplied generator (seeded
     from 0 when omitted, so runs are reproducible).  All pool points lie in
-    conv{g_j}, where the conjugate is finite by construction.  f(v^j) is
-    read off the edge weights, so the gradients must be the probabilities.
-    Vertices are priced at c_j, within the Afriat shortfall of C(g_j) (see
+    conv{g_j}, where the conjugate is finite by construction.  The gradients
+    are the probabilities, so f(v^j) is read off the edge weights.  Vertices
+    are priced at c_j, within the Afriat shortfall of C(g_j) (see
     ``RationalizationReport``), so only the mixtures go to the LP.
 
     Memory is O((n + mixtures) |A|) plus ``ROW_BLOCK_CELLS``-cell blocks: W,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _render(obj, indent: int, out: list[str]) -> None:

@@ -4,7 +4,8 @@ These deliberately avoid the library's LP code paths: the exact
 two-alternative conjugate is resolved by enumerating piece crossings of the
 one-dimensional slice, and the grid transform scans value differences
 directly.  The minimum cycle mean has two references: Karp's O(n^3)
-dynamic program and, for small n, enumeration of every simple cycle.
+dynamic program and, for small n, enumeration of every simple cycle, which
+also decides cyclic monotonicity on its own (``brute_force_cm``).
 Policy iteration's row-blocked rounds and verification's streamed blocks
 are checked bit for bit against their dense forms.  The conjugate LP has
 two: a one-query support scan by least squares, independent of the
@@ -29,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from cyclorat.core import Dataset, Menu, Observation, ValueVector, validate_simplex
+from cyclorat.core import TOL_CM, Dataset, Menu, Observation, ValueVector, validate_simplex
 from cyclorat.dataio import CSV_COLUMNS, MissingColumnError, ParseError, fmt17
 from cyclorat.errors import (
     DuplicateValuesWarning,
@@ -42,7 +43,15 @@ from cyclorat.errors import (
 )
 from cyclorat.lp import solve_equality_lp
 from cyclorat import monotonicity
-from cyclorat.monotonicity import MinMeanCycle, _policy_values, edge_weights, row_blocks
+from cyclorat.monotonicity import (
+    CMVerdict,
+    CycleWitness,
+    MinMeanCycle,
+    _policy_values,
+    cycle_sum,
+    edge_weights,
+    row_blocks,
+)
 from cyclorat.rationalization import (
     LP_COUNTERS,
     RationalizationReport,
@@ -151,17 +160,46 @@ def karp_min_mean(W: np.ndarray) -> tuple[float, tuple[int, ...] | None]:
     return lam, None
 
 
-def min_mean_by_enumeration(W: np.ndarray) -> float:
-    """Smallest compensated-sum mean over every simple cycle of W (small n)."""
-    n = W.shape[0]
-    best = math.inf
+def simple_cycles(n: int):
+    """Every simple directed cycle on nodes 0..n-1 once, smallest node first:
+    by length, then node set in combination order, then permutation order.
+    Their number grows factorially, so n should stay at 8 or below."""
     for k in range(2, n + 1):
         for subset in itertools.combinations(range(n), k):
             for rest in itertools.permutations(subset[1:]):
-                cyc = (subset[0],) + rest
-                total = math.fsum(W[i, j] for i, j in zip(cyc, cyc[1:] + cyc[:1]))
-                best = min(best, total / k)
+                yield (subset[0],) + rest
+
+
+def min_mean_by_enumeration(W: np.ndarray) -> float:
+    """Smallest compensated-sum mean over every simple cycle of W (small n)."""
+    best = math.inf
+    for cyc in simple_cycles(W.shape[0]):
+        total = math.fsum(W[i, j] for i, j in zip(cyc, cyc[1:] + cyc[:1]))
+        best = min(best, total / len(cyc))
     return best
+
+
+def brute_force_cm(dataset: Dataset, tol: float = TOL_CM) -> CMVerdict:
+    """Decide cyclic monotonicity by summing every simple cycle (small n).
+
+    The same per-edge rule as ``check_cyclic_monotonicity``: a violation iff
+    some cycle's compensated mean is below ``-tol``, with the first
+    least-mean cycle of ``simple_cycles`` as the witness.  ``min_cycle_sum``
+    is the smallest cycle sum, a diagnostic; n = 1 passes with no cycle.
+    """
+    best_sum = best_mean = math.inf
+    best = None
+    for cyc in simple_cycles(dataset.n):
+        indices = tuple(i + 1 for i in cyc)
+        s = cycle_sum(dataset, indices)
+        best_sum = min(best_sum, s)
+        if s / len(cyc) < best_mean:
+            best_mean, best = s / len(cyc), CycleWitness(indices, s)
+    if best is None:
+        return CMVerdict("pass", None, None, None)
+    if best_mean < -tol:
+        return CMVerdict("violation", best, best_mean, best_sum)
+    return CMVerdict("pass", None, best_mean, best_sum)
 
 
 def dense_min_mean_cycle(W: np.ndarray) -> MinMeanCycle:

@@ -19,7 +19,6 @@ from cyclorat import (
     check_two_point_monotonicity,
     check_weak_stochastic_transitivity,
     choice_probabilities,
-    brute_force_cm,
     compute_potentials,
     conjugate_cost,
     cycle_sum,
@@ -30,7 +29,7 @@ from cyclorat.cli import EXIT_REJECTED, main
 from cyclorat.rationalization import _max_affine_data
 
 from conftest import luce_dataset, mixed_pool_dataset, pum_dataset
-from oracles import conjugate_exact_2alt, conjugate_grid_2alt
+from oracles import brute_force_cm, conjugate_exact_2alt, conjugate_grid_2alt
 
 
 def _report(name: str, ok: bool, elapsed: float, detail: str = "") -> None:

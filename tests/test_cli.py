@@ -93,7 +93,7 @@ class TestCheck:
         assert code == EXIT_OK
         report = json.loads(out.read_text())
         assert report["menus"][0]["cyclic_monotonicity"]["status"] == "pass"
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
 
     def test_cut_short_band_exits_2(self, tmp_path, monkeypatch, capsys):
         # One policy round leaves the three-cycle 1 -> 2 -> 3 -> 1 (mean
@@ -124,6 +124,20 @@ class TestFitVerify:
         ver = verify_report["menus"][0]["verification"]
         assert ver["max_fenchel_gap"] <= 1e-9
         assert ver["passed"] is True
+
+    @pytest.mark.parametrize("command", ["verify", "report-all"])
+    def test_report_writes_probabilities_once(self, command, softmax_path, tmp_path):
+        # The gradients are the probabilities; schema 2 writes them only as
+        # the cost's vertices.
+        out = tmp_path / "report.json"
+        assert main([command, "--input", str(softmax_path), "--output", str(out)]) == EXIT_OK
+        report = json.loads(out.read_text())
+        assert report["schema_version"] == 2
+        assert "tol_simplex" not in report["config"]
+        menu = report["menus"][0]
+        assert set(menu["potentials"]) == {"base_index", "potentials"}
+        assert menu["cost"]["vertices"] == parse_dataset_csv(softmax_path).probs_matrix.tolist()
+        assert "gradients" not in out.read_text()
 
     def test_fit_on_violation_exits_3(self, violation_path, tmp_path):
         out = tmp_path / "report.json"
@@ -178,14 +192,20 @@ class TestSimulate:
             ({"params": [1]}, "pairwise_regret 'params' must be an object"),
             ({"values": 5}, "model spec 'values' must be a list of rows"),
             ({"family": "custom_table", "params": {"rows": [1]}}, "custom_table row 1 needs"),
+            ({"values": [[None, 1]]}, "model spec 'values' entry must be a number"),
+            ({"values": None, "design": {"count": None}}, "model spec design 'count'"),
+            ({"menu": {"id": "sim", "alternatives": 5}}, "model spec menu 'alternatives'"),
+            ({"family": ["x"]}, "model spec 'family'"),
         ],
-        ids=["theta", "params", "values", "rows"],
+        ids=["theta", "params", "values", "rows", "values-entry", "count", "alternatives", "family"],
     )
     def test_malformed_spec_exits_2(self, fields, error, tmp_path, capsys):
-        # A malformed or mistyped field is an error line and exit 2, not a traceback.
+        # A malformed or mistyped field is an error line and exit 2, not a
+        # traceback.  A field set to None here is left out of the spec.
         spec = tmp_path / "model.json"
         menu = {"id": "sim", "alternatives": ["a", "b"]}
-        spec.write_text(json.dumps({"family": "pairwise_regret", "menu": menu, "values": [[0, 1]], **fields}))
+        fields = {"family": "pairwise_regret", "menu": menu, "values": [[0, 1]], **fields}
+        spec.write_text(json.dumps({k: v for k, v in fields.items() if v is not None}))
         out = tmp_path / "sim.csv"
         assert main(["simulate", "--model", str(spec), "--output", str(out)]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith(f"error: {error}")

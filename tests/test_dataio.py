@@ -219,11 +219,16 @@ REGRET = {"family": "pairwise_regret", "menu": MENU_AB, "values": [[0, 0]]}
         ({**REGRET, "family": "custom_table", "params": {"rows": [{"values": 5, "probs": [1]}]}}, "'values'"),
         ({**REGRET, "values": 5}, "'values'"),
         ({**REGRET, "values": [5]}, "'values'"),
+        ({**REGRET, "values": [[None, 1]]}, "'values'"),
+        ({"family": "luce_exponential", "menu": MENU_AB, "design": {"count": None}}, "'count'"),
+        ({**REGRET, "menu": {"id": "m", "alternatives": 5}}, "'alternatives'"),
+        ({**REGRET, "family": ["x"]}, "'family'"),
     ],
     ids=[
         "design", "menu-id", "design-count", "unknown-param", "table-strengths", "theta",
         "params-list", "table-row-number", "table-rows-number", "table-values-number",
-        "values-number", "values-row-number",
+        "values-number", "values-row-number", "values-entry-null", "design-count-null",
+        "menu-alternatives-number", "family-list",
     ],
 )
 def test_load_model_spec_requires_design(tmp_path, spec, field):

@@ -14,8 +14,6 @@ from cyclorat import (
     IndexOutOfRangeError,
     NoProgressError,
     NotCyclicallyMonotoneError,
-    TooLargeError,
-    brute_force_cm,
     check_cyclic_monotonicity,
     check_two_point_monotonicity,
     check_weak_stochastic_transitivity,
@@ -38,6 +36,7 @@ from conftest import (
     regret_dataset,
 )
 from oracles import (
+    brute_force_cm,
     dense_min_mean_cycle,
     karp_min_mean,
     min_mean_by_enumeration,
@@ -645,12 +644,6 @@ class TestBruteForce:
         bad = brute_force_cm(violation_fixture)
         assert bad.status == "violation"
         assert_allclose(bad.min_cycle_sum, -0.6, atol=1e-15)
-
-    def test_size_guard(self):
-        rng = np.random.default_rng(0)
-        d = random_probs_dataset(rng, 9, 2)
-        with pytest.raises(TooLargeError):
-            brute_force_cm(d)
 
     def test_oracle_agreement_small_n(self):
         rng = np.random.default_rng(13)

@@ -15,8 +15,8 @@ IndexOutOfRangeError LengthMismatchError LuceExponential Menu MixedMenusError Ne
 NegativeEntryError NoProgressError NonFiniteError NotCyclicallyMonotoneError Observation
 PairwiseRegret PotentialFit PreferenceModel PumSolution QuadraticCost RationalizationReport
 RecordValidationError SalienceWeighted SimplexPoint SmoothedDataDerivedCost TOL_CM TOL_OPT
-TOL_SIMPLEX TableLookupError TooLargeError TwoPointViolation ValidationError ValueVector
-ZeroStrengthError brute_force_cm check_cyclic_monotonicity check_two_point_monotonicity
+TOL_SIMPLEX TableLookupError TwoPointViolation ValidationError ValueVector
+ZeroStrengthError check_cyclic_monotonicity check_two_point_monotonicity
 check_weak_stochastic_transitivity choice_probabilities comp_dot comp_sum compute_potentials
 conjugate_cost core cost_description cycle_sum errors eval_preference evaluate_extension lp
 make_dataset model_from_spec models monotonicity normalize pum_solve_closed pum_solve_general

@@ -20,6 +20,7 @@ from cyclorat import (
     choice_probabilities,
     compute_potentials,
     conjugate_cost,
+    cost_description,
     evaluate_extension,
     make_dataset,
     pum_solve_closed,
@@ -61,7 +62,8 @@ class TestComputePotentials:
         # the base, which stays at 0.
         fit = compute_potentials(softmax_fixture)
         assert_allclose(fit.potentials, [0.0, 0.61553], atol=1e-15)
-        assert np.array_equal(fit.gradients, softmax_fixture.probs_matrix)
+        vertices = cost_description(fit, softmax_fixture)["vertices"]
+        assert vertices == softmax_fixture.probs_matrix.tolist()
 
     def test_violation_raises_with_witness(self, violation_fixture):
         with pytest.raises(NotCyclicallyMonotoneError) as err:
@@ -86,7 +88,7 @@ class TestComputePotentials:
             for _ in range(8):
                 d = pum_dataset(kind, rng, int(rng.integers(2, 12)), int(rng.integers(2, 6)))
                 fit = compute_potentials(d)
-                V, G, phi = d.values_matrix, fit.gradients, fit.potentials
+                V, G, phi = d.values_matrix, d.probs_matrix, fit.potentials
                 for i in range(d.n):
                     for j in range(d.n):
                         lower = phi[i] + comp_dot(G[i], V[j] - V[i])
@@ -115,7 +117,7 @@ class TestEvaluateExtension:
         rng = np.random.default_rng(33)
         d = luce_dataset(rng, 7, 3)
         fit = compute_potentials(d)
-        V, G, phi = d.values_matrix, fit.gradients, fit.potentials
+        V, G, phi = d.values_matrix, d.probs_matrix, fit.potentials
         for j in range(d.n):
             fj = evaluate_extension(fit, d, V[j])
             assert_allclose(fj, phi[j], atol=1e-11)
@@ -311,7 +313,7 @@ class TestConjugateCost:
             DataDerivedCost(fit, softmax_fixture),
             SmoothedDataDerivedCost(fit, softmax_fixture, 1e-2),
         ]
-        G = fit.gradients
+        G = softmax_fixture.probs_matrix
         for cost in evaluators:
             for _ in range(40):
                 if isinstance(cost, DataDerivedCost):

@@ -5,12 +5,17 @@ import shlex
 from pathlib import Path
 
 from cyclorat.cli import main
+from cyclorat.report import SCHEMA_VERSION
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
 
 def _blocks(lang: str) -> list[str]:
     return re.findall(rf"^```{lang}\n(.*?)^```$", README, flags=re.M | re.S)
+
+
+def test_schema_version_matches_report():
+    assert re.findall(r"schema_version: (\d+)", README) == [str(SCHEMA_VERSION)]
 
 
 def test_library_quick_start_runs():
