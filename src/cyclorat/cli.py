@@ -18,6 +18,7 @@ sections are ordered by menu id.  ``CYCLORAT_LOG`` sets log verbosity.
 from __future__ import annotations
 
 import argparse
+import csv
 import logging
 import os
 import sys
@@ -35,7 +36,7 @@ import numpy as np
 
 from . import __version__
 from .core import TOL_CM, TOL_OPT, TOL_SIMPLEX, Dataset
-from .dataio import csv_field, load_model_spec, parse_datasets_csv, write_dataset_csv
+from .dataio import csv_field, parse_datasets_csv, write_dataset_csv
 from .errors import CycloratError
 from .monotonicity import (
     check_cyclic_monotonicity,
@@ -191,15 +192,10 @@ def run(config: RunConfig) -> tuple[int, dict]:
     if config.command == "simulate":
         if not config.model or not config.output:
             raise CycloratError("simulate needs --model and --output")
-        from .models import simulate_dataset
+        from .models import load_model_spec, simulate_dataset
 
-        model, menu, design = load_model_spec(config.model)
-        if isinstance(design, dict):
-            rng = np.random.default_rng(config.seed)
-            design = rng.uniform(
-                design["low"], design["high"], size=(design["count"], menu.size)
-            ).tolist()
-        dataset = simulate_dataset(model, menu, design)
+        model, menu, value_rows = load_model_spec(config.model, config.seed)
+        dataset = simulate_dataset(model, menu, value_rows)
         write_dataset_csv(config.output, dataset)
         report["simulate"] = {
             "menu_id": menu.id,
@@ -274,7 +270,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = RunConfig(**vars(args))
         code, report = run(config)
-    except (CycloratError, OSError, ValueError) as exc:
+    except (CycloratError, OSError, ValueError, csv.Error) as exc:
         log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

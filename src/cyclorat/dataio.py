@@ -1,28 +1,25 @@
-"""CSV dataset ingestion/emission and model-spec loading.
+"""Dataset CSV ingestion and emission: this module owns the dataset format.
 
 Dataset files are UTF-8 CSV with LF line endings and the exact header
 ``menu_id,obs_id,alternative,value,prob``.  Rows are grouped by
 ``(menu_id, obs_id)``; alternatives are ordered by first appearance within
 each menu; observations by first appearance of their ``obs_id``.  Floats
 carry 17 significant digits (exact round-trip); fields are quoted as csv does.
+The model spec that ``simulate`` reads is JSON, and ``models`` owns it.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import TOL_SIMPLEX, Dataset, Menu, validate_dataset
+from .core import Dataset, validate_dataset
 from .errors import MixedMenusError, ValidationError
-
-if TYPE_CHECKING:
-    from .models import PreferenceModel
 
 CSV_COLUMNS = ("menu_id", "obs_id", "alternative", "value", "prob")
 
@@ -149,14 +146,15 @@ def _screen(records: Iterable[Sequence[str]], fields: int, col: dict[str, int]) 
     return list(zip(*kept)) or [()] * fields
 
 
-def parse_datasets_csv(path, tol: float = TOL_SIMPLEX) -> dict[str, Dataset]:
+def parse_datasets_csv(path) -> dict[str, Dataset]:
     """Parse a dataset CSV into one validated Dataset per menu.
 
     Menus are returned in order of first appearance.  The records are read
     as columns and scattered into each menu's value and probability
     matrices.  Only a file with a blank or faulty record is walked record by
     record, to skip the blanks and report the first fault in file order.
-    Validation failures carry the offending menu/observation identifiers.
+    Validation uses ``core.TOL_SIMPLEX`` and its failures carry the
+    offending menu/observation identifiers.
     """
     path = Path(path)
     with path.open("r", encoding="utf-8", newline="") as fh:
@@ -186,13 +184,13 @@ def parse_datasets_csv(path, tol: float = TOL_SIMPLEX) -> dict[str, Dataset]:
         if fault:
             raise ValidationError(fault)
         records = list(zip(repeat(menu_id), values, probs))
-        out[menu_id] = validate_dataset(records, alternatives=alts, tol=tol)
+        out[menu_id] = validate_dataset(records, alternatives=alts)
     return out
 
 
-def parse_dataset_csv(path, tol: float = TOL_SIMPLEX) -> Dataset:
+def parse_dataset_csv(path) -> Dataset:
     """Parse a CSV that must contain exactly one menu."""
-    datasets = parse_datasets_csv(path, tol)
+    datasets = parse_datasets_csv(path)
     if len(datasets) != 1:
         raise MixedMenusError(
             f"expected a single menu, file has {sorted(datasets)!r}"
@@ -217,59 +215,3 @@ def write_dataset_csv(path, datasets: Dataset | Sequence[Dataset]) -> None:
             obs = np.repeat(np.arange(1, d.n + 1), d.menu.size)
             cells = zip(obs.tolist(), d.values_matrix.ravel().tolist(), d.probs_matrix.ravel().tolist())
             fh.write((text * d.n) % tuple(chain.from_iterable(cells)))
-
-
-def _spec_field(spec, key: str, where: str = "model spec"):
-    if not isinstance(spec, dict) or key not in spec:
-        raise ValidationError(f"{where} lacks the {key!r} field")
-    return spec[key]
-
-
-def _spec_number(convert, x, where: str):
-    try:
-        return convert(x)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{where} must be a number, got {x!r}") from None
-
-
-def load_model_spec(path) -> tuple[PreferenceModel, Menu, list[list[float]] | dict]:
-    """Load a simulation spec: model family, menu, and the value design.
-
-    JSON layout::
-
-        {
-          "family": "luce_exponential",
-          "params": {...},
-          "menu": {"id": "m1", "alternatives": ["a", "b"]},
-          "values": [[0, 0], [1, 0]]              # explicit design, or
-          "design": {"count": 20, "low": -5, "high": 5}   # random, seeded
-        }
-    """
-    from .models import model_from_spec
-
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        spec = json.load(fh)
-    family, menu_spec = _spec_field(spec, "family"), _spec_field(spec, "menu")
-    model = model_from_spec(family, spec.get("params"))
-    menu_id = _spec_field(menu_spec, "id", "model spec menu")
-    alts = _spec_field(menu_spec, "alternatives", "model spec menu")
-    if not isinstance(alts, list) or not all(isinstance(a, str) for a in alts):
-        raise ValidationError(f"model spec menu 'alternatives' must list labels, got {alts!r}")
-    menu = Menu(str(menu_id), tuple(alts))
-    if "values" in spec:
-        values = spec["values"]
-        if not isinstance(values, list) or not all(isinstance(row, list) for row in values):
-            raise ValidationError(f"model spec 'values' must be a list of rows, got {values!r}")
-        entry = "model spec 'values' entry"
-        design = [[_spec_number(float, x, entry) for x in row] for row in values]
-        return model, menu, design
-    if "design" in spec:
-        d = spec["design"]
-        count = _spec_field(d, "count", "model spec design")
-        return model, menu, {
-            "count": _spec_number(int, count, "model spec design 'count'"),
-            "low": _spec_number(float, d.get("low", -5.0), "model spec design 'low'"),
-            "high": _spec_number(float, d.get("high", 5.0), "model spec design 'high'"),
-        }
-    raise ValidationError("model spec needs either 'values' or 'design'")

@@ -24,13 +24,17 @@ Families:
 
 ``CustomTable``
     Explicit ``v -> strengths`` rows, defined only at the listed vectors.
+
+This module owns the model spec JSON that ``simulate`` reads
+(``load_model_spec``); ``dataio`` owns the dataset CSV.
 """
 
 from __future__ import annotations
 
-import math
-import numbers
+import json
+import sys
 from dataclasses import dataclass, fields
+from pathlib import Path
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -208,45 +212,92 @@ _FAMILY_NAMES = {
 }
 
 
+# Each spec field's one JSON type, named as error messages name it.
+_KINDS: dict[str, Callable[[object], bool]] = {
+    "an object": lambda x: isinstance(x, dict),
+    "a string": lambda x: isinstance(x, str),
+    "a list": lambda x: isinstance(x, list),
+    "a list of labels": lambda x: isinstance(x, list) and all(isinstance(a, str) for a in x),
+    "a list of rows": lambda x: isinstance(x, list) and all(isinstance(r, list) for r in x),
+    # Not true/false (bool is an int), nor NaN, Infinity or an int past float range.
+    "a number": lambda x: type(x) in (int, float) and abs(x) <= sys.float_info.max,
+    "a non-negative integer": lambda x: type(x) is int and x >= 0,
+}
+
+
+def _typed(x, kind: str, name: str):
+    """``x`` if it is of ``kind``; otherwise a ValidationError naming ``name``."""
+    if not _KINDS[kind](x):
+        raise ValidationError(f"{name} must be {kind}, got {x!r}")
+    return x
+
+
+def _field(spec: dict, key: str, kind: str, where: str = "model spec"):
+    """``spec[key]``, which must be present and of ``kind``."""
+    if key not in spec:
+        raise ValidationError(f"{where} needs the {key!r} field")
+    return _typed(spec[key], kind, f"{where} {key!r}")
+
+
+def _numbers(row: list, name: str) -> list[float]:
+    return [float(_typed(x, "a number", f"{name} entry")) for x in row]
+
+
 def model_from_spec(family: str, params: dict | None = None) -> PreferenceModel:
     """Instantiate a model from its config-file name and parameter map.
 
     ``custom_table`` expects ``params = {"rows": [{"values": [...],
     "strengths": [...]}, ...]}``; ``strengths`` may be given as ``probs``.
     The other families take their numeric fields by name.  A missing,
-    unexpected or mistyped entry raises ``ValidationError`` naming it.
+    unexpected or mistyped entry raises ``ValidationError`` naming it; an
+    unknown family raises ``ValueError``.
     """
-    if not isinstance(family, str):
-        raise ValidationError(f"model spec 'family' must be a name, got {family!r}")
-    if params is not None and not isinstance(params, dict):
-        raise ValidationError(f"{family} 'params' must be an object, got {params!r}")
-    params = dict(params or {})
-    try:
-        cls = _FAMILY_NAMES[family]
-    except KeyError:
-        raise ValueError(
-            f"unknown family {family!r}; expected one of {sorted(_FAMILY_NAMES)}"
-        ) from None
-    if cls is CustomTable:
-        rows = params.pop("rows", None)
-        if not isinstance(rows, (list, tuple)):
-            raise ValidationError(f"custom_table needs a 'rows' list, got {rows!r}")
-        table = []
-        for k, r in enumerate(rows, start=1):
-            r = r if isinstance(r, dict) else {}
-            strengths = r.get("strengths", r.get("probs"))
-            if not all(isinstance(x, (list, tuple)) for x in (r.get("values"), strengths)):
-                raise ValidationError(f"custom_table row {k} needs 'values' and 'strengths' lists")
-            table.append((tuple(r["values"]), tuple(strengths)))
-        if params:
-            raise ValueError(f"unexpected custom_table parameters: {sorted(params)}")
-        return CustomTable(tuple(table))
-    if cls is PairwiseRegret and "regret_fn" in params:
-        raise ValueError("regret_fn is not configurable from a spec; use the API")
-    unexpected = sorted(set(params) - {f.name for f in fields(cls)})
+    if family not in _FAMILY_NAMES:
+        raise ValueError(f"unknown family {family!r}; expected one of {sorted(_FAMILY_NAMES)}")
+    cls = _FAMILY_NAMES[family]
+    params = _typed({} if params is None else params, "an object", f"{family} 'params'")
+    names = {"rows"} if cls is CustomTable else {f.name for f in fields(cls)} - {"regret_fn"}
+    unexpected = sorted(set(params) - names)
     if unexpected:
         raise ValidationError(f"unexpected {family} parameters: {unexpected}")
-    for key, x in params.items():
-        if not isinstance(x, numbers.Real):
-            raise ValidationError(f"{family} parameter {key!r} must be a number, got {x!r}")
-    return cls(**params)
+    if cls is not CustomTable:
+        where = f"{family} parameter"
+        return cls(**{k: _typed(x, "a number", f"{where} {k!r}") for k, x in params.items()})
+    table = []
+    for k, row in enumerate(_field(params, "rows", "a list", family), start=1):
+        row = row if isinstance(row, dict) else {}  # a row that is no object lacks its fields
+        keys = ("values", "strengths" if "strengths" in row or "probs" not in row else "probs")
+        where = f"{family} row {k}"
+        table.append(
+            [_numbers(_field(row, key, "a list", where), f"{where} {key!r}") for key in keys]
+        )
+    return CustomTable(tuple(table))
+
+
+def load_model_spec(path, seed: int = 0) -> tuple[PreferenceModel, Menu, list[list[float]]]:
+    """Read a model spec: the model, its menu and the value rows to run it over.
+
+    A spec is ``{"family": ..., "params": {...}, "menu": {"id": ...,
+    "alternatives": [...]}}`` plus either explicit ``"values": [[...], ...]``
+    or ``"design": {"count": N, "low": L, "high": H}``, whose rows are
+    ``default_rng(seed).uniform(L, H, (N, |A|))``.  A missing or mistyped
+    field raises ``ValidationError`` naming it.
+    """
+    with Path(path).open("r", encoding="utf-8") as fh:
+        spec = _typed(json.load(fh), "an object", "model spec")
+    family, menu_spec = _field(spec, "family", "a string"), _field(spec, "menu", "an object")
+    model = model_from_spec(family, spec.get("params"))
+    where = "model spec menu"
+    menu_id = _field(menu_spec, "id", "a string", where)
+    menu = Menu(menu_id, tuple(_field(menu_spec, "alternatives", "a list of labels", where)))
+    if "values" in spec:
+        rows = _field(spec, "values", "a list of rows")
+        return model, menu, [_numbers(row, "model spec 'values'") for row in rows]
+    if "design" not in spec:
+        raise ValidationError("model spec needs either 'values' or 'design'")
+    design, where = _field(spec, "design", "an object"), "model spec design"
+    count = _field(design, "count", "a non-negative integer", where)
+    low = float(_typed(design.get("low", -5.0), "a number", f"{where} 'low'"))
+    high = float(_typed(design.get("high", 5.0), "a number", f"{where} 'high'"))
+    rng = np.random.default_rng(seed)
+    return model, menu, rng.uniform(low, high, size=(count, menu.size)).tolist()

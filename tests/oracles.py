@@ -424,7 +424,7 @@ def validate_dataset_per_record(records, *, alternatives=None, tol=1e-9) -> Data
     return Dataset(menu, tuple(obs))
 
 
-def parse_datasets_csv_per_row(path, tol: float = 1e-9) -> dict[str, Dataset]:
+def parse_datasets_csv_per_row(path) -> dict[str, Dataset]:
     """``parse_datasets_csv`` one row at a time, validating per record."""
     with Path(path).open("r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -480,5 +480,5 @@ def parse_datasets_csv_per_row(path, tol: float = 1e-9) -> dict[str, Dataset]:
             values = [cells[a][0] for a in alts]
             probs = [cells[a][1] for a in alts]
             records.append((menu_id, values, probs))
-        out[menu_id] = validate_dataset_per_record(records, alternatives=alts, tol=tol)
+        out[menu_id] = validate_dataset_per_record(records, alternatives=alts)
     return out

@@ -196,8 +196,19 @@ class TestSimulate:
             ({"values": None, "design": {"count": None}}, "model spec design 'count'"),
             ({"menu": {"id": "sim", "alternatives": 5}}, "model spec menu 'alternatives'"),
             ({"family": ["x"]}, "model spec 'family'"),
+            ({"values": None, "design": {"count": 2.7}}, "model spec design 'count'"),
+            ({"values": None, "design": {"count": True}}, "model spec design 'count'"),
+            ({"values": None, "design": {"count": -1}}, "model spec design 'count'"),
+            ({"menu": {"id": ["x"], "alternatives": ["a", "b"]}}, "model spec menu 'id'"),
+            ({"menu": {"id": 5, "alternatives": ["a", "b"]}}, "model spec menu 'id'"),
+            ({"params": {"theta": True}}, "pairwise_regret parameter 'theta'"),
+            ({"values": [[True, 0]]}, "model spec 'values' entry must be a number"),
         ],
-        ids=["theta", "params", "values", "rows", "values-entry", "count", "alternatives", "family"],
+        ids=[
+            "theta", "params", "values", "rows", "values-entry", "count", "alternatives", "family",
+            "count-float", "count-bool", "count-negative", "id-list", "id-number", "theta-bool",
+            "values-entry-bool",
+        ],
     )
     def test_malformed_spec_exits_2(self, fields, error, tmp_path, capsys):
         # A malformed or mistyped field is an error line and exit 2, not a
@@ -303,6 +314,18 @@ class TestErrorsAndDeterminism:
         path = tmp_path / "bad.csv"
         path.write_text("menu_id,obs_id,alternative,value,prob\nm,1,x,zero,0.5\n")
         assert main(["check", "--input", str(path)]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("command", ["check", "fit", "verify", "report-all"])
+    def test_unreadable_record_exits_2(self, command, tmp_path, capsys):
+        # A field over the csv module's size limit is an error line and exit
+        # 2, and no report is written.
+        path = tmp_path / "big.csv"
+        oversized = "m,1,x,0," + "9" * (csv.field_size_limit() + 1) + "\n"
+        path.write_text("menu_id,obs_id,alternative,value,prob\n" + oversized)
+        out = tmp_path / "report.json"
+        assert main([command, "--input", str(path), "--output", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: field larger than field limit")
+        assert not out.exists() and not out.with_suffix(".series.csv").exists()
 
     def test_bad_tolerance_rejected(self, softmax_path):
         assert main(["check", "--input", str(softmax_path), "--tol-cm", "-1"]) == EXIT_USAGE

@@ -1,4 +1,4 @@
-"""Tests for CSV ingestion/emission and model-spec loading."""
+"""Tests for CSV ingestion/emission, and for ``models.load_model_spec``."""
 
 import csv
 import json
@@ -21,11 +21,11 @@ from cyclorat.dataio import (
     MissingColumnError,
     ParseError,
     fmt17,
-    load_model_spec,
     parse_dataset_csv,
     parse_datasets_csv,
     write_dataset_csv,
 )
+from cyclorat.models import load_model_spec
 
 from conftest import luce_dataset
 from oracles import parse_datasets_csv_per_row
@@ -195,9 +195,9 @@ def test_load_model_spec_random_design(tmp_path):
         ' "menu": {"id": "m", "alternatives": ["a", "b", "c"]},'
         ' "design": {"count": 5, "low": -1, "high": 1}}'
     )
-    model, menu, design = load_model_spec(path)
+    model, menu, rows = load_model_spec(path, seed=7)
     assert model.theta == 2.0
-    assert design == {"count": 5, "low": -1.0, "high": 1.0}
+    assert rows == np.random.default_rng(7).uniform(-1.0, 1.0, size=(5, 3)).tolist()
 
 
 MENU_AB = {"id": "m", "alternatives": ["a", "b"]}

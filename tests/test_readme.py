@@ -5,6 +5,7 @@ import shlex
 from pathlib import Path
 
 from cyclorat.cli import main
+from cyclorat.models import PairwiseRegret, load_model_spec
 from cyclorat.report import SCHEMA_VERSION
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -16,6 +17,16 @@ def _blocks(lang: str) -> list[str]:
 
 def test_schema_version_matches_report():
     assert re.findall(r"schema_version: (\d+)", README) == [str(SCHEMA_VERSION)]
+
+
+def test_model_spec_example_loads(tmp_path):
+    (block,) = _blocks("json")
+    path = tmp_path / "model.json"
+    path.write_text(block)
+    model, menu, rows = load_model_spec(path)
+    assert model == PairwiseRegret(theta=2.0)
+    assert menu.alternatives == ("a", "b")
+    assert rows == [[0.0, 0.0], [1.0, 0.0]]
 
 
 def test_library_quick_start_runs():
