@@ -57,7 +57,7 @@ EXIT_REJECTED = 3
 
 @dataclass
 class RunConfig:
-    """Everything one invocation needs; tolerances must be positive."""
+    """Everything one invocation needs; tolerances must be finite and positive."""
 
     command: str
     input: str | None = None
@@ -69,11 +69,11 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("tol_cm", "tol_opt"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
+        for name in ("tol_cm", "tol_opt"):  # NaN fails every comparison
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and positive")
+        if not 0 <= self.epsilon < np.inf:
+            raise ValueError("epsilon must be finite and non-negative")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
 

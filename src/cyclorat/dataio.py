@@ -170,6 +170,9 @@ def parse_datasets_csv(path) -> dict[str, Dataset]:
         extra = [c for c in header if c not in CSV_COLUMNS]
         if extra:
             raise ParseError(1, f"unexpected column(s): {', '.join(extra)}")
+        repeated = [c for c in CSV_COLUMNS if header.count(c) > 1]
+        if repeated:
+            raise ParseError(1, f"repeated column(s): {', '.join(repeated)}")
         col = {name: header.index(name) for name in CSV_COLUMNS}
         ids = {col[c] for c in CSV_COLUMNS[:3]}
         columns, rest = _read_columns(reader, len(header), ids)

@@ -333,8 +333,10 @@ def check_cyclic_monotonicity(dataset: Dataset, tol: float = TOL_CM) -> CMVerdic
 
     Every pass carries its potentials.  A witness has a compensated mean,
     hence also a sum, below ``-tol``; it is not guaranteed to be the most
-    negative cycle.
+    negative cycle.  A NaN ``tol`` raises ``ValueError``.
     """
+    if math.isnan(tol):
+        raise ValueError("tol must not be NaN")
     W = edge_weights(dataset)
     mm = _min_mean_cycle(W)
     if mm.lower - _edge_weight_error(dataset) >= -tol:

@@ -17,8 +17,8 @@ max-affine f the conjugate is the finite linear program
 equal to +inf outside conv{g_i}.  Fenchel equality <v^i, p^i> = f(v^i) +
 C(p^i) then certifies that every observation maximizes <v, p> - C(p).
 
-Converse direction: closed-form and iterative solvers produce the choice
-probabilities of a perturbed utility model, argmax_{p in simplex}
+Converse direction: closed-form, vertex and Frank-Wolfe solvers produce the
+choice probabilities of a perturbed utility model, argmax_{p in simplex}
 <v, p> - C(p), whose outputs are cyclically monotone by construction.
 """
 
@@ -252,25 +252,17 @@ def pum_solve_closed(kind: str, v) -> SimplexPoint:
     (C(p) = 0.5 * sum p^2) gives the Euclidean projection of v onto the
     simplex.  Both maximizers are unique by strict convexity.
     """
-    if kind == "negentropy":
-        return SimplexPoint(softmax_probabilities(v))
-    if kind == "quadratic":
-        return SimplexPoint(simplex_projection(v))
-    raise ValueError(f"unknown cost kind {kind!r}; expected 'negentropy' or 'quadratic'")
+    if kind not in _CLOSED_FORMS:
+        raise ValueError(f"unknown cost kind {kind!r}; expected 'negentropy' or 'quadratic'")
+    return SimplexPoint(_CLOSED_FORMS[kind][1](v))
 
 
 class CostEvaluator(abc.ABC):
-    """A convex cost on the simplex (or a subset of it)."""
-
-    #: Whether ``grad`` is available and the cost is finite on the interior.
-    smooth: bool = False
+    """A convex cost on the simplex; ``pum_solve_general`` solves the built-in four."""
 
     @abc.abstractmethod
     def value(self, p: np.ndarray) -> float:
         """Cost at p; +inf outside the effective domain."""
-
-    def grad(self, p: np.ndarray) -> np.ndarray:
-        raise NotImplementedError(f"{type(self).__name__} has no gradient")
 
 
 def _neg_entropy(p: np.ndarray) -> float:
@@ -283,31 +275,26 @@ def _neg_entropy(p: np.ndarray) -> float:
 class NegEntropyCost(CostEvaluator):
     """C(p) = sum_a p_a ln p_a (negative Shannon entropy)."""
 
-    smooth = True
-
     def value(self, p: np.ndarray) -> float:
         return _neg_entropy(p)
-
-    def grad(self, p: np.ndarray) -> np.ndarray:
-        return 1.0 + np.log(np.maximum(p, 1e-300))
 
 
 class QuadraticCost(CostEvaluator):
     """C(p) = 0.5 * sum_a p_a^2."""
 
-    smooth = True
-
     def value(self, p: np.ndarray) -> float:
         return 0.5 * math.fsum((p * p).tolist())
 
-    def grad(self, p: np.ndarray) -> np.ndarray:
-        return np.asarray(p, dtype=float)
+
+#: Each strictly convex cost's class and closed-form maximizer, by kind.
+_CLOSED_FORMS = {
+    "negentropy": (NegEntropyCost, softmax_probabilities),
+    "quadratic": (QuadraticCost, simplex_projection),
+}
 
 
 class DataDerivedCost(CostEvaluator):
     """Conjugate of a fitted max-affine extension; +inf outside conv{g_i}."""
-
-    smooth = False
 
     def __init__(self, fit: PotentialFit, dataset: Dataset):
         self.vertices, self.offsets = _max_affine_data(fit, dataset)
@@ -324,7 +311,7 @@ class SmoothedDataDerivedCost(DataDerivedCost):
     """
 
     def __init__(self, fit: PotentialFit, dataset: Dataset, epsilon: float):
-        if epsilon <= 0:
+        if not epsilon > 0:  # NaN included
             raise ValueError(f"epsilon must be positive, got {epsilon}")
         super().__init__(fit, dataset)
         self.epsilon = epsilon
@@ -340,6 +327,8 @@ class SmoothedDataDerivedCost(DataDerivedCost):
 class PumSolution:
     """Solver output: the point, its objective, and the certified gap.
 
+    ``gap`` is 0.0 from the exact routes (closed form and vertex scan) and
+    the final Frank-Wolfe gap from the smoothed data-derived route.
     ``unique`` is False for piecewise-linear costs, whose argmax can be a
     face; the returned point still maximizes the objective.
     """
@@ -351,44 +340,7 @@ class PumSolution:
     iterations: int
 
 
-def _solve_smooth_mirror(
-    cost: CostEvaluator, v: np.ndarray, tol: float, budget: int
-) -> PumSolution:
-    # Entropic mirror ascent on F(p) = <v, p> - C(p) with a backtracked step;
-    # certified by the Frank-Wolfe gap max_a grad_a - <grad, p>.
-    n = v.size
-    p = np.full(n, 1.0 / n)
-    if not math.isfinite(cost.value(p)):
-        raise EmptyDomainError("cost is infinite at the simplex barycenter")
-
-    def objective(q: np.ndarray) -> float:
-        return comp_dot(v, q) - cost.value(q)
-
-    f_p = objective(p)
-    for it in range(1, budget + 1):
-        g = v - cost.grad(p)
-        gap = float(np.max(g)) - comp_dot(g, p)
-        if gap <= tol:
-            return PumSolution(SimplexPoint(p), f_p, gap, True, it)
-        step = 1.0
-        log_p = np.log(np.maximum(p, 1e-300))
-        while True:
-            z = log_p + step * g
-            z -= np.max(z)
-            cand = exact_simplex_array(np.exp(z))
-            f_cand = objective(cand)
-            if f_cand > f_p:
-                break
-            step *= 0.5
-            if step < 1e-14:
-                raise NoProgressError(
-                    f"mirror ascent stalled with gap {gap:.3e} > {tol:.3e}"
-                )
-        p, f_p = cand, f_cand
-    raise NoProgressError(f"gap above {tol:.3e} after {budget} iterations")
-
-
-def _solve_data_derived(cost: DataDerivedCost, v: np.ndarray, tol: float) -> PumSolution:
+def _solve_data_derived(cost: DataDerivedCost, v: np.ndarray) -> PumSolution:
     # The objective is piecewise linear over conv{g_i}; its maximum over the
     # polytope is attained at a vertex, found by direct enumeration.
     G, c = cost.vertices, cost.offsets
@@ -481,21 +433,23 @@ def pum_solve_general(
 ) -> PumSolution:
     """Maximize <v, p> - C(p) over the feasible probabilities.
 
-    The returned solution carries a certified optimality gap at most ``tol``
-    (a Frank-Wolfe gap, computable without knowing the optimum).  Strictly
-    convex costs yield the unique maximizer to within the gap; data-derived
-    piecewise-linear costs yield a maximizing vertex flagged as non-unique.
-    Raises ``NoProgressError`` when the gap stalls above ``tol`` within the
-    iteration budget and ``EmptyDomainError`` when the cost is nowhere
-    finite on the feasible set.
+    ``NegEntropyCost`` and ``QuadraticCost`` take the closed form of
+    ``pum_solve_closed``, and ``DataDerivedCost`` its best vertex g_j
+    (flagged as non-unique); both are exact, with gap 0.0.
+    ``SmoothedDataDerivedCost`` runs pairwise Frank-Wolfe until its gap, a
+    certified optimality bound, is at most ``tol``, and raises
+    ``NoProgressError`` when the gap stalls or ``budget`` runs out.  Any
+    other ``CostEvaluator`` raises ``EmptyDomainError``.
     """
     arr = v.entries if isinstance(v, ValueVector) else np.asarray(v, dtype=float)
     if isinstance(cost, SmoothedDataDerivedCost):
         return _solve_smoothed_data(cost, arr, tol, budget)
     if isinstance(cost, DataDerivedCost):
-        return _solve_data_derived(cost, arr, tol)
-    if cost.smooth:
-        return _solve_smooth_mirror(cost, arr, tol, budget)
+        return _solve_data_derived(cost, arr)
+    for cls, kernel in _CLOSED_FORMS.values():
+        if type(cost) is cls:  # a subclass may change C, and with it the maximizer
+            p = kernel(arr)
+            return PumSolution(SimplexPoint(p), comp_dot(arr, p) - cost.value(p), 0.0, True, 1)
     raise EmptyDomainError(f"no solver route for cost {type(cost).__name__}")
 
 

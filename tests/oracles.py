@@ -439,6 +439,9 @@ def parse_datasets_csv_per_row(path) -> dict[str, Dataset]:
         extra = [c for c in header if c not in CSV_COLUMNS]
         if extra:
             raise ParseError(1, f"unexpected column(s): {', '.join(extra)}")
+        repeated = [c for c in CSV_COLUMNS if header.count(c) > 1]
+        if repeated:
+            raise ParseError(1, f"repeated column(s): {', '.join(repeated)}")
         col = {name: header.index(name) for name in CSV_COLUMNS}
 
         # menu_id -> {"alts": [...], "obs": {obs_id: {alt: (value, prob)}}}

@@ -330,6 +330,35 @@ class TestErrorsAndDeterminism:
     def test_bad_tolerance_rejected(self, softmax_path):
         assert main(["check", "--input", str(softmax_path), "--tol-cm", "-1"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "command, data, flag, value",
+        [
+            ("check", "violation", "--tol-cm", "nan"),
+            ("check", "violation", "--tol-cm", "inf"),
+            ("verify", "softmax", "--tol-opt", "nan"),
+            ("verify", "softmax", "--tol-opt", "inf"),
+            ("verify", "softmax", "--epsilon", "nan"),
+            ("verify", "softmax", "--epsilon", "inf"),
+        ],
+    )
+    def test_non_finite_flag_exits_2(self, command, data, flag, value, request, tmp_path, capsys):
+        # Each would pass a gate it should not: a NaN tolerance passes a
+        # violation in the band, an infinite one by certificate, or any gap,
+        # and a NaN epsilon drops the smoothed solutions.
+        path = request.getfixturevalue(f"{data}_path")
+        out = tmp_path / "report.json"
+        assert main([command, "--input", str(path), "--output", str(out), flag, value]) == EXIT_USAGE
+        name = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err.startswith(f"error: {name} must be finite and ")
+        assert not out.exists()
+
+    def test_repeated_column_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        rows = SOFTMAX_CSV.splitlines()
+        path.write_text("\n".join([rows[0] + ",prob"] + [row + ",0.5" for row in rows[1:]]) + "\n")
+        assert main(["check", "--input", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: line 1: repeated column(s): prob\n"
+
     def test_unknown_subcommand_usage(self):
         assert main(["frobnicate"]) == EXIT_USAGE
 

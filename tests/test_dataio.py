@@ -67,6 +67,17 @@ def test_unexpected_column(tmp_path):
         parse_dataset_csv(path)
 
 
+def test_repeated_column(tmp_path):
+    # Column lookup takes the first 'prob'; a second one would go unread.
+    path = tmp_path / "d.csv"
+    path.write_text("menu_id,obs_id,alternative,value,prob,prob\nm,1,x,0,1,0.5\nm,1,y,0,0,0.5\n")
+    with pytest.raises(ParseError, match=r"^line 1: repeated column\(s\): prob$") as err:
+        parse_datasets_csv(path)
+    assert err.value.line == 1
+    with pytest.raises(ParseError, match="repeated column"):
+        parse_datasets_csv_per_row(path)
+
+
 def test_negative_prob_reported_with_record(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text(

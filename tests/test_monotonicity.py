@@ -532,6 +532,12 @@ class TestToleranceRule:
         if status == "violation":
             assert check_cyclic_monotonicity(d, tol).witness.indices == (1, 2)
 
+    def test_nan_tolerance_raises(self, violation_fixture):
+        # NaN fails every comparison, so it would pass a violation in the
+        # rounding band.
+        with pytest.raises(ValueError, match="NaN"):
+            check_cyclic_monotonicity(violation_fixture, math.nan)
+
     def test_realized_weights(self):
         rng = np.random.default_rng(46)
         seen = set()

@@ -369,6 +369,19 @@ class TestClosedFormSolvers:
             samples = rng.dirichlet(np.ones(size), size=400)
             assert d2 <= float(np.min(np.sum((samples - v) ** 2, axis=1))) + 1e-9
 
+    def test_softmax_against_entropy_oracle(self):
+        # Independent check: p maximizes <v, p> - sum p ln p iff it beats a
+        # dense sample of simplex points.
+        rng = np.random.default_rng(64)
+        cost = NegEntropyCost()
+        for _ in range(25):
+            size = int(rng.integers(2, 6))
+            v = rng.uniform(-3, 3, size)
+            p = softmax_probabilities(v)
+            best = comp_dot(v, p) - cost.value(p)
+            samples = rng.dirichlet(np.ones(size), size=400)
+            assert best >= max(comp_dot(v, q) - cost.value(q) for q in samples) - 1e-12
+
     def test_duality_golden_pair(self):
         rng = np.random.default_rng(40)
         for _ in range(100):
@@ -381,11 +394,10 @@ class TestClosedFormSolvers:
 
 class TestGeneralSolver:
     def test_negentropy_matches_closed_form(self):
-        sol = pum_solve_general(NegEntropyCost(), [1.0, 0.0], 1e-8)
-        closed = pum_solve_closed("negentropy", [1.0, 0.0])
-        assert np.max(np.abs(sol.probs.entries - closed.entries)) <= 1e-6
-        assert sol.gap <= 1e-8
-        assert sol.unique
+        _assert_exact_closed_form(NegEntropyCost(), "negentropy")
+
+    def test_quadratic_matches_closed_form(self):
+        _assert_exact_closed_form(QuadraticCost(), "quadratic")
 
     def test_quadratic_interior_fixed_point(self):
         sol = pum_solve_general(QuadraticCost(), [0.6, 0.4], 1e-8)
@@ -474,6 +486,18 @@ class TestGeneralSolver:
                     - pum_solve_general(cost, dn, 1e-10).objective
                 ) / (2 * h)
                 assert abs(fd - sol.probs.entries[a]) <= 1e-4
+
+
+def _assert_exact_closed_form(cost, kind: str) -> None:
+    # Bit for bit the closed form, with its objective and a zero gap; the
+    # spread values put projections on faces and softmax entries near 0.
+    rng = np.random.default_rng(65)
+    for v in [[1.0, 0.0], [0.6, 0.4], *rng.uniform(-40, 40, (20, 5)).tolist()]:
+        sol = pum_solve_general(cost, v, 1e-8)
+        p = pum_solve_closed(kind, v).entries
+        assert sol.probs.entries.tobytes() == p.tobytes()
+        assert sol.objective == comp_dot(np.asarray(v), p) - cost.value(p)
+        assert (sol.gap, sol.unique, sol.iterations) == (0.0, True, 1)
 
 
 def _duplicate_gradient_menu(rng: np.random.Generator) -> Dataset:
@@ -608,30 +632,44 @@ class TestDegenerateGeometry:
 
 class TestSolverErrorPaths:
     def test_budget_exhaustion_raises_no_progress(self):
+        # At v = 0, off the data, the smoothed Frank-Wolfe solve to 1e-12
+        # takes hundreds of steps, so a budget of one cuts it short.
         from cyclorat import NoProgressError
 
+        rng = np.random.default_rng(5)
+        V = rng.uniform(-3.0, 3.0, (40, 5))
+        d = make_dataset("m", V.tolist(), (np.exp(V) / np.exp(V).sum(axis=1, keepdims=True)).tolist())
+        cost = SmoothedDataDerivedCost(compute_potentials(d), d, 0.1)
+        assert pum_solve_general(cost, np.zeros(5), 1e-12).iterations > 100
         with pytest.raises(NoProgressError):
-            pum_solve_general(QuadraticCost(), [3.0, -1.0, 0.5], 1e-12, budget=1)
+            pum_solve_general(cost, np.zeros(5), 1e-12, budget=1)
 
     def test_infinite_cost_raises_empty_domain(self):
         from cyclorat import CostEvaluator, EmptyDomainError
 
         class NowhereFinite(CostEvaluator):
-            smooth = True
-
             def value(self, p):
                 return math.inf
 
-            def grad(self, p):
-                return np.zeros_like(p)
-
-        with pytest.raises(EmptyDomainError):
+        with pytest.raises(EmptyDomainError, match="no solver route"):
             pum_solve_general(NowhereFinite(), [0.0, 1.0])
+
+    def test_subclass_of_closed_form_cost_raises_empty_domain(self):
+        # A subclass may change C, so the closed form no longer holds for it.
+        from cyclorat import EmptyDomainError
+
+        class Scaled(QuadraticCost):
+            def value(self, p):
+                return 2.0 * super().value(p)
+
+        with pytest.raises(EmptyDomainError, match="no solver route for cost Scaled"):
+            pum_solve_general(Scaled(), [0.0, 1.0])
 
     def test_smoothed_cost_requires_positive_epsilon(self, softmax_fixture):
         fit = compute_potentials(softmax_fixture)
-        with pytest.raises(ValueError):
-            SmoothedDataDerivedCost(fit, softmax_fixture, 0.0)
+        for epsilon in (0.0, math.nan):
+            with pytest.raises(ValueError):
+                SmoothedDataDerivedCost(fit, softmax_fixture, epsilon)
 
 
 @pytest.mark.parametrize("cells", [None, 1, 7 * 150])
