@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .core import Dataset, validate_dataset
-from .errors import MixedMenusError, ValidationError
+from .errors import EmptyDatasetError, MixedMenusError, ValidationError
 
 CSV_COLUMNS = ("menu_id", "obs_id", "alternative", "value", "prob")
 
@@ -154,10 +154,10 @@ def parse_datasets_csv(path) -> dict[str, Dataset]:
     matrices.  Only a file with a blank or faulty record is walked record by
     record, to skip the blanks and report the first fault in file order.
     Validation uses ``core.TOL_SIMPLEX`` and its failures carry the
-    offending menu/observation identifiers.
+    offending menu/observation identifiers.  No record at all is an error.
     """
     path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as fh:
+    with path.open("r", encoding="utf-8-sig", newline="") as fh:  # drops a leading BOM
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -181,6 +181,8 @@ def parse_datasets_csv(path) -> dict[str, Dataset]:
             columns = _screen(chain(zip(*columns), rest or ()), len(header), col)
             menus = _menus(columns, col)
     del columns, rest
+    if not menus:
+        raise EmptyDatasetError(f"{path} holds no records")
 
     out: dict[str, Dataset] = {}
     for menu_id, alts, values, probs, fault in menus:

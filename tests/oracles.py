@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from cyclorat.core import TOL_CM, Dataset, Menu, Observation, ValueVector, validate_simplex
-from cyclorat.dataio import CSV_COLUMNS, MissingColumnError, ParseError, fmt17
+from cyclorat.dataio import CSV_COLUMNS, MissingColumnError, ParseError, csv_field, fmt17
 from cyclorat.errors import (
     DuplicateValuesWarning,
     EmptyDatasetError,
@@ -371,7 +371,7 @@ def write_series_csv(path: Path, rows: list[tuple[str, str, str, float]]) -> Non
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write("menu_id,series,key,value\n")
         for menu_id, series, key, value in rows:
-            fh.write(f"{menu_id},{series},{key},{fmt17(value)}\n")
+            fh.write(f"{csv_field(menu_id)},{series},{key},{fmt17(value)}\n")
 
 
 def validate_dataset_per_record(records, *, alternatives=None, tol=1e-9) -> Dataset:
@@ -426,7 +426,7 @@ def validate_dataset_per_record(records, *, alternatives=None, tol=1e-9) -> Data
 
 def parse_datasets_csv_per_row(path) -> dict[str, Dataset]:
     """``parse_datasets_csv`` one row at a time, validating per record."""
-    with Path(path).open("r", encoding="utf-8", newline="") as fh:
+    with Path(path).open("r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -469,6 +469,8 @@ def parse_datasets_csv_per_row(path) -> dict[str, Dataset]:
                     f"duplicate alternative {alt!r} for menu {menu_id!r}, observation {obs_id!r}",
                 )
             cells[alt] = (value, prob)
+    if not menus:
+        raise EmptyDatasetError(f"{path} holds no records")
 
     out: dict[str, Dataset] = {}
     for menu_id, entry in menus.items():

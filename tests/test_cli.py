@@ -262,23 +262,31 @@ class TestReportAll:
             assert 0.0 <= row["distance_bound"] <= 1e-3
 
 
+SERIES_FIXTURES = {
+    # One observation: no pairs, so no two_cycle_sum rows.
+    "n1": ("\n".join(SOFTMAX_CSV.splitlines()[:3]) + "\n", EXIT_OK, 3),
+    "n2": (SOFTMAX_CSV, EXIT_OK, 7),
+    # A failing menu has its pair's sum and no potentials or gaps.
+    "failing": (VIOLATION_CSV, EXIT_REJECTED, 1),
+    "quoted_id": (SOFTMAX_CSV.replace("\nm,", '\n"a,""b""%c",'), EXIT_OK, 7),
+    "mixed": (mixed_menus_csv(np.random.default_rng(70)), EXIT_REJECTED, None),
+}
+
+
 class TestSeriesCsv:
-    @pytest.mark.parametrize("block_pairs", [None, 1, 7])
-    def test_matches_row_oracle(self, block_pairs, tmp_path, monkeypatch):
-        # Block sizes that split rows mid-way must not change a byte.
-        if block_pairs is not None:
-            monkeypatch.setattr(monotonicity, "PAIR_BLOCK_CELLS", 16 * block_pairs)
+    @pytest.mark.parametrize("name", list(SERIES_FIXTURES))
+    def test_matches_row_oracle(self, name, tmp_path):
+        text, exit_code, n_rows = SERIES_FIXTURES[name]
         data, out = tmp_path / "menus.csv", tmp_path / "report.json"
-        data.write_text(mixed_menus_csv(np.random.default_rng(70)))
+        data.write_text(text)
         code, report = run(RunConfig(command="report-all", input=str(data), output=str(out)))
-        assert code == EXIT_REJECTED
-        sections = {m["menu_id"]: m for m in report["menus"]}
-        assert sections["viol"]["cyclic_monotonicity"]["status"] == "violation"
-        assert "potentials" not in sections["viol"]
-        assert "verification" in sections["pass"] and "verification" in sections["50%_x"]
+        assert code == exit_code
         oracle = tmp_path / "oracle.csv"
         write_series_csv(oracle, series_rows(parse_datasets_csv(data), report))
-        assert (tmp_path / "report.series.csv").read_bytes() == oracle.read_bytes()
+        written = (tmp_path / "report.series.csv").read_bytes()
+        assert written == oracle.read_bytes()
+        if n_rows is not None:
+            assert written.count(b"\n") == 1 + n_rows
 
     def test_runs_are_byte_identical(self, tmp_path):
         data, out = tmp_path / "menus.csv", tmp_path / "report.json"
@@ -325,6 +333,17 @@ class TestErrorsAndDeterminism:
         out = tmp_path / "report.json"
         assert main([command, "--input", str(path), "--output", str(out)]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: field larger than field limit")
+        assert not out.exists() and not out.with_suffix(".series.csv").exists()
+
+    @pytest.mark.parametrize("command", ["check", "fit", "verify", "report-all"])
+    def test_header_only_file_exits_2(self, command, tmp_path, capsys):
+        # A file with no record has nothing checked: an error line and exit
+        # 2, not a pass over no menus, and no report is written.
+        path = tmp_path / "hdr.csv"
+        path.write_text("menu_id,obs_id,alternative,value,prob\n\n")
+        out = tmp_path / "report.json"
+        assert main([command, "--input", str(path), "--output", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {path} holds no records\n"
         assert not out.exists() and not out.with_suffix(".series.csv").exists()
 
     def test_bad_tolerance_rejected(self, softmax_path):

@@ -10,6 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from cyclorat import (
+    EmptyDatasetError,
     LuceExponential,
     MixedMenusError,
     NegativeEntryError,
@@ -269,6 +270,28 @@ def test_empty_file(tmp_path):
 
 
 HEADER = "menu_id,obs_id,alternative,value,prob\n"
+
+
+@pytest.mark.parametrize("body", ["", "\n", ",,,,\n   \n"], ids=["header_only", "blank", "blank_fields"])
+@pytest.mark.parametrize("parse", [parse_datasets_csv, parse_datasets_csv_per_row])
+def test_no_records_after_header(tmp_path, parse, body):
+    # A file that names its columns but holds no record is not an empty
+    # analysis: it raises rather than parsing to no menus.
+    path = tmp_path / "d.csv"
+    path.write_text(HEADER + body)
+    with pytest.raises(EmptyDatasetError, match="holds no records"):
+        parse(path)
+
+
+@pytest.mark.parametrize("parse", [parse_datasets_csv, parse_datasets_csv_per_row])
+def test_byte_order_mark_is_dropped(tmp_path, parse):
+    # Spreadsheet "CSV UTF-8" exports start with a BOM, which must not
+    # become part of the first column's name.
+    plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_text(SOFTMAX_CSV, encoding="utf-8")
+    marked.write_text("\ufeff" + SOFTMAX_CSV, encoding="utf-8")
+    assert marked.read_bytes()[:3] == b"\xef\xbb\xbf"
+    assert parse(marked) == parse(plain)
 
 
 def _parse_error(tmp_path, body: str) -> Exception:
