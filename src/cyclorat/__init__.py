@@ -14,8 +14,8 @@ from importlib import import_module as _import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "core": """TOL_CM TOL_OPT TOL_SIMPLEX Dataset Menu Observation SimplexPoint
-        ValueVector comp_dot comp_sum make_dataset validate_dataset validate_simplex""",
+    "core": """TOL_CM TOL_OPT TOL_SIMPLEX Dataset Menu comp_dot comp_sum make_dataset
+        validate_dataset validate_simplex""",
     "errors": """BadSumError CycloratError DuplicateValuesWarning EmptyDatasetError
         EmptyDomainError InconsistentPairError IndexOutOfRangeError LengthMismatchError
         MixedMenusError NegativeEntryError NoProgressError NonFiniteError

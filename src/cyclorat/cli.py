@@ -135,7 +135,7 @@ def _analyze_menu(d: Dataset, config: RunConfig) -> tuple[dict, bool, bool]:
                 rows = []
                 for i, (v, p) in enumerate(zip(d.values_matrix, d.probs_matrix), start=1):
                     sol = rat.pum_solve_general(smoothed, v, config.tol_opt)
-                    q = sol.probs.entries
+                    q = sol.probs
                     rows.append(
                         {
                             "observation": i,
@@ -271,15 +271,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = RunConfig(**vars(args))
         code, report = run(config)
+        text = dumps_report(report)
+        if config.command == "simulate" or not config.output:
+            sys.stdout.write(text)
+        else:
+            Path(config.output).write_text(text, encoding="utf-8", newline="\n")
     except (CycloratError, OSError, ValueError, csv.Error) as exc:
         log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    text = dumps_report(report)
-    if config.command == "simulate" or not config.output:
-        sys.stdout.write(text)
-    else:
-        Path(config.output).write_text(text, encoding="utf-8", newline="\n")
     return code
 
 

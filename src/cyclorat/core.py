@@ -1,9 +1,10 @@
 """Shared domain types, validation, and numeric conventions.
 
 Every other module works with the types defined here: a ``Menu`` fixes the
-alternative labels and their order, a ``ValueVector`` carries one real value
-per alternative, a ``SimplexPoint`` carries choice probabilities, and a
-``Dataset`` pairs the two across observations.
+alternative labels and their order, and a ``Dataset`` over it holds the
+observations as two read-only n-by-|A| matrices, the value vectors v^i
+(one real value per alternative) and the choice probabilities p^i, row i
+for observation i.
 
 Numeric conventions:
 
@@ -20,7 +21,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import FrozenInstanceError, dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -56,12 +56,6 @@ def comp_dot(x, y) -> float:
     """Inner product with compensated summation of the rounded products."""
     prod = np.multiply(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     return math.fsum(prod.tolist())
-
-
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float, copy=True)
-    out.flags.writeable = False
-    return out
 
 
 def _check_vector(raw, *, name: str) -> np.ndarray:
@@ -122,51 +116,7 @@ class Menu:
         return f"Menu({self.id!r}, {list(self.alternatives)!r})"
 
 
-@dataclass(frozen=True, eq=False)
-class ValueVector:
-    """One real value per alternative; entries may have any sign."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        arr = _check_vector(self.entries, name="value vector")
-        object.__setattr__(self, "entries", _readonly(arr))
-
-    def __len__(self):
-        return self.entries.size
-
-    def __eq__(self, other):
-        return isinstance(other, ValueVector) and np.array_equal(self.entries, other.entries)
-
-    def __repr__(self):
-        return f"ValueVector({self.entries.tolist()!r})"
-
-
-@dataclass(frozen=True, eq=False)
-class SimplexPoint:
-    """A probability vector: non-negative entries summing to one.
-
-    Construct through :func:`validate_simplex` (or the model-side
-    normalization helpers), which enforce the invariants.
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=float)
-        object.__setattr__(self, "entries", _readonly(arr))
-
-    def __len__(self):
-        return self.entries.size
-
-    def __eq__(self, other):
-        return isinstance(other, SimplexPoint) and np.array_equal(self.entries, other.entries)
-
-    def __repr__(self):
-        return f"SimplexPoint({self.entries.tolist()!r})"
-
-
-def validate_simplex(raw, tol: float = TOL_SIMPLEX) -> SimplexPoint:
+def validate_simplex(raw, tol: float = TOL_SIMPLEX) -> np.ndarray:
     """Validate and normalize a raw probability vector.
 
     Entries in ``[-tol, 0)`` are treated as numerical dust: clamped to zero,
@@ -189,64 +139,36 @@ def validate_simplex(raw, tol: float = TOL_SIMPLEX) -> SimplexPoint:
         raise BadSumError(f"entries sum to {total!r}, expected 1 within {tol:g}")
     clamped = np.where(arr < 0.0, 0.0, arr)
     if np.array_equal(clamped, arr) and abs(total - 1.0) <= _EXACT_SUM_SLACK * arr.size:
-        return SimplexPoint(arr)
-    return SimplexPoint(exact_simplex_array(clamped))
-
-
-@dataclass(frozen=True, eq=False)
-class Observation:
-    """A paired value vector and choice-probability vector over one menu."""
-
-    values: ValueVector
-    probs: SimplexPoint
-
-    def __post_init__(self):
-        if len(self.values) != len(self.probs):
-            raise LengthMismatchError(
-                f"values have {len(self.values)} entries but probabilities have {len(self.probs)}"
-            )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Observation)
-            and self.values == other.values
-            and self.probs == other.probs
-        )
+        return arr
+    return exact_simplex_array(clamped)
 
 
 class Dataset:
-    """An ordered collection of observations over a single menu.
+    """Observations over one menu: read-only n-by-|A| matrices of value
+    vectors and of choice probabilities.
 
-    It holds read-only n-by-|A| value and probability matrices and builds
-    the ``observations`` tuple from them on first access.  Observation
-    positions (1..n) are stable and are the indices used in witness cycles
-    and reports.
+    ``values`` and ``probs`` are the matrices, or rows of them, and are
+    copied.  Row i of each is observation i + 1; these positions (1..n) are
+    the indices used in witness cycles and reports.
     """
 
-    def __init__(self, menu: Menu, observations: Iterable[Observation]):
-        obs = tuple(observations)
-        if not obs:
+    def __init__(self, menu: Menu, values, probs):
+        if not len(values):
             raise EmptyDatasetError(f"dataset over menu {menu.id!r} has no observations")
-        for k, o in enumerate(obs):
-            if len(o.values) != menu.size:
-                raise LengthMismatchError(
-                    f"observation {k + 1} has {len(o.values)} entries, menu has {menu.size}"
-                )
-        values = np.vstack([o.values.entries for o in obs])
-        self._hold(menu, values, np.vstack([o.probs.entries for o in obs]), observations=obs)
-
-    def _hold(self, menu: Menu, values: np.ndarray, probs: np.ndarray, **cached) -> Dataset:
-        """Take over the matrices, read-only, and any precomputed attributes."""
+        if len(values) != len(probs):
+            raise LengthMismatchError(f"{len(values)} value rows vs {len(probs)} probability rows")
+        for k, pair in enumerate(zip(values, probs)):
+            for row in pair:
+                if len(row) != menu.size:
+                    raise LengthMismatchError(
+                        f"observation {k + 1} has {len(row)} entries, menu has {menu.size}"
+                    )
+        values, probs = np.array(values, dtype=float), np.array(probs, dtype=float)
         values.flags.writeable = probs.flags.writeable = False
-        self.__dict__.update(menu=menu, _values=values, _probs=probs, **cached)
-        return self
+        self.__dict__.update(menu=menu, _values=values, _probs=probs)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    @cached_property
-    def observations(self) -> tuple[Observation, ...]:
-        return tuple(map(Observation, map(ValueVector, self._values), map(SimplexPoint, self._probs)))
 
     @property
     def n(self) -> int:
@@ -293,6 +215,9 @@ def validate_dataset(
     slack of one is what ``validate_simplex`` returns unchanged.  Every other
     record (all of them, if the rows are ragged) goes through the scalar
     validators, so results and errors are theirs.
+
+    Values above float max / (32 n) in magnitude raise ``NonFiniteError``:
+    |W_ij| <= 2 max|v|, and policy values and cycle sums are within 24 n max|v|.
     """
     records = [(menu_id, values, probs) for menu_id, values, probs in records]
     if not records:
@@ -323,21 +248,25 @@ def validate_dataset(
     failures: list[tuple[int, Exception]] = []
     for k in redo:
         try:
-            v = ValueVector(np.asarray(records[k][1], dtype=float))
-            if len(v) != menu.size:
-                raise LengthMismatchError(
-                    f"{len(v)} values against a menu of size {menu.size}"
-                )
+            v = _check_vector(records[k][1], name="value vector")
+            if v.size != menu.size:
+                raise LengthMismatchError(f"{v.size} values against a menu of size {menu.size}")
             p = validate_simplex(records[k][2], tol)
-            if len(p) != menu.size:
+            if p.size != menu.size:
                 raise LengthMismatchError(
-                    f"{len(p)} probabilities against a menu of size {menu.size}"
+                    f"{p.size} probabilities against a menu of size {menu.size}"
                 )
-            values[k], probs[k] = v.entries, p.entries
+            values[k], probs[k] = v, p
         except Exception as exc:  # aggregated below with record indices
             failures.append((k + 1, exc))
     if failures:
         raise RecordValidationError(failures)
+    vmax, bound = float(np.max(np.abs(values))), np.finfo(float).max / (32 * shape[0])
+    if vmax > bound:
+        raise NonFiniteError(
+            f"menu {menu.id!r} has values up to {vmax:.6g} in magnitude, above "
+            f"float max / (32 n) = {bound:.6g}, where cycle sums can overflow"
+        )
 
     # Rows are keyed by their bytes, so -0.0 and 0.0 differ.
     row = np.dtype((np.void, values.itemsize * menu.size))
@@ -352,7 +281,7 @@ def validate_dataset(
             stacklevel=2,
         )
 
-    return Dataset.__new__(Dataset)._hold(menu, values, probs)
+    return Dataset(menu, values, probs)
 
 
 def make_dataset(

@@ -39,14 +39,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .core import (
-    Dataset,
-    Menu,
-    Observation,
-    SimplexPoint,
-    ValueVector,
-    exact_simplex_array,
-)
+from .core import Dataset, Menu, _check_vector, exact_simplex_array
 from .errors import EmptyDatasetError, TableLookupError, ValidationError, ZeroStrengthError
 
 # Largest exponent fed to exp() before the shared max-shift guard engages.
@@ -147,7 +140,7 @@ class CustomTable:
 PreferenceModel = Union[LuceExponential, PairwiseRegret, SalienceWeighted, CustomTable]
 
 
-def eval_preference(model: PreferenceModel, values: ValueVector) -> np.ndarray:
+def eval_preference(model: PreferenceModel, values) -> np.ndarray:
     """Evaluate a model's strength vector at one value vector.
 
     The result is non-negative and not identically zero; it is deterministic
@@ -155,7 +148,7 @@ def eval_preference(model: PreferenceModel, values: ValueVector) -> np.ndarray:
     evaluates to zero (a parameter pathology, never reachable for the
     built-in families at finite values).
     """
-    v = values.entries if isinstance(values, ValueVector) else ValueVector(values).entries
+    v = _check_vector(values, name="value vector")
     t = np.asarray(model.strengths(v), dtype=float)
     if t.shape != v.shape:
         raise ValueError(f"model returned shape {t.shape}, expected {v.shape}")
@@ -166,7 +159,7 @@ def eval_preference(model: PreferenceModel, values: ValueVector) -> np.ndarray:
     return t
 
 
-def normalize(strengths) -> SimplexPoint:
+def normalize(strengths) -> np.ndarray:
     """Rescale a non-zero, non-negative strength vector to sum to one.
 
     Invariant under positive rescaling of the input, and order-preserving:
@@ -180,10 +173,10 @@ def normalize(strengths) -> SimplexPoint:
     peak = float(np.max(t))
     if peak > 1e150:  # keep the compensated sum away from overflow
         t = t / peak
-    return SimplexPoint(exact_simplex_array(t))
+    return exact_simplex_array(t)
 
 
-def choice_probabilities(model: PreferenceModel, values: ValueVector) -> SimplexPoint:
+def choice_probabilities(model: PreferenceModel, values) -> np.ndarray:
     """Normalized strengths at one value vector."""
     return normalize(eval_preference(model, values))
 
@@ -197,11 +190,7 @@ def simulate_dataset(
     rows = list(value_rows)
     if not rows:
         raise EmptyDatasetError("simulation design is empty")
-    observations = []
-    for row in rows:
-        v = ValueVector(np.asarray(row, dtype=float))
-        observations.append(Observation(v, choice_probabilities(model, v)))
-    return Dataset(menu, tuple(observations))
+    return Dataset(menu, rows, [choice_probabilities(model, row) for row in rows])
 
 
 _FAMILY_NAMES = {

@@ -17,8 +17,8 @@ with compensated summation, decides a violation; and a converged run whose
 cycle sits between the two passes with the same potentials, which then hold
 every inequality to within eps plus rounding.
 
-Observation indices in cycles, witnesses, and violation reports are 1-based
-positions into ``Dataset.observations``.
+The indices in cycles, witnesses, and violation reports are 1-based rows
+of the dataset's matrices.
 """
 
 from __future__ import annotations

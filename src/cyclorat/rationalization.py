@@ -30,15 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    TOL_CM,
-    TOL_OPT,
-    Dataset,
-    SimplexPoint,
-    ValueVector,
-    comp_dot,
-    exact_simplex_array,
-)
+from .core import TOL_CM, TOL_OPT, Dataset, comp_dot, exact_simplex_array
 from .errors import (
     CycloratError,
     EmptyDomainError,
@@ -113,7 +105,7 @@ def evaluate_extension(fit: PotentialFit, dataset: Dataset, v) -> float:
     Returns max_i [ phi_i + <p^i, v - v^i> ]; convex and piecewise affine,
     and interpolates the potentials at the observed value vectors.
     """
-    vv = v.entries if isinstance(v, ValueVector) else np.asarray(v, dtype=float)
+    vv = np.asarray(v, dtype=float)
     V, G = dataset.values_matrix, dataset.probs_matrix
     phi = fit.potentials
     return max(
@@ -152,8 +144,7 @@ def conjugate_cost(fit: PotentialFit, dataset: Dataset, p) -> float:
     signal, not an error).  Solved by the dense two-phase simplex, the
     one-query case of ``_conjugate_many``.
     """
-    q = p.entries if isinstance(p, SimplexPoint) else p
-    return DataDerivedCost(fit, dataset).value(q)
+    return DataDerivedCost(fit, dataset).value(p)
 
 
 def _conjugate_many(
@@ -228,14 +219,14 @@ def _conjugate_many(
 
 def softmax_probabilities(v) -> np.ndarray:
     """Softmax with a max-shift guard, renormalized exactly."""
-    arr = v.entries if isinstance(v, ValueVector) else np.asarray(v, dtype=float)
+    arr = np.asarray(v, dtype=float)
     z = np.exp(arr - np.max(arr))
     return exact_simplex_array(z)
 
 
 def simplex_projection(v) -> np.ndarray:
     """Euclidean projection onto the probability simplex (sort-threshold)."""
-    arr = v.entries if isinstance(v, ValueVector) else np.asarray(v, dtype=float)
+    arr = np.asarray(v, dtype=float)
     u = np.sort(arr)[::-1]
     cums = np.cumsum(u)
     j = np.arange(1, arr.size + 1)
@@ -245,7 +236,7 @@ def simplex_projection(v) -> np.ndarray:
     return exact_simplex_array(out)
 
 
-def pum_solve_closed(kind: str, v) -> SimplexPoint:
+def pum_solve_closed(kind: str, v) -> np.ndarray:
     """Closed-form perturbed-utility choice for the two strictly convex costs.
 
     ``negentropy`` (C(p) = sum p ln p) gives the softmax of v; ``quadratic``
@@ -254,7 +245,7 @@ def pum_solve_closed(kind: str, v) -> SimplexPoint:
     """
     if kind not in _CLOSED_FORMS:
         raise ValueError(f"unknown cost kind {kind!r}; expected 'negentropy' or 'quadratic'")
-    return SimplexPoint(_CLOSED_FORMS[kind][1](v))
+    return _CLOSED_FORMS[kind][1](v)
 
 
 class CostEvaluator(abc.ABC):
@@ -333,7 +324,7 @@ class PumSolution:
     face; the returned point still maximizes the objective.
     """
 
-    probs: SimplexPoint
+    probs: np.ndarray
     objective: float
     gap: float
     unique: bool
@@ -346,7 +337,7 @@ def _solve_data_derived(cost: DataDerivedCost, v: np.ndarray) -> PumSolution:
     G, c = cost.vertices, cost.offsets
     scores = np.array([comp_dot(v, G[j]) - c[j] for j in range(G.shape[0])])
     j = int(np.argmax(scores))
-    return PumSolution(SimplexPoint(G[j]), float(scores[j]), 0.0, False, 1)
+    return PumSolution(G[j].copy(), float(scores[j]), 0.0, False, 1)
 
 
 def _solve_smoothed_data(
@@ -374,7 +365,7 @@ def _solve_smoothed_data(
         gap = float(grad_lam[s]) - comp_dot(grad_lam, lam)
         if gap <= tol:
             return PumSolution(
-                SimplexPoint(exact_simplex_array(np.maximum(q, 0.0))),
+                exact_simplex_array(np.maximum(q, 0.0)),
                 j_value(q, cost_lin),
                 gap,
                 True,
@@ -441,7 +432,7 @@ def pum_solve_general(
     ``NoProgressError`` when the gap stalls or ``budget`` runs out.  Any
     other ``CostEvaluator`` raises ``EmptyDomainError``.
     """
-    arr = v.entries if isinstance(v, ValueVector) else np.asarray(v, dtype=float)
+    arr = np.asarray(v, dtype=float)
     if isinstance(cost, SmoothedDataDerivedCost):
         return _solve_smoothed_data(cost, arr, tol, budget)
     if isinstance(cost, DataDerivedCost):
@@ -449,7 +440,7 @@ def pum_solve_general(
     for cls, kernel in _CLOSED_FORMS.values():
         if type(cost) is cls:  # a subclass may change C, and with it the maximizer
             p = kernel(arr)
-            return PumSolution(SimplexPoint(p), comp_dot(arr, p) - cost.value(p), 0.0, True, 1)
+            return PumSolution(p, comp_dot(arr, p) - cost.value(p), 0.0, True, 1)
     raise EmptyDomainError(f"no solver route for cost {type(cost).__name__}")
 
 
@@ -467,7 +458,10 @@ class RationalizationReport:
     Fenchel-Young gives C(p^i) >= <v^i, p^i> - f(v^i).
     ``optimality_gaps[i]`` is the largest advantage any sampled competitor
     q attains over phi_i in <v^i, q> - C(q), vertices priced at c_j.  Both
-    should sit at numerical noise level for cyclically monotone data.
+    should sit at numerical noise level for cyclically monotone data.  The
+    sampled mixtures can only test the conjugate LP: by Fenchel-Moreau
+    (Rockafellar, Convex Analysis, Thm. 12.2) the advantage over the whole
+    simplex is f(v^i) - phi_i, the Fenchel gap, so no sample decides it.
     """
 
     fenchel_gaps: np.ndarray

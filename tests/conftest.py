@@ -9,10 +9,7 @@ from cyclorat import (
     Dataset,
     LuceExponential,
     Menu,
-    Observation,
     PairwiseRegret,
-    SimplexPoint,
-    ValueVector,
     make_dataset,
     pum_solve_closed,
     simulate_dataset,
@@ -48,12 +45,8 @@ def violation_fixture() -> Dataset:
 
 def pum_dataset(kind: str, rng: np.random.Generator, n: int, size: int, menu_id: str = "m") -> Dataset:
     """Dataset generated by the closed-form perturbed-utility solver."""
-    menu = menu_of(size, menu_id)
-    obs = []
-    for _ in range(n):
-        v = rng.uniform(-4.0, 4.0, size)
-        obs.append(Observation(ValueVector(v), pum_solve_closed(kind, v)))
-    return Dataset(menu, tuple(obs))
+    values = [rng.uniform(-4.0, 4.0, size) for _ in range(n)]
+    return Dataset(menu_of(size, menu_id), values, [pum_solve_closed(kind, v) for v in values])
 
 
 def luce_dataset(rng: np.random.Generator, n: int, size: int, menu_id: str = "m") -> Dataset:
@@ -68,13 +61,11 @@ def regret_dataset(rng: np.random.Generator, n: int, size: int, theta: float = 3
 
 def random_probs_dataset(rng: np.random.Generator, n: int, size: int) -> Dataset:
     """Values and probabilities drawn independently; usually not monotone."""
-    menu = menu_of(size)
-    obs = []
-    for _ in range(n):
-        v = rng.uniform(-4.0, 4.0, size)
-        p = rng.dirichlet(np.ones(size))
-        obs.append(Observation(ValueVector(v), SimplexPoint(p)))
-    return Dataset(menu, tuple(obs))
+    values, probs = [], []
+    for _ in range(n):  # one value draw, then one Dirichlet draw, per observation
+        values.append(rng.uniform(-4.0, 4.0, size))
+        probs.append(rng.dirichlet(np.ones(size)))
+    return Dataset(menu_of(size), values, probs)
 
 
 def mixed_pool_dataset(rng: np.random.Generator, n: int, size: int) -> Dataset:

@@ -13,9 +13,9 @@ library's batched pseudo-inverse scan, and a cold two-phase simplex solve
 per query, which shares no basis between queries as the batched route
 does.  The series CSV's reference builds every row as a tuple and formats
 them one at a time.
-Dataset validation's reference builds a ``ValueVector``, a
-``SimplexPoint`` and an ``Observation`` per record, one record at a time,
-and the CSV parser's reference reads one row at a time into nested dicts.
+Dataset validation's reference checks and builds a (values, probabilities)
+pair of arrays per record, one record at a time, and the CSV parser's
+reference reads one row at a time into nested dicts.
 Weak stochastic transitivity's reference looks up every ordered triple of
 labels in turn.
 """
@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from cyclorat.core import TOL_CM, Dataset, Menu, Observation, ValueVector, validate_simplex
+from cyclorat.core import TOL_CM, Dataset, Menu, _check_vector, validate_simplex
 from cyclorat.dataio import CSV_COLUMNS, MissingColumnError, ParseError, csv_field, fmt17
 from cyclorat.errors import (
     DuplicateValuesWarning,
@@ -38,6 +38,7 @@ from cyclorat.errors import (
     InconsistentPairError,
     LengthMismatchError,
     MixedMenusError,
+    NonFiniteError,
     RecordValidationError,
     ValidationError,
 )
@@ -388,30 +389,36 @@ def validate_dataset_per_record(records, *, alternatives=None, tol=1e-9) -> Data
         alternatives = tuple(f"a{k + 1}" for k in range(size))
     menu = Menu(records[0][0], tuple(alternatives))
 
-    obs: list[Observation] = []
+    pairs: list[tuple[np.ndarray, np.ndarray]] = []
     failures: list[tuple[int, Exception]] = []
     for k, (_, values, probs) in enumerate(records):
         try:
-            v = ValueVector(np.asarray(values, dtype=float))
-            if len(v) != menu.size:
+            v = _check_vector(values, name="value vector")
+            if v.size != menu.size:
                 raise LengthMismatchError(
-                    f"{len(v)} values against a menu of size {menu.size}"
+                    f"{v.size} values against a menu of size {menu.size}"
                 )
             p = validate_simplex(probs, tol)
-            if len(p) != menu.size:
+            if p.size != menu.size:
                 raise LengthMismatchError(
-                    f"{len(p)} probabilities against a menu of size {menu.size}"
+                    f"{p.size} probabilities against a menu of size {menu.size}"
                 )
-            obs.append(Observation(v, p))
+            pairs.append((v, p))
         except Exception as exc:  # aggregated below with record indices
             failures.append((k + 1, exc))
     if failures:
         raise RecordValidationError(failures)
+    vmax = max(float(np.max(np.abs(v))) for v, _ in pairs)
+    bound = np.finfo(float).max / (32 * len(pairs))
+    if vmax > bound:
+        raise NonFiniteError(
+            f"menu {menu.id!r} has values up to {vmax:.6g} in magnitude, above "
+            f"float max / (32 n) = {bound:.6g}, where cycle sums can overflow"
+        )
 
     seen: dict[bytes, tuple[int, bytes]] = {}
-    for k, o in enumerate(obs):
-        key = o.values.entries.tobytes()
-        pkey = o.probs.entries.tobytes()
+    for k, (v, p) in enumerate(pairs):
+        key, pkey = v.tobytes(), p.tobytes()
         if key in seen and seen[key][1] != pkey:
             warnings.warn(
                 f"observations {seen[key][0] + 1} and {k + 1} share a value vector "
@@ -421,7 +428,7 @@ def validate_dataset_per_record(records, *, alternatives=None, tol=1e-9) -> Data
             )
         seen.setdefault(key, (k, pkey))
 
-    return Dataset(menu, tuple(obs))
+    return Dataset(menu, [v for v, _ in pairs], [p for _, p in pairs])
 
 
 def parse_datasets_csv_per_row(path) -> dict[str, Dataset]:

@@ -14,7 +14,6 @@ import numpy as np
 
 from cyclorat import (
     LuceExponential,
-    ValueVector,
     check_cyclic_monotonicity,
     check_two_point_monotonicity,
     check_weak_stochastic_transitivity,
@@ -47,9 +46,9 @@ def test_criterion_1_duality_golden_pair():
     model = LuceExponential()
     for _ in range(1000):
         size = int(rng.integers(2, 9))
-        v = ValueVector(rng.uniform(-10.0, 10.0, size))
-        via_model = choice_probabilities(model, v).entries
-        via_pum = pum_solve_closed("negentropy", v).entries
+        v = rng.uniform(-10.0, 10.0, size)
+        via_model = choice_probabilities(model, v)
+        via_pum = pum_solve_closed("negentropy", v)
         worst = max(worst, float(np.max(np.abs(via_model - via_pum))))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-10 and elapsed < 1.0

@@ -346,6 +346,37 @@ class TestErrorsAndDeterminism:
         assert capsys.readouterr().err == f"error: {path} holds no records\n"
         assert not out.exists() and not out.with_suffix(".series.csv").exists()
 
+    @pytest.mark.parametrize("target", ["nodir/x.json", "adir"])
+    @pytest.mark.parametrize("command", ["check", "fit", "verify", "report-all"])
+    def test_unwritable_output_exits_2(self, command, target, softmax_path, tmp_path, capsys):
+        # A report that cannot be written (a missing directory, or a path
+        # that is a directory) is an IO failure: an error line and exit 2.
+        (tmp_path / "adir").mkdir()
+        out = tmp_path / target
+        assert main([command, "--input", str(softmax_path), "--output", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.is_file()
+
+    @pytest.mark.parametrize(
+        "big, probs", [("8e307", (1, 0, 0, 1)), ("1e308", (0.3, 0.7, 0.6, 0.4))]
+    )
+    @pytest.mark.parametrize("command", ["check", "report-all"])
+    def test_values_whose_cycle_sums_overflow_exit_2(self, command, big, probs, tmp_path, capsys):
+        # Finite values whose differences overflow a cycle sum are rejected
+        # when the file is read: an error line naming the bound, exit 2.
+        path = tmp_path / "huge.csv"
+        path.write_text(
+            "menu_id,obs_id,alternative,value,prob\n"
+            "m,1,x,{0},{1}\nm,1,y,-{0},{2}\nm,2,x,-{0},{3}\nm,2,y,{0},{4}\n".format(big, *probs)
+        )
+        out = tmp_path / "report.json"
+        assert main([command, "--input", str(path), "--output", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(
+            f"error: menu 'm' has values up to {float(big):.6g} in magnitude, "
+            "above float max / (32 n) = "
+        )
+        assert not out.exists() and not out.with_suffix(".series.csv").exists()
+
     def test_bad_tolerance_rejected(self, softmax_path):
         assert main(["check", "--input", str(softmax_path), "--tol-cm", "-1"]) == EXIT_USAGE
 

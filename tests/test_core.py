@@ -1,6 +1,7 @@
 """Tests for domain types, simplex validation, and dataset assembly."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -12,15 +13,14 @@ from cyclorat import (
     DuplicateValuesWarning,
     EmptyDatasetError,
     LengthMismatchError,
+    LuceExponential,
     Menu,
     MixedMenusError,
     NegativeEntryError,
     NonFiniteError,
-    Observation,
     RecordValidationError,
-    SimplexPoint,
-    ValueVector,
     comp_dot,
+    eval_preference,
     make_dataset,
     validate_dataset,
     validate_simplex,
@@ -32,7 +32,7 @@ from oracles import validate_dataset_per_record
 class TestValidateSimplex:
     def test_already_on_simplex(self):
         p = validate_simplex([0.5, 0.5], 1e-9)
-        assert p.entries.tolist() == [0.5, 0.5]
+        assert p.tolist() == [0.5, 0.5]
 
     def test_bad_sum_rejected(self):
         with pytest.raises(BadSumError):
@@ -40,7 +40,7 @@ class TestValidateSimplex:
 
     def test_negative_dust_clamps_to_boundary(self):
         p = validate_simplex([1.0 + 5e-10, -5e-10], 1e-9)
-        assert p.entries.tolist() == [1.0, 0.0]
+        assert p.tolist() == [1.0, 0.0]
 
     def test_negative_entry_rejected(self):
         with pytest.raises(NegativeEntryError):
@@ -61,8 +61,8 @@ class TestValidateSimplex:
             raw = rng.dirichlet(np.ones(size))
             raw = raw + rng.uniform(-1e-10, 1e-10, size)  # off-simplex dust
             first = validate_simplex(raw, 1e-9)
-            second = validate_simplex(first.entries, 1e-9)
-            assert np.array_equal(first.entries, second.entries)
+            second = validate_simplex(first, 1e-9)
+            assert np.array_equal(first, second)
 
     def test_sum_is_one_at_bit_level(self):
         rng = np.random.default_rng(7)
@@ -70,13 +70,13 @@ class TestValidateSimplex:
             size = int(rng.integers(2, 12))
             raw = rng.dirichlet(np.ones(size)) + rng.uniform(-2e-10, 2e-10, size)
             p = validate_simplex(raw, 1e-9)
-            assert abs(math.fsum(p.entries.tolist()) - 1.0) <= 1e-15 * size
+            assert abs(math.fsum(p.tolist()) - 1.0) <= 1e-15 * size
 
     def test_never_reorders(self):
         raw = [0.1, 0.6, 0.3]
         p = validate_simplex(raw, 1e-9)
-        assert np.argmax(p.entries) == 1
-        assert np.argmin(p.entries) == 0
+        assert np.argmax(p) == 1
+        assert np.argmin(p) == 0
 
 
 class TestTypes:
@@ -90,25 +90,32 @@ class TestTypes:
 
     def test_value_vector_rejects_non_finite(self):
         with pytest.raises(NonFiniteError):
-            ValueVector(np.array([1.0, np.inf]))
+            eval_preference(LuceExponential(), [1.0, np.inf])
+        with pytest.raises(RecordValidationError) as err:
+            make_dataset("m", [[1.0, np.inf]], [[0.5, 0.5]])
+        assert [(i, type(e)) for i, e in err.value.record_errors] == [(1, NonFiniteError)]
 
-    def test_entries_are_read_only(self):
-        v = ValueVector(np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            v.entries[0] = 5.0
+    def test_matrices_are_read_only_copies(self):
+        values, probs = np.array([[1.0, 2.0]]), np.array([[0.5, 0.5]])
+        d = Dataset(Menu("m", ("x", "y")), values, probs)
+        values[0, 0] = probs[0, 0] = 0.0
+        assert d.values_matrix.tolist() == [[1.0, 2.0]]
+        assert d.probs_matrix.tolist() == [[0.5, 0.5]]
+        for matrix in (d.values_matrix, d.probs_matrix):
+            with pytest.raises(ValueError):
+                matrix[0, 0] = 5.0
 
     def test_observation_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
-            Observation(
-                ValueVector(np.array([1.0, 2.0, 3.0])),
-                validate_simplex([0.5, 0.5]),
-            )
+        menu = Menu("m", ("x", "y", "z"))
+        with pytest.raises(LengthMismatchError, match="observation 1 has 2 entries, menu has 3"):
+            Dataset(menu, [[1.0, 2.0, 3.0]], [[0.5, 0.5]])
 
     def test_dataset_checks_menu_size(self):
         menu = Menu("m", ("x", "y", "z"))
-        obs = Observation(ValueVector(np.array([1.0, 2.0])), validate_simplex([0.5, 0.5]))
-        with pytest.raises(LengthMismatchError):
-            Dataset(menu, (obs,))
+        with pytest.raises(LengthMismatchError, match="observation 2 has 2 entries, menu has 3"):
+            Dataset(menu, [[1.0, 2.0, 3.0], [1.0, 2.0]], [[0.2, 0.3, 0.5]] * 2)
+        with pytest.raises(EmptyDatasetError, match="dataset over menu 'm' has no observations"):
+            Dataset(menu, [], [])
 
     def test_dataset_matrices(self):
         d = make_dataset("m", [[0, 1], [2, 3]], [[0.5, 0.5], [0.25, 0.75]])
@@ -174,15 +181,6 @@ def test_comp_dot_matches_fsum():
     assert comp_dot(x, y) == math.fsum((x * y).tolist())
 
 
-def test_simplex_point_equality_is_bitwise():
-    a = validate_simplex([0.5, 0.5])
-    b = validate_simplex([0.5, 0.5])
-    c = validate_simplex([0.25, 0.75])
-    assert a == b
-    assert a != c
-    assert a != SimplexPoint(np.array([0.5, 0.5 + 1e-16]))
-
-
 def test_wrong_length_record_is_aggregated():
     records = [
         ("m", [0.0, 0.0], [0.5, 0.5]),
@@ -191,6 +189,27 @@ def test_wrong_length_record_is_aggregated():
     with pytest.raises(RecordValidationError) as err:
         validate_dataset(records)
     assert [i for i, _ in err.value.record_errors] == [2]
+
+
+@pytest.mark.parametrize(
+    "values, probs",
+    [
+        ([[8e307, -8e307], [-8e307, 8e307]], [[1.0, 0.0], [0.0, 1.0]]),
+        ([[1e308, -1e308], [-1e308, 1e308]], [[0.3, 0.7], [0.6, 0.4]]),
+    ],
+)
+def test_values_whose_cycle_sums_overflow_are_rejected(values, probs):
+    bound = np.finfo(float).max / 64  # float max / (32 n) at n = 2
+    message = re.escape(f"above float max / (32 n) = {bound:.6g}")
+    records = [("m", v, p) for v, p in zip(values, probs)]
+    for validate in (validate_dataset, validate_dataset_per_record):
+        with pytest.raises(NonFiniteError, match=message):
+            validate(records)
+    with pytest.raises(NonFiniteError, match=message):
+        make_dataset("m", values, probs)
+    # At the bound the check's sums stay finite.
+    scaled = (np.array(values) / np.max(np.abs(values)) * bound).tolist()
+    assert make_dataset("m", scaled, probs).values_matrix.max() == bound
 
 
 def _random_records(rng: np.random.Generator, tol: float) -> list:
@@ -251,7 +270,7 @@ def _outcome(validate, records, **kwargs):
                 d.menu,
                 d.values_matrix.tobytes(),
                 d.probs_matrix.tobytes(),
-                [(o.values.entries.tobytes(), o.probs.entries.tobytes()) for o in d.observations],
+                (d.values_matrix.flags.writeable, d.probs_matrix.flags.writeable),
             )
     return result, [(w.category, str(w.message)) for w in caught]
 

@@ -13,7 +13,6 @@ from cyclorat import (
     PairwiseRegret,
     SalienceWeighted,
     TableLookupError,
-    ValueVector,
     ZeroStrengthError,
     choice_probabilities,
     eval_preference,
@@ -27,7 +26,7 @@ from conftest import menu_of
 
 
 def vv(*entries):
-    return ValueVector(np.array(entries, dtype=float))
+    return np.array(entries, dtype=float)
 
 
 class TestEvalPreference:
@@ -58,7 +57,7 @@ class TestEvalPreference:
         # Raw exp would overflow; the shared shift keeps normalization exact.
         p = choice_probabilities(LuceExponential(), vv(800.0, 799.0))
         q = choice_probabilities(LuceExponential(), vv(1.0, 0.0))
-        assert_allclose(p.entries, q.entries, atol=1e-15)
+        assert_allclose(p, q, atol=1e-15)
 
     def test_custom_table_lookup_and_miss(self):
         table = CustomTable((((0.0, 0.0), (0.5, 0.5)), ((1.0, 0.0), (0.9, 0.1))))
@@ -73,10 +72,10 @@ class TestEvalPreference:
 
 class TestNormalize:
     def test_symmetric(self):
-        assert normalize([2.0, 2.0]).entries.tolist() == [0.5, 0.5]
+        assert normalize([2.0, 2.0]).tolist() == [0.5, 0.5]
 
     def test_direct_ratio(self):
-        assert normalize([3.0, 1.0]).entries.tolist() == [0.75, 0.25]
+        assert normalize([3.0, 1.0]).tolist() == [0.75, 0.25]
 
     def test_zero_strength_rejected(self):
         with pytest.raises(ZeroStrengthError):
@@ -88,8 +87,8 @@ class TestNormalize:
             size = int(rng.integers(2, 9))
             t = rng.uniform(0.1, 5.0, size)
             c = float(rng.uniform(1e-3, 1e3))
-            base = normalize(t).entries
-            scaled = normalize(c * t).entries
+            base = normalize(t)
+            scaled = normalize(c * t)
             assert np.max(np.abs(scaled - base)) <= 1e-15 * np.max(base)
 
     def test_ordinal_preservation(self):
@@ -99,7 +98,7 @@ class TestNormalize:
             t = rng.uniform(0.0, 3.0, size)
             if not np.any(t > 0):
                 continue
-            p = normalize(t).entries
+            p = normalize(t)
             order_t = np.argsort(t, kind="stable")
             order_p = np.argsort(p, kind="stable")
             assert order_t.tolist() == order_p.tolist()
@@ -117,8 +116,8 @@ def test_continuity_probe(model):
         size = int(rng.integers(2, 6))
         v = rng.uniform(-3, 3, size)
         delta = rng.uniform(-1e-6, 1e-6, size)
-        base = choice_probabilities(model, ValueVector(v)).entries
-        moved = choice_probabilities(model, ValueVector(v + delta)).entries
+        base = choice_probabilities(model, v)
+        moved = choice_probabilities(model, v + delta)
         assert np.max(np.abs(moved - base)) <= 50.0 * np.max(np.abs(delta))
 
 
@@ -169,9 +168,9 @@ def test_softplus_is_accurate_across_regimes():
 
 def test_normalize_survives_huge_strengths():
     p = normalize([1e308, 1e308])
-    assert p.entries.tolist() == [0.5, 0.5]
+    assert p.tolist() == [0.5, 0.5]
     p = normalize([3e307, 1e307])
-    assert_allclose(p.entries, [0.75, 0.25], atol=1e-15)
+    assert_allclose(p, [0.75, 0.25], atol=1e-15)
 
 
 def test_normalize_strictly_positive_input_gives_strictly_positive_output():
@@ -179,7 +178,7 @@ def test_normalize_strictly_positive_input_gives_strictly_positive_output():
     for _ in range(50):
         size = int(rng.integers(2, 9))
         t = rng.uniform(1e-9, 10.0, size)
-        assert np.all(normalize(t).entries > 0)
+        assert np.all(normalize(t) > 0)
 
 
 def test_salience_underflow_guard_preserves_ratios():
@@ -190,5 +189,5 @@ def test_salience_underflow_guard_preserves_ratios():
     # softplus(-801)/softplus(-802) ~ e, same as exp(-1)/exp(-2) up to the
     # softplus curvature at mild arguments; only sanity-check ordering and
     # positivity here.
-    assert p.entries[0] > p.entries[1] > 0
-    assert q.entries[0] > q.entries[1] > 0
+    assert p[0] > p[1] > 0
+    assert q[0] > q[1] > 0

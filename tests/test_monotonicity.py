@@ -9,9 +9,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from cyclorat import (
+    Dataset,
     DuplicateValuesWarning,
     InconsistentPairError,
     IndexOutOfRangeError,
+    Menu,
     NoProgressError,
     NotCyclicallyMonotoneError,
     check_cyclic_monotonicity,
@@ -67,7 +69,7 @@ class TestCycleSum:
 
 
 def _duplicated_rows_dataset():
-    # Observation 6 repeats observation 2 of a seeded PUM dataset.
+    # The sixth observation repeats the second of a seeded PUM dataset.
     base = pum_dataset("negentropy", np.random.default_rng(18), 5, 3)
     V = base.values_matrix.tolist() + [base.values_matrix[1].tolist()]
     P = base.probs_matrix.tolist() + [base.probs_matrix[1].tolist()]
@@ -486,6 +488,88 @@ class TestCheckOrder:
             check_cyclic_monotonicity(d, 0.15)
 
 
+#: Seeded families for the metamorphic relations, each drawn as
+#: ``family(rng, n, |A|)``.
+METAMORPHIC_FAMILIES = {
+    "regret": lambda rng, n, size: regret_dataset(rng, n, size, float(rng.uniform(1.5, 4.0))),
+    "negentropy": lambda rng, n, size: pum_dataset("negentropy", rng, n, size),
+    "quadratic": lambda rng, n, size: pum_dataset("quadratic", rng, n, size),
+    "random": random_probs_dataset,
+}
+
+
+def _metamorphic_cases(family: str, count: int = 30):
+    """Yield ``count`` seeded (dataset, tol, verdict, rng) cases of one family,
+    n in [2, 40) and |A| in [2, 6), whose |min cycle mean + tol| is far
+    above the edge-weight rounding bound err, so rounding cannot decide them."""
+    rng = np.random.default_rng([53, list(METAMORPHIC_FAMILIES).index(family)])
+    while count:
+        d = METAMORPHIC_FAMILIES[family](rng, int(rng.integers(2, 40)), int(rng.integers(2, 6)))
+        tol = float(rng.choice([1e-9, 1e-6]))
+        verdict = check_cyclic_monotonicity(d, tol)
+        if abs(verdict.min_cycle_mean + tol) > 1e3 * _edge_weight_error(d):
+            count -= 1
+            yield d, tol, verdict, rng
+
+
+class TestMetamorphicRelations:
+    # Each relation holds in real arithmetic, so the check's verdict must
+    # not move on cases that rounding cannot decide.
+
+    @pytest.mark.parametrize("family", METAMORPHIC_FAMILIES)
+    def test_permuting_observations(self, family):
+        # A permutation maps cycles onto cycles with the same sums.  Each
+        # witness is a min-mean cycle to within err of the minimum.
+        for d, tol, verdict, rng in _metamorphic_cases(family):
+            perm = rng.permutation(d.n)
+            d2 = Dataset(d.menu, d.values_matrix[perm], d.probs_matrix[perm])
+            permuted = check_cyclic_monotonicity(d2, tol)
+            assert permuted.status == verdict.status
+            if verdict.witness is not None:
+                means = [w.cycle_sum / len(w.indices) for w in (verdict.witness, permuted.witness)]
+                assert abs(means[1] - means[0]) <= 2 * _edge_weight_error(d)
+
+    @pytest.mark.parametrize("family", METAMORPHIC_FAMILIES)
+    def test_permuting_alternatives(self, family):
+        for d, tol, verdict, rng in _metamorphic_cases(family):
+            perm = rng.permutation(d.menu.size)
+            menu = Menu(d.menu.id, tuple(d.menu.alternatives[k] for k in perm))
+            d2 = Dataset(menu, d.values_matrix[:, perm], d.probs_matrix[:, perm])
+            assert check_cyclic_monotonicity(d2, tol).status == verdict.status
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            "regret",
+            "negentropy",
+            pytest.param(
+                "quadratic",
+                marks=pytest.mark.xfail(
+                    raises=NoProgressError,
+                    strict=True,
+                    reason="policy iteration switches between zero-mean cycles of projection "
+                    "data on rounding-level gains and reaches its round cap",
+                ),
+            ),
+            "random",
+        ],
+    )
+    def test_scaling_values(self, family):
+        # Scaling every value by alpha scales every cycle mean by alpha, so
+        # the verdict at tol * alpha is the same.  Every case is checked
+        # before the first NoProgressError, if any, is raised.
+        stalls = []
+        for d, tol, verdict, _ in _metamorphic_cases(family):
+            for alpha in (1e-3, 1e3):
+                scaled = Dataset(d.menu, alpha * d.values_matrix, d.probs_matrix)
+                try:
+                    assert check_cyclic_monotonicity(scaled, tol * alpha).status == verdict.status
+                except NoProgressError as exc:
+                    stalls.append(exc)
+        if stalls:
+            raise stalls[0]
+
+
 #: Tight edges sit at slack -tol exactly; the potentials and gaps carry a
 #: few ulps of rounding either side of it.
 ROUNDING = 1e-12
@@ -605,7 +689,7 @@ class TestToleranceRule:
 
 
 def _near_tie_dataset():
-    # Observation 2 repeats observation 1 with v_1 raised by 1e-9 and 3e-3
+    # The second observation repeats the first with v_1 raised by 1e-9 and 3e-3
     # of probability moved from a1 to a2: a two-cycle summing to -3e-12,
     # far inside tol = 1e-9 per edge.
     base = pum_dataset("negentropy", np.random.default_rng(45), 1000, 10)

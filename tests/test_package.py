@@ -12,10 +12,10 @@ PUBLIC_NAMES = """
 BadSumError CMVerdict CostEvaluator CustomTable CycleWitness CycloratError DataDerivedCost
 Dataset DuplicateValuesWarning EmptyDatasetError EmptyDomainError InconsistentPairError
 IndexOutOfRangeError LengthMismatchError LuceExponential Menu MixedMenusError NegEntropyCost
-NegativeEntryError NoProgressError NonFiniteError NotCyclicallyMonotoneError Observation
+NegativeEntryError NoProgressError NonFiniteError NotCyclicallyMonotoneError
 PairwiseRegret PotentialFit PreferenceModel PumSolution QuadraticCost RationalizationReport
-RecordValidationError SalienceWeighted SimplexPoint SmoothedDataDerivedCost TOL_CM TOL_OPT
-TOL_SIMPLEX TableLookupError TwoPointViolation ValidationError ValueVector
+RecordValidationError SalienceWeighted SmoothedDataDerivedCost TOL_CM TOL_OPT
+TOL_SIMPLEX TableLookupError TwoPointViolation ValidationError
 ZeroStrengthError check_cyclic_monotonicity check_two_point_monotonicity
 check_weak_stochastic_transitivity choice_probabilities comp_dot comp_sum compute_potentials
 conjugate_cost core cost_description cycle_sum errors eval_preference evaluate_extension lp

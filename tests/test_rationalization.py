@@ -16,7 +16,6 @@ from cyclorat import (
     NotCyclicallyMonotoneError,
     QuadraticCost,
     SmoothedDataDerivedCost,
-    ValueVector,
     choice_probabilities,
     compute_potentials,
     conjugate_cost,
@@ -339,19 +338,19 @@ def test_neg_entropy_matches_scalar_loop():
 
 class TestClosedFormSolvers:
     def test_negentropy_symmetry(self):
-        assert pum_solve_closed("negentropy", [0.0, 0.0]).entries.tolist() == [0.5, 0.5]
+        assert pum_solve_closed("negentropy", [0.0, 0.0]).tolist() == [0.5, 0.5]
 
     def test_negentropy_log_three(self):
         p = pum_solve_closed("negentropy", [math.log(3), 0.0])
-        assert_allclose(p.entries, [0.75, 0.25], atol=1e-15)
+        assert_allclose(p, [0.75, 0.25], atol=1e-15)
 
     def test_quadratic_ray(self):
         # Sort-threshold by hand for v = (2, 0): theta = 1, p = (1, 0).
-        assert pum_solve_closed("quadratic", [2.0, 0.0]).entries.tolist() == [1.0, 0.0]
+        assert pum_solve_closed("quadratic", [2.0, 0.0]).tolist() == [1.0, 0.0]
 
     def test_quadratic_fixed_point(self):
         p = pum_solve_closed("quadratic", [0.6, 0.4])
-        assert_allclose(p.entries, [0.6, 0.4], atol=1e-15)
+        assert_allclose(p, [0.6, 0.4], atol=1e-15)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -386,9 +385,9 @@ class TestClosedFormSolvers:
         rng = np.random.default_rng(40)
         for _ in range(100):
             size = int(rng.integers(2, 9))
-            v = ValueVector(rng.uniform(-10, 10, size))
-            via_model = choice_probabilities(LuceExponential(), v).entries
-            via_pum = pum_solve_closed("negentropy", v).entries
+            v = rng.uniform(-10, 10, size)
+            via_model = choice_probabilities(LuceExponential(), v)
+            via_pum = pum_solve_closed("negentropy", v)
             assert np.max(np.abs(via_model - via_pum)) <= 1e-10
 
 
@@ -401,14 +400,14 @@ class TestGeneralSolver:
 
     def test_quadratic_interior_fixed_point(self):
         sol = pum_solve_general(QuadraticCost(), [0.6, 0.4], 1e-8)
-        assert_allclose(sol.probs.entries, [0.6, 0.4], atol=1e-6)
+        assert_allclose(sol.probs, [0.6, 0.4], atol=1e-6)
 
     def test_data_derived_at_observed_point(self, softmax_fixture):
         fit = compute_potentials(softmax_fixture)
         cost = DataDerivedCost(fit, softmax_fixture)
         sol = pum_solve_general(cost, [0.0, 0.0], 1e-8)
         assert abs(sol.objective - 0.0) <= 1e-8
-        assert_allclose(sol.probs.entries, [0.5, 0.5], atol=1e-12)
+        assert_allclose(sol.probs, [0.5, 0.5], atol=1e-12)
         assert not sol.unique
         sol2 = pum_solve_general(cost, [1.0, 0.0], 1e-8)
         assert abs(sol2.objective - 0.61553) <= 1e-8
@@ -425,7 +424,7 @@ class TestGeneralSolver:
         assert np.min(phi[None, :] - phi[:, None] + edge_weights(d)) > 0.05
         cost = DataDerivedCost(fit, d)
         for v, p in zip(d.values_matrix, d.probs_matrix):
-            assert np.array_equal(pum_solve_general(cost, v).probs.entries, p)
+            assert np.array_equal(pum_solve_general(cost, v).probs, p)
 
     @pytest.mark.parametrize("epsilon", [1e-2, 1e-4])
     def test_smoothing_bias_is_bounded(self, epsilon):
@@ -441,7 +440,7 @@ class TestGeneralSolver:
             v = rng.uniform(-2, 2, size)
             best = pum_solve_general(plain, v, 1e-10).objective
             sol = pum_solve_general(smoothed, v, 1e-8)
-            q = sol.probs.entries
+            q = sol.probs
             unsmoothed_obj = comp_dot(v, q) - plain.value(q)
             assert unsmoothed_obj >= best - epsilon * math.log(size) - 1e-7
 
@@ -464,7 +463,7 @@ class TestGeneralSolver:
             ref = pum_solve_general(cost, v, 1e-12)
             assert abs(sol.objective - ref.objective) <= 1e-10
             bound = math.sqrt(2 * sol.gap / epsilon) + math.sqrt(2 * max(ref.gap, 0.0) / epsilon)
-            assert np.max(np.abs(sol.probs.entries - ref.probs.entries)) <= bound
+            assert np.max(np.abs(sol.probs - ref.probs)) <= bound
 
     @pytest.mark.parametrize("cost_cls", [NegEntropyCost, QuadraticCost])
     def test_envelope_gradient(self, cost_cls):
@@ -485,7 +484,7 @@ class TestGeneralSolver:
                     pum_solve_general(cost, up, 1e-10).objective
                     - pum_solve_general(cost, dn, 1e-10).objective
                 ) / (2 * h)
-                assert abs(fd - sol.probs.entries[a]) <= 1e-4
+                assert abs(fd - sol.probs[a]) <= 1e-4
 
 
 def _assert_exact_closed_form(cost, kind: str) -> None:
@@ -494,8 +493,8 @@ def _assert_exact_closed_form(cost, kind: str) -> None:
     rng = np.random.default_rng(65)
     for v in [[1.0, 0.0], [0.6, 0.4], *rng.uniform(-40, 40, (20, 5)).tolist()]:
         sol = pum_solve_general(cost, v, 1e-8)
-        p = pum_solve_closed(kind, v).entries
-        assert sol.probs.entries.tobytes() == p.tobytes()
+        p = pum_solve_closed(kind, v)
+        assert sol.probs.tobytes() == p.tobytes()
         assert sol.objective == comp_dot(np.asarray(v), p) - cost.value(p)
         assert (sol.gap, sol.unique, sol.iterations) == (0.0, True, 1)
 
@@ -504,7 +503,7 @@ def _duplicate_gradient_menu(rng: np.random.Generator) -> Dataset:
     # Distinct values can share one probability vector (saturated
     # projections), so many conjugate LPs are degenerate.
     rows_v = (rng.uniform(3.0, 9.0, (15, 3))).tolist()
-    probs = [pum_solve_closed("quadratic", v).entries.tolist() for v in rows_v]
+    probs = [pum_solve_closed("quadratic", v).tolist() for v in rows_v]
     return make_dataset("m", rows_v, probs)
 
 
