@@ -27,11 +27,10 @@ _EXPORTS = {
         simulate_dataset""",
     "monotonicity": """CMVerdict CycleWitness TwoPointViolation check_cyclic_monotonicity
         check_two_point_monotonicity check_weak_stochastic_transitivity cycle_sum""",
-    "rationalization": """CostEvaluator DataDerivedCost NegEntropyCost PotentialFit
-        PumSolution QuadraticCost RationalizationReport SmoothedDataDerivedCost
-        compute_potentials conjugate_cost cost_description evaluate_extension
-        pum_solve_closed pum_solve_general simplex_projection softmax_probabilities
-        verify_rationalization""",
+    "rationalization": """CostEvaluator DataDerivedCost NegEntropyCost PumSolution
+        QuadraticCost RationalizationReport SmoothedDataDerivedCost compute_potentials
+        conjugate_cost cost_description evaluate_extension pum_solve_closed
+        pum_solve_general simplex_projection softmax_probabilities verify_rationalization""",
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -122,16 +122,16 @@ def _analyze_menu(d: Dataset, config: RunConfig) -> tuple[dict, bool, bool]:
     if depth != "check" and cm_ok:
         from . import rationalization as rat
 
-        fit = rat.compute_potentials(d, config.tol_cm, verdict=verdict)
-        section["potentials"] = fit.to_dict()
-        section["cost"] = rat.cost_description(fit, d)
+        phi = rat.compute_potentials(d, config.tol_cm, verdict=verdict)
+        section["potentials"] = {"base_index": 1, "potentials": phi.tolist()}
+        section["cost"] = rat.cost_description(phi, d)
         if depth in ("verify", "report-all"):
             rng = np.random.default_rng(config.seed)
-            report = rat.verify_rationalization(d, fit, config.tol_opt, rng=rng)
+            report = rat.verify_rationalization(d, phi, config.tol_opt, rng=rng)
             section["verification"] = report.to_dict()
             verify_ok = report.passed
             if config.epsilon > 0:
-                smoothed = rat.SmoothedDataDerivedCost(fit, d, config.epsilon)
+                smoothed = rat.SmoothedDataDerivedCost(phi, d, config.epsilon)
                 rows = []
                 for i, (v, p) in enumerate(zip(d.values_matrix, d.probs_matrix), start=1):
                     sol = rat.pum_solve_general(smoothed, v, config.tol_opt)
@@ -187,7 +187,8 @@ def _write_series_csv(path: Path, datasets: dict[str, Dataset], report: dict) ->
 
 
 def run(config: RunConfig) -> tuple[int, dict]:
-    """Execute one command; returns (exit_code, report dict)."""
+    """Execute one command and write its ``--output`` files; returns (exit_code,
+    report dict).  A report-all series CSV is written only beside its report."""
     report = _base_report(config)
 
     if config.command == "simulate":
@@ -223,9 +224,11 @@ def run(config: RunConfig) -> tuple[int, dict]:
         if wst is not None:
             report["weak_stochastic_transitivity"] = wst
         if config.output:
-            series_path = Path(config.output).with_suffix(".series.csv")
-            _write_series_csv(series_path, datasets, report)
-            report["series_csv"] = str(series_path)
+            report["series_csv"] = str(Path(config.output).with_suffix(".series.csv"))
+    if config.output:
+        Path(config.output).write_text(dumps_report(report), encoding="utf-8", newline="\n")
+        if "series_csv" in report:
+            _write_series_csv(Path(report["series_csv"]), datasets, report)
 
     if not all_cm:
         return EXIT_REJECTED, report
@@ -271,11 +274,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = RunConfig(**vars(args))
         code, report = run(config)
-        text = dumps_report(report)
         if config.command == "simulate" or not config.output:
-            sys.stdout.write(text)
-        else:
-            Path(config.output).write_text(text, encoding="utf-8", newline="\n")
+            sys.stdout.write(dumps_report(report))
     except (CycloratError, OSError, ValueError, csv.Error) as exc:
         log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)

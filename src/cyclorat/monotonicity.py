@@ -259,11 +259,12 @@ def _min_mean_cycle(W: np.ndarray) -> MinMeanCycle:
     Each node follows one out-edge (the policy).  Value determination gives
     every node the mean eta of the policy cycle it leads into and a relative
     value x; improvement first moves nodes to the least-mean cycles, then
-    switches a node to an edge that strictly lowers
-    x_i = min_j (W_ij + x_j) - eta.  Each round is O(n^2) (Cochet-Terrasson
-    et al. 1998; Dasdan 2004) and reads W in ``row_blocks``, so no second
-    n x n array is formed; blocks split rows only, so each argmin keeps its
-    smallest index.
+    switches a node to an edge that lowers x_i = min_j (W_ij + x_j) - eta by
+    more than 16 u (2 max|x| + max_i |W[i, pi(i)]| + |eta|), u the unit
+    roundoff: rounding-level gains would trade equal-mean cycles forever.
+    Each round is O(n^2) (Cochet-Terrasson et al. 1998; Dasdan 2004) and
+    reads W in ``row_blocks``, so no second n x n array is formed; blocks
+    split rows only, so each argmin keeps its smallest index.
 
     The result holds however the iteration ends: ``mean`` is attained by the
     returned cycle, and for any lam and x every cycle mean is at least
@@ -277,14 +278,17 @@ def _min_mean_cycle(W: np.ndarray) -> MinMeanCycle:
     rows = np.arange(n)
     blocks = row_blocks(n)
     buf = np.empty(blocks[0].stop * n)  # one block of W + x, reused every round
+    u = np.finfo(float).eps / 2
     pi = np.argmin(W, axis=1)
     for iterations in range(1, MIN_MEAN_MAX_ITERATIONS + 1):
-        eta, x, cycles = _policy_values(pi.tolist(), W[rows, pi].tolist())
+        w = W[rows, pi]
+        eta, x, cycles = _policy_values(pi.tolist(), w.tolist())
         lam = float(eta.min())
         tied = eta == lam
         succ = _improve(W, x, None if tied.all() else np.flatnonzero(tied), blocks, buf)
         best = W[rows, succ] + x[succ]
-        switch = (~tied | (best - lam < x)) & (succ != pi)
+        thr = 16.0 * u * (2.0 * float(np.max(np.abs(x))) + float(np.max(np.abs(w))) + abs(lam))
+        switch = (~tied | (best - lam < x - thr)) & (succ != pi)
         if not switch.any():
             break
         pi = np.where(switch, succ, pi)
@@ -303,7 +307,6 @@ def _min_mean_cycle(W: np.ndarray) -> MinMeanCycle:
         top = float(np.max(off, where=np.isfinite(off), initial=0.0))
     wmax = max(-float(off.min()), top)
     scale = 2.0 * float(np.max(np.abs(x))) + wmax + abs(lam) + abs(slack)
-    u = np.finfo(float).eps / 2
     delta = slack + 5.0 * u / (1.0 - 5.0 * u) * scale
     cycle = min(c for mean, c in cycles if mean == lam)
     return MinMeanCycle(lam, cycle, lam - delta, iterations, x)
@@ -327,8 +330,10 @@ def check_cyclic_monotonicity(dataset: Dataset, tol: float = TOL_CM) -> CMVerdic
     3. Rounding band: otherwise a converged run passes with potentials
        x - x_1 and ``min_cycle_sum`` its cycle's sum.  They hold every
        inequality within tol + (mean - lower) + err, and converged rounds
-       leave mean - lower at rounding level.  A run that reached
-       ``MIN_MEAN_MAX_ITERATIONS`` rounds may carry a loose bound, so it
+       leave mean - lower at rounding level, below
+       16 eps (2 max|x| + 2 max|V| + |mean|), as |W_ij| <= 2 max|V|.  A run
+       that reached ``MIN_MEAN_MAX_ITERATIONS`` rounds, or whose
+       mean - lower exceeds that allowance, may carry a loose bound, so it
        raises ``NoProgressError`` instead.
 
     Every pass carries its potentials.  A witness has a compensated mean,
@@ -339,38 +344,28 @@ def check_cyclic_monotonicity(dataset: Dataset, tol: float = TOL_CM) -> CMVerdic
         raise ValueError("tol must not be NaN")
     W = edge_weights(dataset)
     mm = _min_mean_cycle(W)
+    x = mm.x - mm.x[0]  # a pass's potentials, read-only as fits share them
+    x.flags.writeable = False
     if mm.lower - _edge_weight_error(dataset) >= -tol:
         min_mean = None if mm.cycle is None else mm.mean
-        x = mm.x - mm.x[0]
         return CMVerdict("pass", None, min_mean, None, x, mm.iterations, "certificate")
     total = cycle_sum(dataset, [i + 1 for i in mm.cycle])
     if total / len(mm.cycle) < -tol:
         witness = CycleWitness(tuple(i + 1 for i in mm.cycle), total)
         return CMVerdict("violation", witness, mm.mean, total, None, mm.iterations, "witness")
-    if mm.iterations == MIN_MEAN_MAX_ITERATIONS:
+    vmax = np.abs(dataset.values_matrix).max()
+    allowance = 16 * np.finfo(float).eps * (2.0 * (np.abs(mm.x).max() + vmax) + abs(mm.mean))
+    if mm.iterations == MIN_MEAN_MAX_ITERATIONS or mm.mean - mm.lower > allowance:
         raise NoProgressError(
-            f"policy iteration hit its {mm.iterations}-round cap before deciding per-edge "
-            f"slack {tol:g}: cycle means are bounded below only by {mm.lower:.3e}"
+            f"policy iteration ran {mm.iterations} rounds of its {MIN_MEAN_MAX_ITERATIONS}-round "
+            f"cap without deciding per-edge slack {tol:g}: cycle means are bounded below only "
+            f"by {mm.lower:.3e}, {mm.mean - mm.lower:.1e} below the cycle found"
         )
-    return CMVerdict("pass", None, mm.mean, total, mm.x - mm.x[0], mm.iterations, "band")
+    return CMVerdict("pass", None, mm.mean, total, x, mm.iterations, "band")
 
 
 #: Coordinates are considered equal when they differ by at most this much.
 TWO_POINT_COORD_TOL = 1e-12
-
-#: Cells (pairs times cells per pair) in one block of ``pair_blocks``.
-PAIR_BLOCK_CELLS = 2**18
-
-
-def pair_blocks(n: int, cells_per_pair: int):
-    """Yield (first, second) 0-based index arrays of all pairs i < j, in
-    row-major order, in blocks of PAIR_BLOCK_CELLS // cells_per_pair pairs."""
-    starts = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))  # row offsets
-    step = max(1, PAIR_BLOCK_CELLS // cells_per_pair)
-    for k0 in range(0, int(starts[-1]), step):
-        k = np.arange(k0, min(k0 + step, int(starts[-1])))
-        first = np.searchsorted(starts, k, side="right") - 1
-        yield first, k - starts[first] + first + 1
 
 
 def check_two_point_monotonicity(
@@ -382,22 +377,26 @@ def check_two_point_monotonicity(
     differing coordinate a must be non-negative: raising an alternative's
     value, all else fixed, cannot make it relatively less appealing.  Pairs
     with product below ``-tol`` are reported (1-based indices) in row-major
-    i < j order, scanned in ``pair_blocks`` of at most PAIR_BLOCK_CELLS values.
+    i < j order, scanned over the ``row_blocks`` of i, each block against the
+    rows j after its first.
     """
     V = dataset.values_matrix
     P = dataset.probs_matrix
     labels = dataset.menu.alternatives
     out: list[TwoPointViolation] = []
-    for first, second in pair_blocks(dataset.n, V.shape[1]):
-        diff = V[first] - V[second]
+    for rows in row_blocks(dataset.n):
+        later = np.arange(rows.start + 1, dataset.n)
+        first, second = np.nonzero(np.arange(rows.start, rows.stop)[:, None] < later)
+        diff = (V[rows, None] - V[rows.start + 1 :])[first, second]
+        first, second = first + rows.start, later[second]
         moved = np.abs(diff) > TWO_POINT_COORD_TOL
         k = np.flatnonzero(np.count_nonzero(moved, axis=1) == 1)
         a = np.argmax(moved[k], axis=1)
         i, j = first[k], second[k]
         product = (P[i, a] - P[j, a]) * diff[k, a]
         bad = product < -tol
-        rows = zip(i[bad].tolist(), j[bad].tolist(), a[bad].tolist(), product[bad].tolist())
-        out += [TwoPointViolation(ii + 1, jj + 1, labels[aa], p) for ii, jj, aa, p in rows]
+        found = zip(i[bad].tolist(), j[bad].tolist(), a[bad].tolist(), product[bad].tolist())
+        out += [TwoPointViolation(ii + 1, jj + 1, labels[aa], p) for ii, jj, aa, p in found]
     return out
 
 

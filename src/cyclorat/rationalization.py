@@ -45,50 +45,24 @@ from .monotonicity import CMVerdict, check_cyclic_monotonicity, edge_weights, ro
 LP_COUNTERS = ("cold_solves", "warm_solves", "pivots", "reused", "rejected_bases")
 
 
-@dataclass(frozen=True)
-class PotentialFit:
-    """Potentials of a convex function fitted to the data.
-
-    ``potentials[i]`` is the fitted value at observation i+1's value vector;
-    its gradient there is that observation's probability vector p^i, so a
-    fit is read together with its dataset.  The base observation (1-based
-    ``base_index``) is pinned to potential zero, since the fitted function
-    is only determined up to an additive constant.  Subgradient consistency
-    holds to within the per-edge slack ``tol`` the potentials were fitted
-    with, up to rounding:
-
-        potentials[j] >= potentials[i] + <p^i, v^j - v^i> - tol.
-
-    That rounding is the check's allowance: none when its certificate
-    decides, and at most (mean - lower) + err in its rounding band.
-    """
-
-    base_index: int
-    potentials: np.ndarray
-
-    def __post_init__(self):
-        pot = np.asarray(self.potentials, dtype=float).copy()
-        pot.flags.writeable = False
-        object.__setattr__(self, "potentials", pot)
-
-    @property
-    def n(self) -> int:
-        return self.potentials.size
-
-    def to_dict(self) -> dict:
-        return {"base_index": self.base_index, "potentials": self.potentials.tolist()}
-
-
 def compute_potentials(
     dataset: Dataset, tol: float = TOL_CM, *, verdict: CMVerdict | None = None
-) -> PotentialFit:
+) -> np.ndarray:
     """Afriat potentials within ``tol``, read off a passing check's certificate.
 
     ``verdict`` is ``check_cyclic_monotonicity(dataset, tol)``, run here when
-    not given.  Its policy-iteration values hold every inequality with a
-    margin up to the minimum cycle mean, if positive, and within ``tol``
-    plus rounding otherwise.  Every pass carries them; a violation raises
-    ``NotCyclicallyMonotoneError`` with its witness.
+    not given.  Returns its read-only ``potentials`` array phi, 0 at the
+    first observation, since the fitted function is only determined up to an
+    additive constant.  phi[i] is the fitted value at v^i, and p^i its
+    gradient there, so a fit is read together with its dataset.  Its
+    policy-iteration values hold every inequality with a margin up to the
+    minimum cycle mean, if positive, and within ``tol`` otherwise:
+
+        phi[j] >= phi[i] + <p^i, v^j - v^i> - tol,
+
+    up to the check's allowance: none when its certificate decides, and at
+    most (mean - lower) + err in its rounding band.  Every pass carries
+    them; a violation raises ``NotCyclicallyMonotoneError`` with its witness.
     """
     if verdict is None:
         verdict = check_cyclic_monotonicity(dataset, tol)
@@ -96,10 +70,10 @@ def compute_potentials(
         raise NotCyclicallyMonotoneError(
             f"no Afriat potentials within per-edge slack {tol:g}", witness=verdict.witness
         )
-    return PotentialFit(1, verdict.potentials)
+    return verdict.potentials
 
 
-def evaluate_extension(fit: PotentialFit, dataset: Dataset, v) -> float:
+def evaluate_extension(phi: np.ndarray, dataset: Dataset, v) -> float:
     """Max-affine extension of the fitted potentials at any value vector.
 
     Returns max_i [ phi_i + <p^i, v - v^i> ]; convex and piecewise affine,
@@ -107,27 +81,24 @@ def evaluate_extension(fit: PotentialFit, dataset: Dataset, v) -> float:
     """
     vv = np.asarray(v, dtype=float)
     V, G = dataset.values_matrix, dataset.probs_matrix
-    phi = fit.potentials
-    return max(
-        phi[i] + comp_dot(G[i], vv - V[i]) for i in range(fit.n)
-    )
+    return max(phi[i] + comp_dot(G[i], vv - V[i]) for i in range(phi.size))
 
 
-def _max_affine_data(fit: PotentialFit, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
+def _max_affine_data(phi: np.ndarray, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Gradients G = P and affine offsets c_i = <g_i, v^i> - phi_i."""
     V, G = dataset.values_matrix, dataset.probs_matrix
-    c = np.array([comp_dot(G[i], V[i]) - fit.potentials[i] for i in range(fit.n)])
+    c = np.array([comp_dot(G[i], V[i]) - phi[i] for i in range(phi.size)])
     return G, c
 
 
-def cost_description(fit: PotentialFit, dataset: Dataset) -> dict:
+def cost_description(phi: np.ndarray, dataset: Dataset) -> dict:
     """Serializable description of the fitted conjugate cost.
 
     The cost is determined by the gradient vertices g_i and the affine
     offsets c_i = <g_i, v^i> - phi_i: C(p) is the lower convex envelope of
     the points (g_i, c_i) on conv{g_i} and +inf elsewhere.
     """
-    G, c = _max_affine_data(fit, dataset)
+    G, c = _max_affine_data(phi, dataset)
     return {
         "kind": "max-affine conjugate",
         "vertices": G.tolist(),
@@ -135,7 +106,7 @@ def cost_description(fit: PotentialFit, dataset: Dataset) -> dict:
     }
 
 
-def conjugate_cost(fit: PotentialFit, dataset: Dataset, p) -> float:
+def conjugate_cost(phi: np.ndarray, dataset: Dataset, p) -> float:
     """Convex conjugate of the max-affine extension, as a finite LP.
 
     Returns the minimum of sum_i lam_i (<g_i, v^i> - phi_i) over mixture
@@ -144,7 +115,7 @@ def conjugate_cost(fit: PotentialFit, dataset: Dataset, p) -> float:
     signal, not an error).  Solved by the dense two-phase simplex, the
     one-query case of ``_conjugate_many``.
     """
-    return DataDerivedCost(fit, dataset).value(p)
+    return DataDerivedCost(phi, dataset).value(p)
 
 
 def _conjugate_many(
@@ -287,8 +258,8 @@ _CLOSED_FORMS = {
 class DataDerivedCost(CostEvaluator):
     """Conjugate of a fitted max-affine extension; +inf outside conv{g_i}."""
 
-    def __init__(self, fit: PotentialFit, dataset: Dataset):
-        self.vertices, self.offsets = _max_affine_data(fit, dataset)
+    def __init__(self, phi: np.ndarray, dataset: Dataset):
+        self.vertices, self.offsets = _max_affine_data(phi, dataset)
 
     def value(self, p: np.ndarray) -> float:
         return float(_conjugate_many(self.vertices, self.offsets, np.asarray(p, float)[None, :])[0])
@@ -301,10 +272,10 @@ class SmoothedDataDerivedCost(DataDerivedCost):
     the unsmoothed cost is at most epsilon * ln(number of alternatives).
     """
 
-    def __init__(self, fit: PotentialFit, dataset: Dataset, epsilon: float):
+    def __init__(self, phi: np.ndarray, dataset: Dataset, epsilon: float):
         if not epsilon > 0:  # NaN included
             raise ValueError(f"epsilon must be positive, got {epsilon}")
-        super().__init__(fit, dataset)
+        super().__init__(phi, dataset)
         self.epsilon = epsilon
 
     def value(self, p: np.ndarray) -> float:
@@ -502,7 +473,7 @@ class RationalizationReport:
 
 def verify_rationalization(
     dataset: Dataset,
-    fit: PotentialFit,
+    phi: np.ndarray,
     tol: float = TOL_OPT,
     *,
     mixtures: int = 1000,
@@ -527,11 +498,10 @@ def verify_rationalization(
         raise ValueError(f"mixtures must be non-negative, got {mixtures}")
     if rng is None:
         rng = np.random.default_rng(0)
-    G, c = _max_affine_data(fit, dataset)
+    G, c = _max_affine_data(phi, dataset)
     V, n = dataset.values_matrix, dataset.n
 
     # f(v^j) = max(phi_j, max_i phi_i - W[i, j]); the +inf diagonal drops i = j.
-    phi = fit.potentials
     extension = phi.copy()
     for rows in row_blocks(n):
         W = edge_weights(dataset, rows)

@@ -215,9 +215,11 @@ def dense_min_mean_cycle(W: np.ndarray) -> MinMeanCycle:
         return MinMeanCycle(math.inf, None, math.inf, 0, np.zeros(n))
     rows = np.arange(n)
     buf = np.empty_like(W)
+    u = np.finfo(float).eps / 2
     pi = np.argmin(W, axis=1)
     for iterations in range(1, monotonicity.MIN_MEAN_MAX_ITERATIONS + 1):
-        eta, x, cycles = _policy_values(pi.tolist(), W[rows, pi].tolist())
+        w = W[rows, pi]
+        eta, x, cycles = _policy_values(pi.tolist(), w.tolist())
         lam = float(eta.min())
         tied = eta == lam
         if tied.all():
@@ -226,7 +228,8 @@ def dense_min_mean_cycle(W: np.ndarray) -> MinMeanCycle:
             cols = np.flatnonzero(tied)
             succ = cols[np.argmin(W[:, cols] + x[cols], axis=1)]
         best = W[rows, succ] + x[succ]
-        switch = (~tied | (best - lam < x)) & (succ != pi)
+        thr = 16.0 * u * (2.0 * float(np.max(np.abs(x))) + float(np.max(np.abs(w))) + abs(lam))
+        switch = (~tied | (best - lam < x - thr)) & (succ != pi)
         if not switch.any():
             break
         pi = np.where(switch, succ, pi)
@@ -235,14 +238,13 @@ def dense_min_mean_cycle(W: np.ndarray) -> MinMeanCycle:
     slack = float(np.max((x - best) + lam))
     wmax = max(-float(W.min()), float(np.max(W, where=np.isfinite(W), initial=0.0)))
     scale = 2.0 * float(np.max(np.abs(x))) + wmax + abs(lam) + abs(slack)
-    u = np.finfo(float).eps / 2
     delta = slack + 5.0 * u / (1.0 - 5.0 * u) * scale
     cycle = min(c for mean, c in cycles if mean == lam)
     return MinMeanCycle(lam, cycle, lam - delta, iterations, x)
 
 
 def dense_verify(
-    dataset: Dataset, fit, tol: float = 1e-8, *, mixtures: int = 1000, rng=None, blocked: bool = True
+    dataset: Dataset, phi, tol: float = 1e-8, *, mixtures: int = 1000, rng=None, blocked: bool = True
 ) -> RationalizationReport:
     """``verify_rationalization`` with every operand whole: W, the mixtures x n
     Dirichlet draws made in one call, and the n x (n + mixtures) competitor
@@ -256,8 +258,8 @@ def dense_verify(
     before it streamed.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    G, c = _max_affine_data(fit, dataset)
-    V, n, phi = dataset.values_matrix, dataset.n, fit.potentials
+    G, c = _max_affine_data(phi, dataset)
+    V, n = dataset.values_matrix, dataset.n
     extension = np.maximum(phi, np.max(phi[:, None] - edge_weights(dataset), axis=0))
     draws = rng.dirichlet(np.ones(n), size=mixtures)
     blocks = row_blocks(n, mixtures) if blocked else [slice(None)]

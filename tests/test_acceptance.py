@@ -101,8 +101,8 @@ def test_criterion_3_forward_round_trip():
             d = luce_dataset(rng, n, size)
         else:
             d = pum_dataset("negentropy" if k % 3 == 1 else "quadratic", rng, n, size)
-        fit = compute_potentials(d, 1e-9)
-        report = verify_rationalization(d, fit, 1e-8, mixtures=1000, rng=rng)
+        phi = compute_potentials(d, 1e-9)
+        report = verify_rationalization(d, phi, 1e-8, mixtures=1000, rng=rng)
         assert report.n_mixture_points == 1000
         worst_fenchel = max(worst_fenchel, report.max_fenchel_gap)
         worst_opt = max(worst_opt, report.max_optimality_gap)
@@ -168,13 +168,13 @@ def test_criterion_5_conjugate_brute_force_oracle():
             if k % 2 == 0
             else pum_dataset("negentropy", rng, n, 2)
         )
-        fit = compute_potentials(d, 1e-9)
-        G, c = _max_affine_data(fit, d)
+        phi = compute_potentials(d, 1e-9)
+        G, c = _max_affine_data(phi, d)
         points = [G[i] for i in range(n)]
         while len(points) < 50:
             points.append(rng.dirichlet(np.ones(n)) @ G)
         for q in points:
-            lp_value = conjugate_cost(fit, d, q)
+            lp_value = conjugate_cost(phi, d, q)
             exact = conjugate_exact_2alt(G[:, 0], c, float(q[0]))
             grid = conjugate_grid_2alt(G[:, 0], c, float(q[0]))
             assert math.isfinite(lp_value) and math.isfinite(exact)
@@ -254,8 +254,8 @@ def test_criterion_8_scale():
     assert verdict.is_pass
 
     t1 = time.perf_counter()
-    fit = compute_potentials(d, 1e-9)
-    report = verify_rationalization(d, fit, 1e-8, mixtures=1000, rng=rng)
+    phi = compute_potentials(d, 1e-9)
+    report = verify_rationalization(d, phi, 1e-8, mixtures=1000, rng=rng)
     fit_verify_elapsed = time.perf_counter() - t1
     ok = (
         check_elapsed < 1.0

@@ -149,7 +149,7 @@ class TestFitVerify:
     def test_failed_optimality_gap_exits_3(self, command, softmax_path, tmp_path, monkeypatch):
         # Fenchel gaps pass but a sampled competitor beats p^i: the exit code
         # must follow the report's overall verdict, not the Fenchel gap alone.
-        def failing_verify(dataset, fit, tol, **kwargs):
+        def failing_verify(dataset, phi, tol, **kwargs):
             return RationalizationReport(
                 fenchel_gaps=np.zeros(dataset.n),
                 optimality_gaps=np.full(dataset.n, 10 * tol),
@@ -355,7 +355,7 @@ class TestErrorsAndDeterminism:
         out = tmp_path / target
         assert main([command, "--input", str(softmax_path), "--output", str(out)]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
-        assert not out.is_file()
+        assert not out.is_file() and not out.with_suffix(".series.csv").exists()
 
     @pytest.mark.parametrize(
         "big, probs", [("8e307", (1, 0, 0, 1)), ("1e308", (0.3, 0.7, 0.6, 0.4))]

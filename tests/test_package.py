@@ -13,7 +13,7 @@ BadSumError CMVerdict CostEvaluator CustomTable CycleWitness CycloratError DataD
 Dataset DuplicateValuesWarning EmptyDatasetError EmptyDomainError InconsistentPairError
 IndexOutOfRangeError LengthMismatchError LuceExponential Menu MixedMenusError NegEntropyCost
 NegativeEntryError NoProgressError NonFiniteError NotCyclicallyMonotoneError
-PairwiseRegret PotentialFit PreferenceModel PumSolution QuadraticCost RationalizationReport
+PairwiseRegret PreferenceModel PumSolution QuadraticCost RationalizationReport
 RecordValidationError SalienceWeighted SmoothedDataDerivedCost TOL_CM TOL_OPT
 TOL_SIMPLEX TableLookupError TwoPointViolation ValidationError
 ZeroStrengthError check_cyclic_monotonicity check_two_point_monotonicity

@@ -16,6 +16,7 @@ from cyclorat import (
     NotCyclicallyMonotoneError,
     QuadraticCost,
     SmoothedDataDerivedCost,
+    check_cyclic_monotonicity,
     choice_probabilities,
     compute_potentials,
     conjugate_cost,
@@ -51,17 +52,18 @@ from oracles import (
 class TestComputePotentials:
     def test_single_observation(self):
         d = make_dataset("m", [[1, 2]], [[0.4, 0.6]])
-        fit = compute_potentials(d)
-        assert fit.base_index == 1
-        assert fit.potentials.tolist() == [0.0]
+        verdict = check_cyclic_monotonicity(d)
+        phi = compute_potentials(d, verdict=verdict)
+        assert phi is verdict.potentials and not phi.flags.writeable
+        assert phi.tolist() == [0.0]
 
     def test_softmax_fixture(self, softmax_fixture):
         # Policy iteration holds both edges of the two-cycle with margin
         # equal to its mean 0.11553: phi_2 = <p1, v2 - v1> + 0.11553 over
         # the base, which stays at 0.
-        fit = compute_potentials(softmax_fixture)
-        assert_allclose(fit.potentials, [0.0, 0.61553], atol=1e-15)
-        vertices = cost_description(fit, softmax_fixture)["vertices"]
+        phi = compute_potentials(softmax_fixture)
+        assert_allclose(phi, [0.0, 0.61553], atol=1e-15)
+        vertices = cost_description(phi, softmax_fixture)["vertices"]
         assert vertices == softmax_fixture.probs_matrix.tolist()
 
     def test_violation_raises_with_witness(self, violation_fixture):
@@ -78,7 +80,7 @@ class TestComputePotentials:
         d = benchmark_lowdim_menu(7, k)
         W = edge_weights(d)
         assert karp_min_mean(W)[0] < 0
-        phi = compute_potentials(d, 1e-9).potentials
+        phi = compute_potentials(d, 1e-9)
         assert np.min(phi[None, :] - phi[:, None] + W) >= -1e-13
 
     def test_subgradient_consistency_on_generated_data(self):
@@ -86,8 +88,8 @@ class TestComputePotentials:
         for kind in ("negentropy", "quadratic"):
             for _ in range(8):
                 d = pum_dataset(kind, rng, int(rng.integers(2, 12)), int(rng.integers(2, 6)))
-                fit = compute_potentials(d)
-                V, G, phi = d.values_matrix, d.probs_matrix, fit.potentials
+                phi = compute_potentials(d)
+                V, G = d.values_matrix, d.probs_matrix
                 for i in range(d.n):
                     for j in range(d.n):
                         lower = phi[i] + comp_dot(G[i], V[j] - V[i])
@@ -96,29 +98,29 @@ class TestComputePotentials:
 
 class TestEvaluateExtension:
     def test_fixture_values(self, softmax_fixture):
-        fit = compute_potentials(softmax_fixture)
+        phi = compute_potentials(softmax_fixture)
         # At v1 the candidate pieces are 0 and 0.61553 - 0.73106 < 0.
-        assert evaluate_extension(fit, softmax_fixture, [0.0, 0.0]) == 0.0
+        assert evaluate_extension(phi, softmax_fixture, [0.0, 0.0]) == 0.0
         # At v2 the pieces are 0.5 and 0.61553.
         assert_allclose(
-            evaluate_extension(fit, softmax_fixture, [1.0, 0.0]), 0.61553, atol=1e-15
+            evaluate_extension(phi, softmax_fixture, [1.0, 0.0]), 0.61553, atol=1e-15
         )
 
     def test_base_point_is_zero(self):
         rng = np.random.default_rng(32)
         for _ in range(10):
             d = luce_dataset(rng, int(rng.integers(1, 9)), int(rng.integers(2, 5)))
-            fit = compute_potentials(d)
-            base_v = d.values_matrix[fit.base_index - 1]
-            assert_allclose(evaluate_extension(fit, d, base_v), 0.0, atol=1e-12)
+            phi = compute_potentials(d)
+            base_v = d.values_matrix[0]
+            assert_allclose(evaluate_extension(phi, d, base_v), 0.0, atol=1e-12)
 
     def test_interpolates_potentials_and_dominates_pieces(self):
         rng = np.random.default_rng(33)
         d = luce_dataset(rng, 7, 3)
-        fit = compute_potentials(d)
-        V, G, phi = d.values_matrix, d.probs_matrix, fit.potentials
+        phi = compute_potentials(d)
+        V, G = d.values_matrix, d.probs_matrix
         for j in range(d.n):
-            fj = evaluate_extension(fit, d, V[j])
+            fj = evaluate_extension(phi, d, V[j])
             assert_allclose(fj, phi[j], atol=1e-11)
             for i in range(d.n):
                 assert fj >= phi[i] + comp_dot(G[i], V[j] - V[i]) - 1e-12
@@ -126,30 +128,30 @@ class TestEvaluateExtension:
     def test_convex_in_v(self):
         rng = np.random.default_rng(34)
         d = luce_dataset(rng, 5, 3)
-        fit = compute_potentials(d)
+        phi = compute_potentials(d)
         for _ in range(50):
             a = rng.uniform(-5, 5, 3)
             b = rng.uniform(-5, 5, 3)
             lam = float(rng.uniform())
-            mixed = evaluate_extension(fit, d, lam * a + (1 - lam) * b)
-            chord = lam * evaluate_extension(fit, d, a) + (1 - lam) * evaluate_extension(fit, d, b)
+            mixed = evaluate_extension(phi, d, lam * a + (1 - lam) * b)
+            chord = lam * evaluate_extension(phi, d, a) + (1 - lam) * evaluate_extension(phi, d, b)
             assert mixed <= chord + 1e-10
 
 
 class TestConjugateCost:
     def test_fixture_values(self, softmax_fixture):
-        fit = compute_potentials(softmax_fixture)
-        assert_allclose(conjugate_cost(fit, softmax_fixture, [0.5, 0.5]), 0.0, atol=1e-12)
+        phi = compute_potentials(softmax_fixture)
+        assert_allclose(conjugate_cost(phi, softmax_fixture, [0.5, 0.5]), 0.0, atol=1e-12)
         assert_allclose(
-            conjugate_cost(fit, softmax_fixture, [0.73106, 0.26894]), 0.11553, atol=1e-12
+            conjugate_cost(phi, softmax_fixture, [0.73106, 0.26894]), 0.11553, atol=1e-12
         )
-        assert math.isinf(conjugate_cost(fit, softmax_fixture, [0.9, 0.1]))
+        assert math.isinf(conjugate_cost(phi, softmax_fixture, [0.9, 0.1]))
 
     def test_enumeration_and_simplex_routes_agree(self):
         rng = np.random.default_rng(35)
         d = luce_dataset(rng, 9, 3)
-        fit = compute_potentials(d)
-        G, c = _max_affine_data(fit, d)
+        phi = compute_potentials(d)
+        G, c = _max_affine_data(phi, d)
         A = np.vstack([G.T, np.ones((1, d.n))])
         for _ in range(25):
             q = rng.dirichlet(np.ones(d.n)) @ G
@@ -201,8 +203,8 @@ class TestConjugateCost:
         # of 5 for vertex 130, which, reused without the dual certificate,
         # mispriced vertex 132.  Every batch value must equal its cold solve.
         d = benchmark_lowdim_menu(3, 2)
-        fit = compute_potentials(d)
-        G, c = _max_affine_data(fit, d)
+        phi = compute_potentials(d)
+        G, c = _max_affine_data(phi, d)
         Q = np.vstack([G, np.random.default_rng(0).dirichlet(np.ones(d.n), size=100) @ G])
         values = _conjugate_many(G, c, Q)
         A = np.vstack([G.T, np.ones((1, d.n))])
@@ -293,24 +295,24 @@ class TestConjugateCost:
         rng = np.random.default_rng(37)
         for _ in range(10):
             d = luce_dataset(rng, int(rng.integers(1, 4)), 2)
-            fit = compute_potentials(d)
-            G, c = _max_affine_data(fit, d)
+            phi = compute_potentials(d)
+            G, c = _max_affine_data(phi, d)
             for _ in range(10):
                 q = rng.dirichlet(np.ones(d.n)) @ G
                 exact = conjugate_exact_2alt(G[:, 0], c, float(q[0]))
-                lp = conjugate_cost(fit, d, q)
+                lp = conjugate_cost(phi, d, q)
                 assert_allclose(lp, exact, atol=1e-10)
                 grid = conjugate_grid_2alt(G[:, 0], c, float(q[0]))
                 assert grid <= lp + 1e-9  # every grid point is a valid v
 
     def test_cost_evaluators_are_convex(self, softmax_fixture):
         rng = np.random.default_rng(38)
-        fit = compute_potentials(softmax_fixture)
+        phi = compute_potentials(softmax_fixture)
         evaluators = [
             NegEntropyCost(),
             QuadraticCost(),
-            DataDerivedCost(fit, softmax_fixture),
-            SmoothedDataDerivedCost(fit, softmax_fixture, 1e-2),
+            DataDerivedCost(phi, softmax_fixture),
+            SmoothedDataDerivedCost(phi, softmax_fixture, 1e-2),
         ]
         G = softmax_fixture.probs_matrix
         for cost in evaluators:
@@ -403,8 +405,8 @@ class TestGeneralSolver:
         assert_allclose(sol.probs, [0.6, 0.4], atol=1e-6)
 
     def test_data_derived_at_observed_point(self, softmax_fixture):
-        fit = compute_potentials(softmax_fixture)
-        cost = DataDerivedCost(fit, softmax_fixture)
+        phi = compute_potentials(softmax_fixture)
+        cost = DataDerivedCost(phi, softmax_fixture)
         sol = pum_solve_general(cost, [0.0, 0.0], 1e-8)
         assert abs(sol.objective - 0.0) <= 1e-8
         assert_allclose(sol.probs, [0.5, 0.5], atol=1e-12)
@@ -419,10 +421,9 @@ class TestGeneralSolver:
         rng = np.random.default_rng(0)
         V = rng.uniform(-3.0, 3.0, (200, 10))
         d = make_dataset("m", V.tolist(), (np.exp(V) / np.exp(V).sum(axis=1, keepdims=True)).tolist())
-        fit = compute_potentials(d)
-        phi = fit.potentials
+        phi = compute_potentials(d)
         assert np.min(phi[None, :] - phi[:, None] + edge_weights(d)) > 0.05
-        cost = DataDerivedCost(fit, d)
+        cost = DataDerivedCost(phi, d)
         for v, p in zip(d.values_matrix, d.probs_matrix):
             assert np.array_equal(pum_solve_general(cost, v).probs, p)
 
@@ -434,9 +435,9 @@ class TestGeneralSolver:
         for _ in range(6):
             size = int(rng.integers(2, 5))
             d = luce_dataset(rng, int(rng.integers(2, 7)), size)
-            fit = compute_potentials(d)
-            plain = DataDerivedCost(fit, d)
-            smoothed = SmoothedDataDerivedCost(fit, d, epsilon)
+            phi = compute_potentials(d)
+            plain = DataDerivedCost(phi, d)
+            smoothed = SmoothedDataDerivedCost(phi, d, epsilon)
             v = rng.uniform(-2, 2, size)
             best = pum_solve_general(plain, v, 1e-10).objective
             sol = pum_solve_general(smoothed, v, 1e-8)
@@ -520,8 +521,8 @@ def _count_lp_calls(monkeypatch) -> list:
 
 class TestVerifyRationalization:
     def test_softmax_fixture(self, softmax_fixture):
-        fit = compute_potentials(softmax_fixture)
-        report = verify_rationalization(softmax_fixture, fit, 1e-9)
+        phi = compute_potentials(softmax_fixture)
+        report = verify_rationalization(softmax_fixture, phi, 1e-9)
         assert report.max_fenchel_gap <= 1e-9
         assert report.max_optimality_gap <= 1e-9
         assert report.passed
@@ -535,17 +536,17 @@ class TestVerifyRationalization:
         assert report.max_optimality_gap <= 1e-12
 
     def test_reproducible_with_explicit_generator(self, softmax_fixture):
-        fit = compute_potentials(softmax_fixture)
-        a = verify_rationalization(softmax_fixture, fit, rng=np.random.default_rng(5))
-        b = verify_rationalization(softmax_fixture, fit, rng=np.random.default_rng(5))
+        phi = compute_potentials(softmax_fixture)
+        a = verify_rationalization(softmax_fixture, phi, rng=np.random.default_rng(5))
+        b = verify_rationalization(softmax_fixture, phi, rng=np.random.default_rng(5))
         assert np.array_equal(a.optimality_gaps, b.optimality_gaps)
 
     def test_generated_data_round_trip(self):
         rng = np.random.default_rng(43)
         for kind in ("negentropy", "quadratic"):
             d = pum_dataset(kind, rng, 15, 4)
-            fit = compute_potentials(d)
-            report = verify_rationalization(d, fit, 1e-8, mixtures=200, rng=rng)
+            phi = compute_potentials(d)
+            report = verify_rationalization(d, phi, 1e-8, mixtures=200, rng=rng)
             assert report.max_fenchel_gap <= 1e-8
             assert report.max_optimality_gap <= 1e-8
 
@@ -564,25 +565,24 @@ class TestVerifyRationalization:
         # value C(g_i) is within the shortfall of c_i.  lowdim-3-2 holds the
         # dust-pivot vertex 130, the others tie gradients or zero cycles.
         d = menu()
-        fit = compute_potentials(d, 1e-9)
-        G, c = _max_affine_data(fit, d)
+        phi = compute_potentials(d, 1e-9)
+        G, c = _max_affine_data(phi, d)
         A = np.vstack([G.T, np.ones((1, d.n))])
         lp = np.array([solve_equality_lp(c, A, np.append(g, 1.0)).value for g in G])
-        shortfall = verify_rationalization(d, fit, mixtures=0).fenchel_gaps
+        shortfall = verify_rationalization(d, phi, mixtures=0).fenchel_gaps
         assert np.all(np.abs(lp - c) <= shortfall + 1e-12)
 
     def test_vertices_need_no_lp(self, monkeypatch):
         calls = _count_lp_calls(monkeypatch)
         d = benchmark_lowdim_menu(3, 2)
-        fit = compute_potentials(d, 1e-9)
-        report = verify_rationalization(d, fit, 1e-8, mixtures=0)
+        phi = compute_potentials(d, 1e-9)
+        report = verify_rationalization(d, phi, 1e-8, mixtures=0)
         assert len(calls) == 0
         assert report.passed
         assert (report.n_vertex_points, report.n_mixture_points) == (d.n, 0)
-        phi = fit.potentials
         extension = np.maximum(phi, np.max(phi[:, None] - edge_weights(d), axis=0))
         assert np.array_equal(report.fenchel_gaps, extension - phi)
-        exact = [evaluate_extension(fit, d, v) for v in d.values_matrix]
+        exact = [evaluate_extension(phi, d, v) for v in d.values_matrix]
         assert_allclose(report.fenchel_gaps, np.array(exact) - phi, atol=1e-12)
 
     def test_large_menu_solves_mixtures_only(self, monkeypatch):
@@ -591,8 +591,8 @@ class TestVerifyRationalization:
         # by reused bases or warm started from one.
         calls = _count_lp_calls(monkeypatch)
         d = pum_dataset("negentropy", np.random.default_rng(70), 1000, 10)
-        fit = compute_potentials(d, 1e-9)
-        report = verify_rationalization(d, fit, 1e-8, rng=np.random.default_rng(71))
+        phi = compute_potentials(d, 1e-9)
+        report = verify_rationalization(d, phi, 1e-8, rng=np.random.default_rng(71))
         assert report.passed  # every gap <= 1e-8
         assert report.n_mixture_points == 1000
         lp = report.to_dict()["lp"]
@@ -602,8 +602,7 @@ class TestVerifyRationalization:
     def test_lowered_potential_is_rejected(self, softmax_fixture):
         # phi_2 = 0.5 is tight against phi_1 - w(1 -> 2); 1e-6 below it
         # breaks that Afriat inequality and the Fenchel equality at v^2.
-        fit = compute_potentials(softmax_fixture)
-        bad = dataclasses.replace(fit, potentials=[0.0, 0.5 - 1e-6])
+        bad = np.array([0.0, 0.5 - 1e-6])
         report = verify_rationalization(softmax_fixture, bad)
         assert not report.passed
         assert_allclose(report.fenchel_gaps, [0.0, 1e-6], atol=1e-12)
@@ -614,8 +613,8 @@ class TestDegenerateGeometry:
     def test_duplicate_gradients_across_observations(self):
         rng = np.random.default_rng(60)
         d = _duplicate_gradient_menu(rng)
-        fit = compute_potentials(d, 1e-9)
-        report = verify_rationalization(d, fit, 1e-8, mixtures=100, rng=rng)
+        phi = compute_potentials(d, 1e-9)
+        report = verify_rationalization(d, phi, 1e-8, mixtures=100, rng=rng)
         assert report.max_fenchel_gap <= 1e-8
         assert report.max_optimality_gap <= 1e-8
 
@@ -623,8 +622,8 @@ class TestDegenerateGeometry:
         # Spread-out values push many projections onto simplex faces.
         rng = np.random.default_rng(61)
         d = pum_dataset("quadratic", rng, 20, 5)
-        fit = compute_potentials(d, 1e-9)
-        report = verify_rationalization(d, fit, 1e-8, mixtures=300, rng=rng)
+        phi = compute_potentials(d, 1e-9)
+        report = verify_rationalization(d, phi, 1e-8, mixtures=300, rng=rng)
         assert report.max_fenchel_gap <= 1e-8
         assert report.max_optimality_gap <= 1e-8
 
@@ -665,10 +664,10 @@ class TestSolverErrorPaths:
             pum_solve_general(Scaled(), [0.0, 1.0])
 
     def test_smoothed_cost_requires_positive_epsilon(self, softmax_fixture):
-        fit = compute_potentials(softmax_fixture)
+        phi = compute_potentials(softmax_fixture)
         for epsilon in (0.0, math.nan):
             with pytest.raises(ValueError):
-                SmoothedDataDerivedCost(fit, softmax_fixture, epsilon)
+                SmoothedDataDerivedCost(phi, softmax_fixture, epsilon)
 
 
 @pytest.mark.parametrize("cells", [None, 1, 7 * 150])
@@ -679,9 +678,9 @@ def test_blocked_extension_matches_dense(cells, monkeypatch):
         monkeypatch.setattr(monotonicity, "ROW_BLOCK_CELLS", cells)
     rng = np.random.default_rng(96)
     for d in (pum_dataset("negentropy", rng, 150, 4), luce_dataset(rng, 301, 3)):
-        fit = compute_potentials(d)
-        report = verify_rationalization(d, fit, mixtures=0)
-        want = dense_verify(d, fit, mixtures=0)
+        phi = compute_potentials(d)
+        report = verify_rationalization(d, phi, mixtures=0)
+        want = dense_verify(d, phi, mixtures=0)
         assert report.fenchel_gaps.tobytes() == want.fenchel_gaps.tobytes()
 
 
@@ -703,9 +702,9 @@ class TestStreamedVerify:
         monkeypatch.setattr(monotonicity, "ROW_BLOCK_CELLS", n + 3)
         assert len(monotonicity.row_blocks(n, mixtures)) == mixtures
         d = pum_dataset("negentropy", np.random.default_rng(80), n, 7)
-        fit = compute_potentials(d)
-        got = verify_rationalization(d, fit, mixtures=mixtures, rng=np.random.default_rng(81))
-        _assert_same_report(got, dense_verify(d, fit, mixtures=mixtures, rng=np.random.default_rng(81)))
+        phi = compute_potentials(d)
+        got = verify_rationalization(d, phi, mixtures=mixtures, rng=np.random.default_rng(81))
+        _assert_same_report(got, dense_verify(d, phi, mixtures=mixtures, rng=np.random.default_rng(81)))
 
     @pytest.mark.parametrize("n, size, mixtures", [(193, 9, 1000), (250, 7, 339), (40, 3, 0)])
     def test_partial_last_blocks_match_dense(self, n, size, mixtures):
@@ -713,18 +712,18 @@ class TestStreamedVerify:
         # a multiple of the block.  At these odd |A|, BLAS rounded some
         # blocks of a product differently from the whole product.
         d = pum_dataset("quadratic", np.random.default_rng(n), n, size)
-        fit = compute_potentials(d)
-        got = verify_rationalization(d, fit, mixtures=mixtures, rng=np.random.default_rng(82))
-        _assert_same_report(got, dense_verify(d, fit, mixtures=mixtures, rng=np.random.default_rng(82)))
+        phi = compute_potentials(d)
+        got = verify_rationalization(d, phi, mixtures=mixtures, rng=np.random.default_rng(82))
+        _assert_same_report(got, dense_verify(d, phi, mixtures=mixtures, rng=np.random.default_rng(82)))
 
     def test_single_products_agree_to_rounding(self):
         # Against the whole products of the unstreamed formula, only BLAS's
         # rounding of a block may differ.
         for n, size in [(193, 9), (200, 10), (250, 7)]:
             d = pum_dataset("negentropy", np.random.default_rng(n + size), n, size)
-            fit = compute_potentials(d)
-            got = verify_rationalization(d, fit, mixtures=500)
-            want = dense_verify(d, fit, mixtures=500, blocked=False)
+            phi = compute_potentials(d)
+            got = verify_rationalization(d, phi, mixtures=500)
+            want = dense_verify(d, phi, mixtures=500, blocked=False)
             assert got.fenchel_gaps.tobytes() == want.fenchel_gaps.tobytes()
             assert_allclose(got.optimality_gaps, want.optimality_gaps, rtol=0, atol=1e-13)
 
@@ -752,13 +751,13 @@ class TestStreamedVerify:
         # |A|), and each mixture adds less than n bytes, an eighth of a row.
         n = 1000
         d = pum_dataset("negentropy", np.random.default_rng(84), n, 10)
-        fit = compute_potentials(d)
+        phi = compute_potentials(d)
         d.values_matrix, d.probs_matrix  # built before tracing starts
         peaks = []
         for mixtures in (1000, 3000):
             tracemalloc.start()
             try:
-                assert verify_rationalization(d, fit, mixtures=mixtures).passed
+                assert verify_rationalization(d, phi, mixtures=mixtures).passed
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

@@ -32,6 +32,7 @@ def test_model_spec_example_loads(tmp_path):
 def test_library_quick_start_runs():
     (block,) = _blocks("python")
     assert "assert report.passed" in block
+    assert "phi = cy.compute_potentials(d)" in block
     exec(compile(block, "README.md", "exec"), {})
 
 
