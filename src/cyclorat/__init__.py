@@ -14,8 +14,8 @@ from importlib import import_module as _import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "core": """TOL_CM TOL_OPT TOL_SIMPLEX Dataset Menu comp_dot comp_sum make_dataset
-        validate_dataset validate_simplex""",
+    "core": """TOL_CM TOL_OPT TOL_SIMPLEX Dataset Menu comp_dot validate_dataset
+        validate_simplex""",
     "errors": """BadSumError CycloratError DuplicateValuesWarning EmptyDatasetError
         EmptyDomainError InconsistentPairError IndexOutOfRangeError LengthMismatchError
         MixedMenusError NegativeEntryError NoProgressError NonFiniteError
@@ -29,8 +29,8 @@ _EXPORTS = {
         check_two_point_monotonicity check_weak_stochastic_transitivity cycle_sum""",
     "rationalization": """CostEvaluator DataDerivedCost NegEntropyCost PumSolution
         QuadraticCost RationalizationReport SmoothedDataDerivedCost compute_potentials
-        conjugate_cost cost_description evaluate_extension pum_solve_closed
-        pum_solve_general simplex_projection softmax_probabilities verify_rationalization""",
+        conjugate_cost cost_description evaluate_extension pum_solve_general
+        simplex_projection softmax_probabilities verify_rationalization""",
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -127,7 +127,7 @@ def _analyze_menu(d: Dataset, config: RunConfig) -> tuple[dict, bool, bool]:
         section["cost"] = rat.cost_description(phi, d)
         if depth in ("verify", "report-all"):
             rng = np.random.default_rng(config.seed)
-            report = rat.verify_rationalization(d, phi, config.tol_opt, rng=rng)
+            report = rat.verify_rationalization(d, phi, config.tol_cm + config.tol_opt, rng=rng)
             section["verification"] = report.to_dict()
             verify_ok = report.passed
             if config.epsilon > 0:
@@ -257,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="output path (report JSON, or dataset CSV for simulate)")
         p.add_argument("--model", help="model spec JSON path (simulate)")
         p.add_argument("--tol-cm", type=float, default=TOL_CM, help="per-edge slack on cycle means")
-        p.add_argument("--tol-opt", type=float, default=TOL_OPT, help="verification tolerance")
+        p.add_argument("--tol-opt", type=float, default=TOL_OPT, help="verification slack beyond --tol-cm")
         p.add_argument("--epsilon", type=float, default=0.0, help="entropic smoothing weight")
         p.add_argument("--seed", type=int, default=0, help="seed for sampled verification")
     return parser
@@ -277,7 +277,7 @@ def main(argv: list[str] | None = None) -> int:
         if config.command == "simulate" or not config.output:
             sys.stdout.write(dumps_report(report))
     except (CycloratError, OSError, ValueError, csv.Error) as exc:
-        log.error("%s", exc)
+        log.debug("%s failed", args.command, exc_info=exc)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return code

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import FrozenInstanceError, dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .errors import (
     DuplicateValuesWarning,
     EmptyDatasetError,
     LengthMismatchError,
-    MixedMenusError,
     NegativeEntryError,
     NonFiniteError,
     RecordValidationError,
@@ -45,11 +44,6 @@ TOL_OPT = 1e-8
 
 # Bit-level slack per coordinate allowed after exact renormalization.
 _EXACT_SUM_SLACK = 1e-15
-
-
-def comp_sum(terms: Iterable[float]) -> float:
-    """Exactly rounded sum of a sequence of floats."""
-    return math.fsum(terms)
 
 
 def comp_dot(x, y) -> float:
@@ -132,7 +126,7 @@ def validate_simplex(raw, tol: float = TOL_SIMPLEX) -> np.ndarray:
     low = int(np.argmin(arr))
     if arr[low] < -tol:
         raise NegativeEntryError(
-            f"entry {arr[low]!r} at position {low} is below -{tol:g}"
+            f"entry {float(arr[low])!r} at position {low} is below -{tol:g}"
         )
     total = math.fsum(arr.tolist())
     if abs(total - 1.0) > tol:
@@ -197,20 +191,23 @@ class Dataset:
 
 
 def validate_dataset(
-    records: Sequence[tuple[str, Sequence[float], Sequence[float]]],
+    menu_id: str,
+    values: Sequence[Sequence[float]],
+    probs: Sequence[Sequence[float]],
     *,
     alternatives: Sequence[str] | None = None,
     tol: float = TOL_SIMPLEX,
 ) -> Dataset:
-    """Validate raw ``(menu_id, values, probs)`` records into a Dataset.
+    """Validate parallel rows of values and probabilities into a Dataset.
 
-    All records must share one menu id.  Per-record failures are aggregated
-    into a single ``RecordValidationError`` carrying 1-based record indices.
-    Duplicate value vectors with differing probabilities are kept (cycle sums
-    remain well defined) but trigger a ``DuplicateValuesWarning``, since such
-    data cannot come from a single-valued choice map.
+    Row k of ``values`` and of ``probs`` is record k + 1.  Per-record
+    failures are aggregated into a single ``RecordValidationError`` carrying
+    these 1-based indices.  Duplicate value vectors with differing
+    probabilities are kept (cycle sums remain well defined) but trigger a
+    ``DuplicateValuesWarning``, since such data cannot come from a
+    single-valued choice map.
 
-    The records are screened as two n-by-|A| matrices: a row of finite values
+    The rows are screened as two n-by-|A| matrices: a row of finite values
     and probabilities in [0, 1] whose compensated sum is within the bit-level
     slack of one is what ``validate_simplex`` returns unchanged.  Every other
     record (all of them, if the rows are ragged) goes through the scalar
@@ -219,22 +216,19 @@ def validate_dataset(
     Values above float max / (32 n) in magnitude raise ``NonFiniteError``:
     |W_ij| <= 2 max|v|, and policy values and cycle sums are within 24 n max|v|.
     """
-    records = [(menu_id, values, probs) for menu_id, values, probs in records]
-    if not records:
+    if len(values) != len(probs):
+        raise LengthMismatchError(f"{len(values)} value rows vs {len(probs)} probability rows")
+    if not len(values):
         raise EmptyDatasetError("no records supplied")
-    menu_ids = {r[0] for r in records}
-    if len(menu_ids) != 1:
-        raise MixedMenusError(f"records span menus {sorted(menu_ids)!r}")
 
-    size = len(records[0][1])
     if alternatives is None:
-        alternatives = tuple(f"a{k + 1}" for k in range(size))
-    menu = Menu(records[0][0], tuple(alternatives))
+        alternatives = tuple(f"a{k + 1}" for k in range(len(values[0])))
+    menu = Menu(menu_id, tuple(alternatives))
 
-    shape = (len(records), menu.size)
+    shape = (len(values), menu.size)
+    raw_values, raw_probs = values, probs
     try:
-        values = np.array([r[1] for r in records], dtype=float)
-        probs = np.array([r[2] for r in records], dtype=float)
+        values, probs = np.array(raw_values, dtype=float), np.array(raw_probs, dtype=float)
     except (TypeError, ValueError):
         values = probs = np.empty(0)
     if values.shape == probs.shape == shape:
@@ -248,10 +242,10 @@ def validate_dataset(
     failures: list[tuple[int, Exception]] = []
     for k in redo:
         try:
-            v = _check_vector(records[k][1], name="value vector")
+            v = _check_vector(raw_values[k], name="value vector")
             if v.size != menu.size:
                 raise LengthMismatchError(f"{v.size} values against a menu of size {menu.size}")
-            p = validate_simplex(records[k][2], tol)
+            p = validate_simplex(raw_probs[k], tol)
             if p.size != menu.size:
                 raise LengthMismatchError(
                     f"{p.size} probabilities against a menu of size {menu.size}"
@@ -282,20 +276,3 @@ def validate_dataset(
         )
 
     return Dataset(menu, values, probs)
-
-
-def make_dataset(
-    menu_id: str,
-    values_rows: Sequence[Sequence[float]],
-    probs_rows: Sequence[Sequence[float]],
-    *,
-    alternatives: Sequence[str] | None = None,
-    tol: float = TOL_SIMPLEX,
-) -> Dataset:
-    """Convenience constructor from parallel rows of values and probabilities."""
-    if len(values_rows) != len(probs_rows):
-        raise LengthMismatchError(
-            f"{len(values_rows)} value rows vs {len(probs_rows)} probability rows"
-        )
-    records = [(menu_id, v, p) for v, p in zip(values_rows, probs_rows)]
-    return validate_dataset(records, alternatives=alternatives, tol=tol)

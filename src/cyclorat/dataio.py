@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -34,11 +34,6 @@ class ParseError(ValidationError):
     def __init__(self, line: int, message: str):
         self.line = line
         super().__init__(f"line {line}: {message}")
-
-
-def fmt17(x: float) -> str:
-    """Format a float with 17 significant digits (exact double round-trip)."""
-    return format(float(x), ".17g")
 
 
 def csv_field(text: str) -> str:
@@ -188,8 +183,7 @@ def parse_datasets_csv(path) -> dict[str, Dataset]:
     for menu_id, alts, values, probs, fault in menus:
         if fault:
             raise ValidationError(fault)
-        records = list(zip(repeat(menu_id), values, probs))
-        out[menu_id] = validate_dataset(records, alternatives=alts)
+        out[menu_id] = validate_dataset(menu_id, values, probs, alternatives=alts)
     return out
 
 
@@ -211,7 +205,7 @@ def write_dataset_csv(path, datasets: Dataset | Sequence[Dataset]) -> None:
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for d in datasets:
-            # One % call per menu; %.17g formats as fmt17 does.
+            # One % call per menu; %.17g round-trips every double.
             head = csv_field(d.menu.id).replace("%", "%%") + ",%d,"
             text = "".join(
                 head + csv_field(label).replace("%", "%%") + ",%.17g,%.17g\n"

@@ -207,18 +207,6 @@ def simplex_projection(v) -> np.ndarray:
     return exact_simplex_array(out)
 
 
-def pum_solve_closed(kind: str, v) -> np.ndarray:
-    """Closed-form perturbed-utility choice for the two strictly convex costs.
-
-    ``negentropy`` (C(p) = sum p ln p) gives the softmax of v; ``quadratic``
-    (C(p) = 0.5 * sum p^2) gives the Euclidean projection of v onto the
-    simplex.  Both maximizers are unique by strict convexity.
-    """
-    if kind not in _CLOSED_FORMS:
-        raise ValueError(f"unknown cost kind {kind!r}; expected 'negentropy' or 'quadratic'")
-    return _CLOSED_FORMS[kind][1](v)
-
-
 class CostEvaluator(abc.ABC):
     """A convex cost on the simplex; ``pum_solve_general`` solves the built-in four."""
 
@@ -248,11 +236,8 @@ class QuadraticCost(CostEvaluator):
         return 0.5 * math.fsum((p * p).tolist())
 
 
-#: Each strictly convex cost's class and closed-form maximizer, by kind.
-_CLOSED_FORMS = {
-    "negentropy": (NegEntropyCost, softmax_probabilities),
-    "quadratic": (QuadraticCost, simplex_projection),
-}
+#: The closed-form maximizer of each strictly convex cost, by exact class.
+_CLOSED_FORMS = {NegEntropyCost: softmax_probabilities, QuadraticCost: simplex_projection}
 
 
 class DataDerivedCost(CostEvaluator):
@@ -395,9 +380,10 @@ def pum_solve_general(
 ) -> PumSolution:
     """Maximize <v, p> - C(p) over the feasible probabilities.
 
-    ``NegEntropyCost`` and ``QuadraticCost`` take the closed form of
-    ``pum_solve_closed``, and ``DataDerivedCost`` its best vertex g_j
-    (flagged as non-unique); both are exact, with gap 0.0.
+    ``NegEntropyCost`` (C(p) = sum p ln p) takes the softmax of v,
+    ``QuadraticCost`` (C(p) = 0.5 * sum p^2) the Euclidean projection of v
+    onto the simplex, and ``DataDerivedCost`` its best vertex g_j
+    (flagged as non-unique); all three are exact, with gap 0.0.
     ``SmoothedDataDerivedCost`` runs pairwise Frank-Wolfe until its gap, a
     certified optimality bound, is at most ``tol``, and raises
     ``NoProgressError`` when the gap stalls or ``budget`` runs out.  Any
@@ -408,11 +394,11 @@ def pum_solve_general(
         return _solve_smoothed_data(cost, arr, tol, budget)
     if isinstance(cost, DataDerivedCost):
         return _solve_data_derived(cost, arr)
-    for cls, kernel in _CLOSED_FORMS.values():
-        if type(cost) is cls:  # a subclass may change C, and with it the maximizer
-            p = kernel(arr)
-            return PumSolution(p, comp_dot(arr, p) - cost.value(p), 0.0, True, 1)
-    raise EmptyDomainError(f"no solver route for cost {type(cost).__name__}")
+    kernel = _CLOSED_FORMS.get(type(cost))  # a subclass may change C, and with it the maximizer
+    if kernel is None:
+        raise EmptyDomainError(f"no solver route for cost {type(cost).__name__}")
+    p = kernel(arr)
+    return PumSolution(p, comp_dot(arr, p) - cost.value(p), 0.0, True, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +474,10 @@ def verify_rationalization(
     are the probabilities, so f(v^j) is read off the edge weights.  Vertices
     are priced at c_j, within the Afriat shortfall of C(g_j) (see
     ``RationalizationReport``), so only the mixtures go to the LP.
+
+    ``tol`` is absolute and bounds both gaps.  A Fenchel gap is an Afriat
+    shortfall, which the potentials' certified slack bounds, so pass the
+    check's slack plus a numerical tolerance.
 
     Memory is O((n + mixtures) |A|) plus ``ROW_BLOCK_CELLS``-cell blocks: W,
     the Dirichlet draws and the competitor values <v^i, q> - C(q) are formed

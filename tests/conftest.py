@@ -10,9 +10,10 @@ from cyclorat import (
     LuceExponential,
     Menu,
     PairwiseRegret,
-    make_dataset,
-    pum_solve_closed,
+    simplex_projection,
     simulate_dataset,
+    softmax_probabilities,
+    validate_dataset,
 )
 
 
@@ -25,7 +26,7 @@ def softmax_fixture() -> Dataset:
     # Two observations of the exponential-strength model, probabilities
     # rounded to five decimals; the rounding keeps the data cyclically
     # monotone with a wide margin.
-    return make_dataset(
+    return validate_dataset(
         "m",
         [[0.0, 0.0], [1.0, 0.0]],
         [[0.5, 0.5], [0.73106, 0.26894]],
@@ -36,17 +37,21 @@ def softmax_fixture() -> Dataset:
 def violation_fixture() -> Dataset:
     # Hand-built two-cycle violation: the 1 -> 2 -> 1 sum is
     # (0.3 - 0.7) + (-0.6 + 0.4) = -0.6.
-    return make_dataset(
+    return validate_dataset(
         "m",
         [[1.0, 0.0], [0.0, 1.0]],
         [[0.3, 0.7], [0.6, 0.4]],
     )
 
 
+#: The closed-form perturbed-utility choice of each strictly convex cost.
+CLOSED_FORMS = {"negentropy": softmax_probabilities, "quadratic": simplex_projection}
+
+
 def pum_dataset(kind: str, rng: np.random.Generator, n: int, size: int, menu_id: str = "m") -> Dataset:
-    """Dataset generated by the closed-form perturbed-utility solver."""
+    """Dataset generated by the closed-form perturbed-utility solver of ``kind``."""
     values = [rng.uniform(-4.0, 4.0, size) for _ in range(n)]
-    return Dataset(menu_of(size, menu_id), values, [pum_solve_closed(kind, v) for v in values])
+    return Dataset(menu_of(size, menu_id), values, [CLOSED_FORMS[kind](v) for v in values])
 
 
 def luce_dataset(rng: np.random.Generator, n: int, size: int, menu_id: str = "m") -> Dataset:
@@ -90,7 +95,7 @@ def realize_weights(W_target: np.ndarray, rng: np.random.Generator) -> Dataset:
     P = rng.dirichlet(np.ones(n + 1), n)
     M = -np.where(np.eye(n, dtype=bool), 0.0, W_target)
     V = (np.linalg.pinv(P) @ M).T
-    return make_dataset("m", V.tolist(), P.tolist())
+    return validate_dataset("m", V.tolist(), P.tolist())
 
 
 def benchmark_lowdim_menu(seed: int, k: int) -> Dataset:
@@ -117,4 +122,4 @@ def benchmark_lowdim_menu(seed: int, k: int) -> Dataset:
         rho = (U - css / np.arange(1, size + 1) > 0).sum(axis=1)
         theta = css[np.arange(n), rho - 1] / rho
         P = np.maximum(V - theta[:, None], 0.0)
-    return make_dataset(f"lowdim_{k:02d}", V.tolist(), P.tolist())
+    return validate_dataset(f"lowdim_{k:02d}", V.tolist(), P.tolist())

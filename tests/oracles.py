@@ -31,13 +31,12 @@ from pathlib import Path
 import numpy as np
 
 from cyclorat.core import TOL_CM, Dataset, Menu, _check_vector, validate_simplex
-from cyclorat.dataio import CSV_COLUMNS, MissingColumnError, ParseError, csv_field, fmt17
+from cyclorat.dataio import CSV_COLUMNS, MissingColumnError, ParseError, csv_field
 from cyclorat.errors import (
     DuplicateValuesWarning,
     EmptyDatasetError,
     InconsistentPairError,
     LengthMismatchError,
-    MixedMenusError,
     NonFiniteError,
     RecordValidationError,
     ValidationError,
@@ -374,26 +373,24 @@ def write_series_csv(path: Path, rows: list[tuple[str, str, str, float]]) -> Non
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write("menu_id,series,key,value\n")
         for menu_id, series, key, value in rows:
-            fh.write(f"{csv_field(menu_id)},{series},{key},{fmt17(value)}\n")
+            fh.write(f"{csv_field(menu_id)},{series},{key},{value:.17g}\n")
 
 
-def validate_dataset_per_record(records, *, alternatives=None, tol=1e-9) -> Dataset:
+def validate_dataset_per_record(menu_id, values_rows, probs_rows, *, alternatives=None, tol=1e-9) -> Dataset:
     """``validate_dataset`` one record at a time, through the scalar validators."""
-    records = list(records)
-    if not records:
+    if len(values_rows) != len(probs_rows):
+        raise LengthMismatchError(f"{len(values_rows)} value rows vs {len(probs_rows)} probability rows")
+    if not len(values_rows):
         raise EmptyDatasetError("no records supplied")
-    menu_ids = {r[0] for r in records}
-    if len(menu_ids) != 1:
-        raise MixedMenusError(f"records span menus {sorted(menu_ids)!r}")
 
-    size = len(records[0][1])
+    size = len(values_rows[0])
     if alternatives is None:
         alternatives = tuple(f"a{k + 1}" for k in range(size))
-    menu = Menu(records[0][0], tuple(alternatives))
+    menu = Menu(menu_id, tuple(alternatives))
 
     pairs: list[tuple[np.ndarray, np.ndarray]] = []
     failures: list[tuple[int, Exception]] = []
-    for k, (_, values, probs) in enumerate(records):
+    for k, (values, probs) in enumerate(zip(values_rows, probs_rows)):
         try:
             v = _check_vector(values, name="value vector")
             if v.size != menu.size:
@@ -484,15 +481,14 @@ def parse_datasets_csv_per_row(path) -> dict[str, Dataset]:
     out: dict[str, Dataset] = {}
     for menu_id, entry in menus.items():
         alts = entry["alts"]
-        records = []
+        values_rows, probs_rows = [], []
         for obs_id, cells in entry["obs"].items():
             absent = [a for a in alts if a not in cells]
             if absent:
                 raise ValidationError(
                     f"menu {menu_id!r}, observation {obs_id!r} lacks alternatives {absent!r}"
                 )
-            values = [cells[a][0] for a in alts]
-            probs = [cells[a][1] for a in alts]
-            records.append((menu_id, values, probs))
-        out[menu_id] = validate_dataset_per_record(records, alternatives=alts)
+            values_rows.append([cells[a][0] for a in alts])
+            probs_rows.append([cells[a][1] for a in alts])
+        out[menu_id] = validate_dataset_per_record(menu_id, values_rows, probs_rows, alternatives=alts)
     return out

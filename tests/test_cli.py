@@ -139,6 +139,25 @@ class TestFitVerify:
         assert menu["cost"]["vertices"] == parse_dataset_csv(softmax_path).probs_matrix.tolist()
         assert "gradients" not in out.read_text()
 
+    def test_check_pass_is_not_a_verify_failure(self, tmp_path):
+        # A two-cycle of mean -2e-7 passes the check at --tol-cm 1e-6 by
+        # certificate; its Fenchel gaps, 2e-7, are above --tol-opt but within
+        # the check's slack, which the verification gate adds.
+        path = tmp_path / "tight.csv"
+        path.write_text(
+            "menu_id,obs_id,alternative,value,prob\n"
+            "m,1,x,0,0.3\nm,1,y,1,0.4\nm,1,z,0,0.3\n"
+            f"m,2,x,0,0.3\nm,2,y,0,{0.4 + 4e-7!r}\nm,2,z,0,{0.3 - 4e-7!r}\n"
+        )
+        out = tmp_path / "report.json"
+        assert main(["verify", "--input", str(path), "--output", str(out), "--tol-cm", "1e-6"]) == EXIT_OK
+        menu = json.loads(out.read_text())["menus"][0]
+        assert menu["cyclic_monotonicity"]["decided_by"] == "certificate"
+        verification = menu["verification"]
+        assert verification["tolerance"] == 1e-6 + 1e-8
+        assert 1e-8 < verification["max_fenchel_gap"] <= 1e-6
+        assert verification["passed"] is True
+
     def test_fit_on_violation_exits_3(self, violation_path, tmp_path):
         out = tmp_path / "report.json"
         assert main(["fit", "--input", str(violation_path), "--output", str(out)]) == EXIT_REJECTED
@@ -345,6 +364,19 @@ class TestErrorsAndDeterminism:
         assert main([command, "--input", str(path), "--output", str(out)]) == EXIT_USAGE
         assert capsys.readouterr().err == f"error: {path} holds no records\n"
         assert not out.exists() and not out.with_suffix(".series.csv").exists()
+
+    def test_error_is_printed_once(self, tmp_path):
+        # The error line is the whole of stderr: no log record repeats it.
+        path = tmp_path / "hdr.csv"
+        path.write_text("menu_id,obs_id,alternative,value,prob\n")
+        env = {k: v for k, v in os.environ.items() if k != "CYCLORAT_LOG"}
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "cyclorat.cli", "check", "--input", str(path)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr == f"error: {path} holds no records\n"
 
     @pytest.mark.parametrize("target", ["nodir/x.json", "adir"])
     @pytest.mark.parametrize("command", ["check", "fit", "verify", "report-all"])

@@ -15,13 +15,11 @@ from cyclorat import (
     LengthMismatchError,
     LuceExponential,
     Menu,
-    MixedMenusError,
     NegativeEntryError,
     NonFiniteError,
     RecordValidationError,
     comp_dot,
     eval_preference,
-    make_dataset,
     validate_dataset,
     validate_simplex,
 )
@@ -92,7 +90,7 @@ class TestTypes:
         with pytest.raises(NonFiniteError):
             eval_preference(LuceExponential(), [1.0, np.inf])
         with pytest.raises(RecordValidationError) as err:
-            make_dataset("m", [[1.0, np.inf]], [[0.5, 0.5]])
+            validate_dataset("m", [[1.0, np.inf]], [[0.5, 0.5]])
         assert [(i, type(e)) for i, e in err.value.record_errors] == [(1, NonFiniteError)]
 
     def test_matrices_are_read_only_copies(self):
@@ -118,60 +116,50 @@ class TestTypes:
             Dataset(menu, [], [])
 
     def test_dataset_matrices(self):
-        d = make_dataset("m", [[0, 1], [2, 3]], [[0.5, 0.5], [0.25, 0.75]])
+        d = validate_dataset("m", [[0, 1], [2, 3]], [[0.5, 0.5], [0.25, 0.75]])
         assert d.values_matrix.tolist() == [[0, 1], [2, 3]]
         assert d.probs_matrix.tolist() == [[0.5, 0.5], [0.25, 0.75]]
 
 
 class TestValidateDataset:
     def test_two_valid_records(self):
-        d = validate_dataset(
-            [("m", [0.0, 0.0], [0.5, 0.5]), ("m", [1.0, 0.0], [0.7, 0.3])]
-        )
+        d = validate_dataset("m", [[0.0, 0.0], [1.0, 0.0]], [[0.5, 0.5], [0.7, 0.3]])
         assert d.n == 2
         assert d.menu.id == "m"
 
-    def test_mixed_menus(self):
-        with pytest.raises(MixedMenusError):
-            validate_dataset(
-                [("A", [0.0, 0.0], [0.5, 0.5]), ("B", [1.0, 0.0], [0.7, 0.3])]
-            )
+    def test_row_counts_must_match(self):
+        for validate in (validate_dataset, validate_dataset_per_record):
+            with pytest.raises(LengthMismatchError, match="^2 value rows vs 1 probability rows$"):
+                validate("m", [[0.0, 0.0], [1.0, 0.0]], [[0.5, 0.5]])
 
     def test_empty(self):
-        with pytest.raises(EmptyDatasetError):
-            validate_dataset([])
+        with pytest.raises(EmptyDatasetError, match="^no records supplied$"):
+            validate_dataset("m", [], [])
 
     def test_duplicate_values_warn(self):
-        records = [
-            ("m", [1.0, 2.0], [0.5, 0.5]),
-            ("m", [1.0, 2.0], [0.6, 0.4]),
-        ]
         with pytest.warns(DuplicateValuesWarning):
-            d = validate_dataset(records)
+            d = validate_dataset("m", [[1.0, 2.0], [1.0, 2.0]], [[0.5, 0.5], [0.6, 0.4]])
         assert d.n == 2
 
     def test_identical_records_do_not_warn(self):
-        import warnings
-
-        records = [
-            ("m", [1.0, 2.0], [0.5, 0.5]),
-            ("m", [1.0, 2.0], [0.5, 0.5]),
-        ]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            d = validate_dataset(records)
+            d = validate_dataset("m", [[1.0, 2.0], [1.0, 2.0]], [[0.5, 0.5], [0.5, 0.5]])
         assert d.n == 2
 
     def test_record_errors_carry_indices(self):
-        records = [
-            ("m", [0.0, 0.0], [0.5, 0.5]),
-            ("m", [1.0, 0.0], [0.9, 0.3]),
-            ("m", [1.0, 0.0], [1.2, -0.2]),
-        ]
+        values = [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]]
+        probs = [[0.5, 0.5], [0.9, 0.3], [1.2, -0.2]]
         with pytest.raises(RecordValidationError) as err:
-            validate_dataset(records)
+            validate_dataset("m", values, probs)
         indices = [i for i, _ in err.value.record_errors]
         assert indices == [2, 3]
+
+    def test_clamping_leaves_the_callers_matrix_alone(self):
+        probs = np.array([[1.0, -1e-300]])
+        d = validate_dataset("m", np.zeros((1, 2)), probs)
+        assert d.probs_matrix.tolist() == [[1.0, 0.0]]
+        assert probs.tolist() == [[1.0, -1e-300]]
 
 
 def test_comp_dot_matches_fsum():
@@ -182,12 +170,8 @@ def test_comp_dot_matches_fsum():
 
 
 def test_wrong_length_record_is_aggregated():
-    records = [
-        ("m", [0.0, 0.0], [0.5, 0.5]),
-        ("m", [1.0, 0.0, 2.0], [0.5, 0.25, 0.25]),
-    ]
     with pytest.raises(RecordValidationError) as err:
-        validate_dataset(records)
+        validate_dataset("m", [[0.0, 0.0], [1.0, 0.0, 2.0]], [[0.5, 0.5], [0.5, 0.25, 0.25]])
     assert [i for i, _ in err.value.record_errors] == [2]
 
 
@@ -201,24 +185,22 @@ def test_wrong_length_record_is_aggregated():
 def test_values_whose_cycle_sums_overflow_are_rejected(values, probs):
     bound = np.finfo(float).max / 64  # float max / (32 n) at n = 2
     message = re.escape(f"above float max / (32 n) = {bound:.6g}")
-    records = [("m", v, p) for v, p in zip(values, probs)]
     for validate in (validate_dataset, validate_dataset_per_record):
         with pytest.raises(NonFiniteError, match=message):
-            validate(records)
-    with pytest.raises(NonFiniteError, match=message):
-        make_dataset("m", values, probs)
+            validate("m", values, probs)
     # At the bound the check's sums stay finite.
     scaled = (np.array(values) / np.max(np.abs(values)) * bound).tolist()
-    assert make_dataset("m", scaled, probs).values_matrix.max() == bound
+    assert validate_dataset("m", scaled, probs).values_matrix.max() == bound
 
 
-def _random_records(rng: np.random.Generator, tol: float) -> list:
-    """Seeded records mixing clean rows with every kind of defect the validator screens."""
+def _random_records(rng: np.random.Generator, tol: float) -> tuple[list, list]:
+    """Seeded value and probability rows mixing clean records with every kind
+    of defect the validator screens."""
     n, size = int(rng.integers(1, 10)), int(rng.integers(2, 5))
     values = rng.integers(-2, 3, size=(n, size)).astype(float)  # small grid: repeated rows
     probs = rng.dirichlet(np.ones(size), size=n)
     defect_rate = rng.choice([0.05, 0.2, 0.8])
-    records = []
+    values_rows, probs_rows = [], []
     for k in range(n):
         v, p = values[k].tolist(), probs[k].copy()
         kind = int(rng.integers(1, 13)) if rng.random() < defect_rate else 0
@@ -240,9 +222,9 @@ def _random_records(rng: np.random.Generator, tol: float) -> list:
             p = np.append(p, 0.0) if rng.random() < 0.5 else p[:-1]
         elif kind == 8 and k:  # an earlier value row, probabilities kept or not
             j = int(rng.integers(k))
-            v = list(records[j][1])
+            v = list(values_rows[j])
             if rng.random() < 0.5:
-                p = np.array(records[j][2], dtype=float)
+                p = np.array(probs_rows[j], dtype=float)
         elif kind == 9:  # signed zeros tell value rows apart
             v = [-0.0 if x == 0.0 else x for x in v]
         elif kind == 10:
@@ -252,15 +234,16 @@ def _random_records(rng: np.random.Generator, tol: float) -> list:
             p[0], p[1] = 1.5, -0.5
         elif kind == 12:
             p[0] = -0.0 if p[0] < 1e-3 else p[0]
-        records.append(("m", v, p.tolist() if rng.random() < 0.5 else p))
-    return records
+        values_rows.append(v)
+        probs_rows.append(p.tolist() if rng.random() < 0.5 else p)
+    return values_rows, probs_rows
 
 
-def _outcome(validate, records, **kwargs):
+def _outcome(validate, values, probs, **kwargs):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            d = validate(records, **kwargs)
+            d = validate("m", values, probs, **kwargs)
         except RecordValidationError as exc:
             result = [(i, type(e), str(e)) for i, e in exc.record_errors]
         except Exception as exc:
@@ -280,21 +263,21 @@ def test_batched_validation_matches_per_record_oracle():
     kinds = {"dataset": 0, "failures": 0, "warned": 0}
     for _ in range(600):
         tol = float(rng.choice([1e-9, 1e-6]))
-        records = _random_records(rng, tol)
+        values, probs = _random_records(rng, tol)
         kwargs = {"tol": tol}
         if rng.random() < 0.5:
-            kwargs["alternatives"] = tuple("xyzw"[: len(records[0][1])])
-        got = _outcome(validate_dataset, records, **kwargs)
-        assert got == _outcome(validate_dataset_per_record, records, **kwargs)
+            kwargs["alternatives"] = tuple("xyzw"[: len(values[0])])
+        got = _outcome(validate_dataset, values, probs, **kwargs)
+        assert got == _outcome(validate_dataset_per_record, values, probs, **kwargs)
         kinds["dataset" if isinstance(got[0], tuple) and len(got[0]) == 4 else "failures"] += 1
         kinds["warned"] += bool(got[1])
     assert min(kinds.values()) >= 20, kinds
 
 
 def test_signed_zero_value_rows_are_distinct():
-    records = [("m", [0.0, 1.0], [0.5, 0.5]), ("m", [-0.0, 1.0], [0.6, 0.4]), ("m", [0.0, 1.0], [0.7, 0.3])]
+    values, probs = [[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]], [[0.5, 0.5], [0.6, 0.4], [0.7, 0.3]]
     with pytest.warns(DuplicateValuesWarning) as caught:
-        d = validate_dataset(records)
+        d = validate_dataset("m", values, probs)
     assert [str(w.message) for w in caught] == [
         "observations 1 and 3 share a value vector but differ in probabilities"
     ]
@@ -302,8 +285,8 @@ def test_signed_zero_value_rows_are_distinct():
 
 
 def test_subnormal_dust_is_clamped_as_by_validate_simplex():
-    records = [("m", [0.0, 1.0], [1.0, -5e-324]), ("m", [1.0, 0.0], [1.0, -1e-300])]
-    d = validate_dataset(records)
+    values, probs = [[0.0, 1.0], [1.0, 0.0]], [[1.0, -5e-324], [1.0, -1e-300]]
+    d = validate_dataset("m", values, probs)
     assert d.probs_matrix.tolist() == [[1.0, 0.0], [1.0, 0.0]]
     assert not np.signbit(d.probs_matrix).any()
-    assert _outcome(validate_dataset, records) == _outcome(validate_dataset_per_record, records)
+    assert _outcome(validate_dataset, values, probs) == _outcome(validate_dataset_per_record, values, probs)

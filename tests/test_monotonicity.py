@@ -1,5 +1,6 @@
 """Tests for cycle sums, the monotonicity checks, and diagnostics."""
 
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -22,8 +23,8 @@ from cyclorat import (
     comp_dot,
     compute_potentials,
     cycle_sum,
-    make_dataset,
-    pum_solve_closed,
+    simplex_projection,
+    validate_dataset,
     verify_rationalization,
 )
 from cyclorat import monotonicity
@@ -50,7 +51,7 @@ from oracles import (
 
 class TestCycleSum:
     def test_identical_observations_sum_to_zero(self):
-        d = make_dataset("m", [[1, 2], [1, 2]], [[0.4, 0.6], [0.4, 0.6]])
+        d = validate_dataset("m", [[1, 2], [1, 2]], [[0.4, 0.6], [0.4, 0.6]])
         assert cycle_sum(d, [1, 2]) == 0.0
 
     def test_softmax_fixture_two_cycle(self, softmax_fixture):
@@ -75,7 +76,7 @@ def _duplicated_rows_dataset():
     base = pum_dataset("negentropy", np.random.default_rng(18), 5, 3)
     V = base.values_matrix.tolist() + [base.values_matrix[1].tolist()]
     P = base.probs_matrix.tolist() + [base.probs_matrix[1].tolist()]
-    return make_dataset("m", V, P)
+    return validate_dataset("m", V, P)
 
 
 class TestEdgeWeights:
@@ -85,7 +86,7 @@ class TestEdgeWeights:
         # err = 2 * gamma_{|A|+1} * max|V| bounds |W - exact| entrywise; the
         # compensated per-entry oracle and exact rationals must both agree.
         rng = np.random.default_rng(17)
-        d = make_dataset(
+        d = validate_dataset(
             "m",
             rng.uniform(-scale, scale, (6, size)).tolist(),
             rng.dirichlet(np.ones(size), 6).tolist(),
@@ -136,7 +137,7 @@ class TestCheckCyclicMonotonicity:
         assert_allclose(verdict.witness.cycle_sum, -0.6, atol=1e-15)
 
     def test_single_observation_passes(self):
-        d = make_dataset("m", [[1, 2]], [[0.4, 0.6]])
+        d = validate_dataset("m", [[1, 2]], [[0.4, 0.6]])
         verdict = check_cyclic_monotonicity(d)
         assert verdict.is_pass
         assert verdict.min_cycle_mean is None
@@ -160,7 +161,7 @@ class TestCheckCyclicMonotonicity:
         for _ in range(25):
             d = mixed_pool_dataset(rng, int(rng.integers(2, 7)), int(rng.integers(2, 5)))
             shift = float(rng.uniform(-50, 50))
-            shifted = make_dataset(
+            shifted = validate_dataset(
                 "m",
                 (d.values_matrix + shift).tolist(),
                 d.probs_matrix.tolist(),
@@ -256,7 +257,7 @@ class TestMinMeanCycle:
         rng = np.random.default_rng(35)
         v = rng.uniform(-4, 4, 3).tolist()
         with pytest.warns(DuplicateValuesWarning):
-            d = make_dataset("m", [v] * 6, rng.dirichlet(np.ones(3), 6).tolist())
+            d = validate_dataset("m", [v] * 6, rng.dirichlet(np.ones(3), 6).tolist())
         mm = _min_mean_cycle(edge_weights(d))
         assert (mm.mean, mm.lower, mm.cycle) == (0.0, 0.0, (0, 1))
         verdict = check_cyclic_monotonicity(d)
@@ -293,7 +294,7 @@ class TestMinMeanCycle:
         for _ in range(30):
             n, size = int(rng.integers(4, 20)), int(rng.integers(3, 6))
             V = rng.uniform(-3, 3, (n, size))
-            P = [pum_solve_closed("quadratic", v) for v in V]
+            P = [simplex_projection(v) for v in V]
             d = Dataset(menu_of(size), V + rng.uniform(-100, 100, (n, 1)), P)
             verdict = check_cyclic_monotonicity(d)
             assert verdict.is_pass and verdict.policy_iterations <= 30
@@ -311,7 +312,7 @@ def _with_repeated_rows(d, rng, count):
     k = rng.choice(d.n, count, replace=False)
     V = np.vstack([d.values_matrix, d.values_matrix[k]])
     P = np.vstack([d.probs_matrix, d.probs_matrix[k]])
-    return make_dataset("m", V.tolist(), P.tolist())
+    return validate_dataset("m", V.tolist(), P.tolist())
 
 
 class TestRowBlocks:
@@ -554,6 +555,21 @@ class TestMetamorphicRelations:
             assert check_cyclic_monotonicity(d2, tol).status == verdict.status
 
     @pytest.mark.parametrize("family", METAMORPHIC_FAMILIES)
+    def test_shifting_each_observations_values(self, family):
+        # Adding c_i to every value of observation i adds c_i - c_j to W_ij,
+        # so every cycle sum is unchanged.  The shifted values are rounded,
+        # so a case is kept only while the larger err cannot decide it.
+        kept = 0
+        for d, tol, verdict, rng in _metamorphic_cases(family):
+            shift = rng.uniform(-100.0, 100.0, (d.n, 1))
+            shifted = Dataset(d.menu, d.values_matrix + shift, d.probs_matrix)
+            err = max(_edge_weight_error(d), _edge_weight_error(shifted))
+            if abs(verdict.min_cycle_mean + tol) > 1e3 * err:
+                kept += 1
+                assert check_cyclic_monotonicity(shifted, tol).status == verdict.status
+        assert kept >= 20
+
+    @pytest.mark.parametrize("family", METAMORPHIC_FAMILIES)
     def test_scaling_values(self, family):
         # Scaling every value by alpha scales every cycle mean by alpha, so
         # the verdict at tol * alpha is the same.
@@ -656,6 +672,29 @@ class TestToleranceRule:
                 assert np.min(phi[None, :] - phi[:, None] + W) >= -allowance
         assert seen["pass"] > 0 and seen["violation"] > 0 and band > 0
 
+    def test_check_pass_is_a_verify_pass_over_a_tolerance_grid(self):
+        # check pass => Afriat slack >= -tol_cm => every gap within
+        # tol_cm + tol_opt => exit 0, for tol_opt above or below tol_cm.
+        rng = np.random.default_rng(12)
+        passes = wide = 0
+        for family in METAMORPHIC_FAMILIES.values():
+            for _ in range(10):
+                d = family(rng, int(rng.integers(2, 40)), int(rng.integers(2, 6)))
+                W = edge_weights(d)
+                for tol_cm, tol_opt in itertools.product((1e-9, 1e-6, 1e-3, 1e-1), (1e-10, 1e-8)):
+                    config = RunConfig("verify", tol_cm=tol_cm, tol_opt=tol_opt)
+                    section, cm_ok, verify_ok = _analyze_menu(d, config)
+                    if not cm_ok:
+                        continue
+                    passes += 1
+                    phi = np.array(section["potentials"]["potentials"])
+                    assert np.min(phi[None, :] - phi[:, None] + W) >= -tol_cm - ROUNDING
+                    verification = section["verification"]
+                    assert verification["tolerance"] == tol_cm + tol_opt
+                    assert verify_ok and verification["passed"]
+                    wide += max(verification["max_fenchel_gap"], verification["max_optimality_gap"]) > tol_opt
+        assert passes >= 200 and wide >= 5, (passes, wide)  # wide: gaps that tol_opt alone fails
+
     def test_near_tie_is_decided_by_the_certificate(self):
         # A pass from step 1 has no cycle sum; the band would record one.
         verdict = check_cyclic_monotonicity(_near_tie_dataset(), 1e-9)
@@ -691,7 +730,7 @@ def _near_tie_dataset():
     V[1, 0] += 1e-9
     P[1, 0] -= 3e-3
     P[1, 1] += 3e-3
-    d = make_dataset("m", V.tolist(), P.tolist())
+    d = validate_dataset("m", V.tolist(), P.tolist())
     assert -4e-12 < cycle_sum(d, [1, 2]) < -2e-12
     return d
 
@@ -777,7 +816,7 @@ class TestTwoPoint:
 
     def test_flagged_pair(self):
         # (0.4 - 0.5) * (1 - 0) = -0.1 on the coordinate that moved.
-        d = make_dataset("m", [[0, 0], [1, 0]], [[0.5, 0.5], [0.4, 0.6]])
+        d = validate_dataset("m", [[0, 0], [1, 0]], [[0.5, 0.5], [0.4, 0.6]])
         violations = check_two_point_monotonicity(d)
         assert len(violations) == 1
         v = violations[0]
@@ -785,7 +824,7 @@ class TestTwoPoint:
         assert_allclose(v.product, -0.1, atol=1e-15)
 
     def test_vacuous_when_pairs_differ_everywhere(self):
-        d = make_dataset("m", [[0, 0], [1, 1]], [[0.5, 0.5], [0.4, 0.6]])
+        d = validate_dataset("m", [[0, 0], [1, 1]], [[0.5, 0.5], [0.4, 0.6]])
         assert check_two_point_monotonicity(d) == []
 
     def test_cm_implies_two_point(self):
@@ -797,7 +836,7 @@ class TestTwoPoint:
                 moved = base.copy()
                 moved[1] += step
                 rows.append(moved.tolist())
-            d = make_dataset(
+            d = validate_dataset(
                 "m",
                 rows,
                 [np.exp(r) / np.sum(np.exp(r)) for r in np.array(rows)],
@@ -833,7 +872,7 @@ def _two_point_pair_loop():
         V[i, rng.integers(4)] = rng.uniform(-3, 3)
     V[7] = V[2]
     V[7, 1] += 0.5
-    d = make_dataset("m", V.tolist(), rng.dirichlet(np.ones(4), 80).tolist())
+    d = validate_dataset("m", V.tolist(), rng.dirichlet(np.ones(4), 80).tolist())
     P, labels = d.probs_matrix, d.menu.alternatives
     V = d.values_matrix
     expected = []
@@ -925,7 +964,7 @@ def test_wst_matches_the_permutation_oracle():
 def test_two_point_treats_sub_tolerance_drift_as_equal():
     # The off-coordinate differs by 1e-13, below the exact-equality slack,
     # so the pair still qualifies for the single-coordinate scan.
-    d = make_dataset(
+    d = validate_dataset(
         "m",
         [[0.0, 0.0], [1.0, 1e-13]],
         [[0.5, 0.5], [0.4, 0.6]],
@@ -937,7 +976,7 @@ def test_two_point_treats_sub_tolerance_drift_as_equal():
 def test_witness_reversal_need_not_be_negative():
     # Frozen fixture: the reported orientation certifies the violation, but
     # walking the same cycle backwards gives a positive sum.
-    d = make_dataset(
+    d = validate_dataset(
         "m",
         [
             [3.864108, 1.869227],

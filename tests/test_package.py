@@ -17,9 +17,9 @@ PairwiseRegret PreferenceModel PumSolution QuadraticCost RationalizationReport
 RecordValidationError SalienceWeighted SmoothedDataDerivedCost TOL_CM TOL_OPT
 TOL_SIMPLEX TableLookupError TwoPointViolation ValidationError
 ZeroStrengthError check_cyclic_monotonicity check_two_point_monotonicity
-check_weak_stochastic_transitivity choice_probabilities comp_dot comp_sum compute_potentials
+check_weak_stochastic_transitivity choice_probabilities comp_dot compute_potentials
 conjugate_cost core cost_description cycle_sum errors eval_preference evaluate_extension lp
-make_dataset model_from_spec models monotonicity normalize pum_solve_closed pum_solve_general
+model_from_spec models monotonicity normalize pum_solve_general
 rationalization simplex_projection simulate_dataset softmax_probabilities validate_dataset
 validate_simplex verify_rationalization
 """.split()

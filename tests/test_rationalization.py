@@ -22,9 +22,8 @@ from cyclorat import (
     conjugate_cost,
     cost_description,
     evaluate_extension,
-    make_dataset,
-    pum_solve_closed,
     pum_solve_general,
+    validate_dataset,
     verify_rationalization,
 )
 from cyclorat import monotonicity, rationalization
@@ -51,7 +50,7 @@ from oracles import (
 
 class TestComputePotentials:
     def test_single_observation(self):
-        d = make_dataset("m", [[1, 2]], [[0.4, 0.6]])
+        d = validate_dataset("m", [[1, 2]], [[0.4, 0.6]])
         verdict = check_cyclic_monotonicity(d)
         phi = compute_potentials(d, verdict=verdict)
         assert phi is verdict.potentials and not phi.flags.writeable
@@ -340,23 +339,19 @@ def test_neg_entropy_matches_scalar_loop():
 
 class TestClosedFormSolvers:
     def test_negentropy_symmetry(self):
-        assert pum_solve_closed("negentropy", [0.0, 0.0]).tolist() == [0.5, 0.5]
+        assert pum_solve_general(NegEntropyCost(), [0.0, 0.0]).probs.tolist() == [0.5, 0.5]
 
     def test_negentropy_log_three(self):
-        p = pum_solve_closed("negentropy", [math.log(3), 0.0])
+        p = pum_solve_general(NegEntropyCost(), [math.log(3), 0.0]).probs
         assert_allclose(p, [0.75, 0.25], atol=1e-15)
 
     def test_quadratic_ray(self):
         # Sort-threshold by hand for v = (2, 0): theta = 1, p = (1, 0).
-        assert pum_solve_closed("quadratic", [2.0, 0.0]).tolist() == [1.0, 0.0]
+        assert pum_solve_general(QuadraticCost(), [2.0, 0.0]).probs.tolist() == [1.0, 0.0]
 
     def test_quadratic_fixed_point(self):
-        p = pum_solve_closed("quadratic", [0.6, 0.4])
+        p = pum_solve_general(QuadraticCost(), [0.6, 0.4]).probs
         assert_allclose(p, [0.6, 0.4], atol=1e-15)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            pum_solve_closed("cubic", [0.0, 0.0])
 
     def test_projection_against_quadratic_oracle(self):
         # Independent check: p solves min ||p - v||^2 iff it beats a dense
@@ -389,16 +384,16 @@ class TestClosedFormSolvers:
             size = int(rng.integers(2, 9))
             v = rng.uniform(-10, 10, size)
             via_model = choice_probabilities(LuceExponential(), v)
-            via_pum = pum_solve_closed("negentropy", v)
+            via_pum = pum_solve_general(NegEntropyCost(), v).probs
             assert np.max(np.abs(via_model - via_pum)) <= 1e-10
 
 
 class TestGeneralSolver:
     def test_negentropy_matches_closed_form(self):
-        _assert_exact_closed_form(NegEntropyCost(), "negentropy")
+        _assert_exact_closed_form(NegEntropyCost(), softmax_probabilities)
 
     def test_quadratic_matches_closed_form(self):
-        _assert_exact_closed_form(QuadraticCost(), "quadratic")
+        _assert_exact_closed_form(QuadraticCost(), simplex_projection)
 
     def test_quadratic_interior_fixed_point(self):
         sol = pum_solve_general(QuadraticCost(), [0.6, 0.4], 1e-8)
@@ -420,7 +415,7 @@ class TestGeneralSolver:
         # each p^i is the unique maximizing vertex at v^i.
         rng = np.random.default_rng(0)
         V = rng.uniform(-3.0, 3.0, (200, 10))
-        d = make_dataset("m", V.tolist(), (np.exp(V) / np.exp(V).sum(axis=1, keepdims=True)).tolist())
+        d = validate_dataset("m", V.tolist(), (np.exp(V) / np.exp(V).sum(axis=1, keepdims=True)).tolist())
         phi = compute_potentials(d)
         assert np.min(phi[None, :] - phi[:, None] + edge_weights(d)) > 0.05
         cost = DataDerivedCost(phi, d)
@@ -455,7 +450,7 @@ class TestGeneralSolver:
         # within sqrt(2 gap / eps) of the maximizer for each solve.
         rng = np.random.default_rng(5)
         V = rng.uniform(-3.0, 3.0, (40, 5))
-        d = make_dataset("m", V.tolist(), (np.exp(V) / np.exp(V).sum(axis=1, keepdims=True)).tolist())
+        d = validate_dataset("m", V.tolist(), (np.exp(V) / np.exp(V).sum(axis=1, keepdims=True)).tolist())
         cost = SmoothedDataDerivedCost(compute_potentials(d), d, epsilon)
         solutions = [pum_solve_general(cost, v, 1e-8) for v in d.values_matrix]
         assert max(sol.iterations for sol in solutions) <= most
@@ -488,13 +483,13 @@ class TestGeneralSolver:
                 assert abs(fd - sol.probs[a]) <= 1e-4
 
 
-def _assert_exact_closed_form(cost, kind: str) -> None:
+def _assert_exact_closed_form(cost, kernel) -> None:
     # Bit for bit the closed form, with its objective and a zero gap; the
     # spread values put projections on faces and softmax entries near 0.
     rng = np.random.default_rng(65)
     for v in [[1.0, 0.0], [0.6, 0.4], *rng.uniform(-40, 40, (20, 5)).tolist()]:
         sol = pum_solve_general(cost, v, 1e-8)
-        p = pum_solve_closed(kind, v)
+        p = kernel(v)
         assert sol.probs.tobytes() == p.tobytes()
         assert sol.objective == comp_dot(np.asarray(v), p) - cost.value(p)
         assert (sol.gap, sol.unique, sol.iterations) == (0.0, True, 1)
@@ -504,8 +499,8 @@ def _duplicate_gradient_menu(rng: np.random.Generator) -> Dataset:
     # Distinct values can share one probability vector (saturated
     # projections), so many conjugate LPs are degenerate.
     rows_v = (rng.uniform(3.0, 9.0, (15, 3))).tolist()
-    probs = [pum_solve_closed("quadratic", v).tolist() for v in rows_v]
-    return make_dataset("m", rows_v, probs)
+    probs = [simplex_projection(v).tolist() for v in rows_v]
+    return validate_dataset("m", rows_v, probs)
 
 
 def _count_lp_calls(monkeypatch) -> list:
@@ -530,7 +525,7 @@ class TestVerifyRationalization:
         assert report.n_mixture_points == 1000
 
     def test_single_observation_trivial(self):
-        d = make_dataset("m", [[1, 2]], [[0.4, 0.6]])
+        d = validate_dataset("m", [[1, 2]], [[0.4, 0.6]])
         report = verify_rationalization(d, compute_potentials(d), 1e-9)
         assert report.max_fenchel_gap <= 1e-12
         assert report.max_optimality_gap <= 1e-12
@@ -636,7 +631,7 @@ class TestSolverErrorPaths:
 
         rng = np.random.default_rng(5)
         V = rng.uniform(-3.0, 3.0, (40, 5))
-        d = make_dataset("m", V.tolist(), (np.exp(V) / np.exp(V).sum(axis=1, keepdims=True)).tolist())
+        d = validate_dataset("m", V.tolist(), (np.exp(V) / np.exp(V).sum(axis=1, keepdims=True)).tolist())
         cost = SmoothedDataDerivedCost(compute_potentials(d), d, 0.1)
         assert pum_solve_general(cost, np.zeros(5), 1e-12).iterations > 100
         with pytest.raises(NoProgressError):
