@@ -2,8 +2,9 @@
 
 The package turns strength-of-preference models into choice probabilities,
 tests finite (value, probability) datasets for cyclic monotonicity with
-witness extraction, and constructs and verifies the convex-cost
-(perturbed-utility) representation of any dataset that passes.
+witness extraction, constructs and verifies the convex-cost
+(perturbed-utility) representation of any dataset that passes, and solves
+perturbed-utility choices with one function per cost.
 
 Public names resolve on first use (PEP 562), so importing one submodule,
 such as the command line, loads only what that submodule imports.
@@ -17,7 +18,7 @@ _EXPORTS = {
     "core": """TOL_CM TOL_OPT TOL_SIMPLEX Dataset Menu comp_dot validate_dataset
         validate_simplex""",
     "errors": """BadSumError CycloratError DuplicateValuesWarning EmptyDatasetError
-        EmptyDomainError InconsistentPairError IndexOutOfRangeError LengthMismatchError
+        InconsistentPairError IndexOutOfRangeError LengthMismatchError
         MixedMenusError NegativeEntryError NoProgressError NonFiniteError
         NotCyclicallyMonotoneError RecordValidationError TableLookupError ValidationError
         ZeroStrengthError""",
@@ -27,10 +28,9 @@ _EXPORTS = {
         simulate_dataset""",
     "monotonicity": """CMVerdict CycleWitness TwoPointViolation check_cyclic_monotonicity
         check_two_point_monotonicity check_weak_stochastic_transitivity cycle_sum""",
-    "rationalization": """CostEvaluator DataDerivedCost NegEntropyCost PumSolution
-        QuadraticCost RationalizationReport SmoothedDataDerivedCost compute_potentials
-        conjugate_cost cost_description evaluate_extension pum_solve_general
-        simplex_projection softmax_probabilities verify_rationalization""",
+    "rationalization": """PumSolution RationalizationReport compute_potentials
+        conjugate_cost cost_description evaluate_extension fitted_choice simplex_projection
+        smoothed_choices softmax_probabilities verify_rationalization""",
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -23,6 +23,7 @@ import logging
 import os
 import sys
 import time
+import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -36,7 +37,7 @@ import numpy as np
 from . import __version__
 from .core import TOL_CM, TOL_OPT, TOL_SIMPLEX, Dataset
 from .dataio import csv_field, parse_datasets_csv, write_dataset_csv
-from .errors import CycloratError
+from .errors import CycloratError, DuplicateValuesWarning
 from .monotonicity import (
     check_cyclic_monotonicity,
     check_two_point_monotonicity,
@@ -131,10 +132,9 @@ def _analyze_menu(d: Dataset, config: RunConfig) -> tuple[dict, bool, bool]:
             section["verification"] = report.to_dict()
             verify_ok = report.passed
             if config.epsilon > 0:
-                smoothed = rat.SmoothedDataDerivedCost(phi, d, config.epsilon)
+                solutions = rat.smoothed_choices(phi, d, config.epsilon, d.values_matrix, config.tol_opt)
                 rows = []
-                for i, (v, p) in enumerate(zip(d.values_matrix, d.probs_matrix), start=1):
-                    sol = rat.pum_solve_general(smoothed, v, config.tol_opt)
+                for i, (sol, p) in enumerate(zip(solutions, d.probs_matrix), start=1):
                     q = sol.probs
                     rows.append(
                         {
@@ -271,16 +271,24 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    try:
-        config = RunConfig(**vars(args))
-        code, report = run(config)
-        if config.command == "simulate" or not config.output:
-            sys.stdout.write(dumps_report(report))
-    except (CycloratError, OSError, ValueError, csv.Error) as exc:
-        log.debug("%s failed", args.command, exc_info=exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", DuplicateValuesWarning)
+        warnings.showwarning = _print_warning
+        try:
+            config = RunConfig(**vars(args))
+            code, report = run(config)
+            if config.command == "simulate" or not config.output:
+                sys.stdout.write(dumps_report(report))
+        except (CycloratError, OSError, ValueError, csv.Error) as exc:
+            log.debug("%s failed", args.command, exc_info=exc)
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     return code
+
+
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    # A data warning is one ``warning:`` line, without the library's source line.
+    print(f"warning: {message}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -151,15 +151,25 @@ class Dataset:
             raise EmptyDatasetError(f"dataset over menu {menu.id!r} has no observations")
         if len(values) != len(probs):
             raise LengthMismatchError(f"{len(values)} value rows vs {len(probs)} probability rows")
-        for k, pair in enumerate(zip(values, probs)):
-            for row in pair:
-                if len(row) != menu.size:
-                    raise LengthMismatchError(
-                        f"observation {k + 1} has {len(row)} entries, menu has {menu.size}"
-                    )
-        values, probs = np.array(values, dtype=float), np.array(probs, dtype=float)
+        try:
+            V, P = np.array(values, dtype=float), np.array(probs, dtype=float)
+        except ValueError:  # ragged rows, named below, or a cell that is no number
+            V = P = np.empty(0)
+        if not V.shape == P.shape == (len(values), menu.size):
+            for k, pair in enumerate(zip(values, probs)):
+                for row in pair:
+                    if len(row) != menu.size:
+                        raise LengthMismatchError(
+                            f"observation {k + 1} has {len(row)} entries, menu has {menu.size}"
+                        )
+            V, P = np.array(values, dtype=float), np.array(probs, dtype=float)  # raises on a non-number
+        self._hold(menu, V, P)
+
+    def _hold(self, menu: Menu, values: np.ndarray, probs: np.ndarray) -> Dataset:
+        # Freezes and keeps these float matrices themselves: no check, no copy.
         values.flags.writeable = probs.flags.writeable = False
         self.__dict__.update(menu=menu, _values=values, _probs=probs)
+        return self
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -275,4 +285,4 @@ def validate_dataset(
             stacklevel=2,
         )
 
-    return Dataset(menu, values, probs)
+    return Dataset.__new__(Dataset)._hold(menu, values, probs)  # matrices of its own, checked

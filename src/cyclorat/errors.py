@@ -78,9 +78,5 @@ class NoProgressError(CycloratError):
     """The iterative solver stalled above the requested optimality gap."""
 
 
-class EmptyDomainError(CycloratError):
-    """The cost function is nowhere finite on the feasible set."""
-
-
 class DuplicateValuesWarning(UserWarning):
     """Two observations share a value vector but report different probabilities."""

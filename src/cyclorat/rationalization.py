@@ -17,26 +17,23 @@ max-affine f the conjugate is the finite linear program
 equal to +inf outside conv{g_i}.  Fenchel equality <v^i, p^i> = f(v^i) +
 C(p^i) then certifies that every observation maximizes <v, p> - C(p).
 
-Converse direction: closed-form, vertex and Frank-Wolfe solvers produce the
-choice probabilities of a perturbed utility model, argmax_{p in simplex}
-<v, p> - C(p), whose outputs are cyclically monotone by construction.
+Converse direction: the choices of a perturbed utility model, argmax_{p in
+simplex} <v, p> - C(p), are cyclically monotone by construction.  Each cost
+has its own route: ``softmax_probabilities`` for C(p) = sum p ln p,
+``simplex_projection`` for C(p) = 0.5 * sum p^2, ``fitted_choice`` for the
+fitted cost, and ``smoothed_choices`` for the fitted cost plus
+epsilon * sum p ln p.
 """
 
 from __future__ import annotations
 
-import abc
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import TOL_CM, TOL_OPT, Dataset, comp_dot, exact_simplex_array
-from .errors import (
-    CycloratError,
-    EmptyDomainError,
-    NoProgressError,
-    NotCyclicallyMonotoneError,
-)
+from .errors import CycloratError, NoProgressError, NotCyclicallyMonotoneError
 from .lp import FEAS_TOL, solve_equality_lp
 from .monotonicity import CMVerdict, check_cyclic_monotonicity, edge_weights, row_blocks
 
@@ -115,7 +112,8 @@ def conjugate_cost(phi: np.ndarray, dataset: Dataset, p) -> float:
     signal, not an error).  Solved by the dense two-phase simplex, the
     one-query case of ``_conjugate_many``.
     """
-    return DataDerivedCost(phi, dataset).value(p)
+    G, c = _max_affine_data(phi, dataset)
+    return float(_conjugate_many(G, c, np.asarray(p, dtype=float)[None, :])[0])
 
 
 def _conjugate_many(
@@ -207,14 +205,6 @@ def simplex_projection(v) -> np.ndarray:
     return exact_simplex_array(out)
 
 
-class CostEvaluator(abc.ABC):
-    """A convex cost on the simplex; ``pum_solve_general`` solves the built-in four."""
-
-    @abc.abstractmethod
-    def value(self, p: np.ndarray) -> float:
-        """Cost at p; +inf outside the effective domain."""
-
-
 def _neg_entropy(p: np.ndarray) -> float:
     # sum_a p_a ln p_a with 0 ln 0 = 0, compensated; NaN on a negative entry.
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -222,89 +212,58 @@ def _neg_entropy(p: np.ndarray) -> float:
     return math.fsum(terms.tolist())
 
 
-class NegEntropyCost(CostEvaluator):
-    """C(p) = sum_a p_a ln p_a (negative Shannon entropy)."""
+def fitted_choice(phi: np.ndarray, dataset: Dataset, v) -> tuple[np.ndarray, float]:
+    """Best vertex of <v, p> - C(p) under the fitted conjugate cost C.
 
-    def value(self, p: np.ndarray) -> float:
-        return _neg_entropy(p)
-
-
-class QuadraticCost(CostEvaluator):
-    """C(p) = 0.5 * sum_a p_a^2."""
-
-    def value(self, p: np.ndarray) -> float:
-        return 0.5 * math.fsum((p * p).tolist())
-
-
-#: The closed-form maximizer of each strictly convex cost, by exact class.
-_CLOSED_FORMS = {NegEntropyCost: softmax_probabilities, QuadraticCost: simplex_projection}
-
-
-class DataDerivedCost(CostEvaluator):
-    """Conjugate of a fitted max-affine extension; +inf outside conv{g_i}."""
-
-    def __init__(self, phi: np.ndarray, dataset: Dataset):
-        self.vertices, self.offsets = _max_affine_data(phi, dataset)
-
-    def value(self, p: np.ndarray) -> float:
-        return float(_conjugate_many(self.vertices, self.offsets, np.asarray(p, float)[None, :])[0])
-
-
-class SmoothedDataDerivedCost(DataDerivedCost):
-    """Data-derived cost plus epsilon * sum p ln p, restoring strict convexity.
-
-    The entropic term biases the maximizer; the induced suboptimality under
-    the unsmoothed cost is at most epsilon * ln(number of alternatives).
+    The objective is piecewise linear over conv{g_i}, so its maximum is
+    attained at a vertex g_j, found by direct enumeration.  Returns g_j and
+    the maximum <v, g_j> - c_j, exact; the maximizer need not be unique.
     """
+    G, c = _max_affine_data(phi, dataset)
+    vv = np.asarray(v, dtype=float)
+    scores = np.array([comp_dot(vv, G[j]) - c[j] for j in range(G.shape[0])])
+    j = int(np.argmax(scores))
+    return G[j].copy(), float(scores[j])
 
-    def __init__(self, phi: np.ndarray, dataset: Dataset, epsilon: float):
-        if not epsilon > 0:  # NaN included
-            raise ValueError(f"epsilon must be positive, got {epsilon}")
-        super().__init__(phi, dataset)
-        self.epsilon = epsilon
 
-    def value(self, p: np.ndarray) -> float:
-        base = super().value(p)
-        if math.isinf(base):
-            return base
-        return base + self.epsilon * _neg_entropy(p)
+#: Pairwise Frank-Wolfe steps a smoothed solve may take before it gives up.
+FW_MAX_ITERATIONS = 100_000
 
 
 @dataclass(frozen=True)
 class PumSolution:
-    """Solver output: the point, its objective, and the certified gap.
-
-    ``gap`` is 0.0 from the exact routes (closed form and vertex scan) and
-    the final Frank-Wolfe gap from the smoothed data-derived route.
-    ``unique`` is False for piecewise-linear costs, whose argmax can be a
-    face; the returned point still maximizes the objective.
-    """
+    """A smoothed solve: the point, its objective, and the certified
+    Frank-Wolfe gap reached after ``iterations`` steps."""
 
     probs: np.ndarray
     objective: float
     gap: float
-    unique: bool
     iterations: int
 
 
-def _solve_data_derived(cost: DataDerivedCost, v: np.ndarray) -> PumSolution:
-    # The objective is piecewise linear over conv{g_i}; its maximum over the
-    # polytope is attained at a vertex, found by direct enumeration.
-    G, c = cost.vertices, cost.offsets
-    scores = np.array([comp_dot(v, G[j]) - c[j] for j in range(G.shape[0])])
-    j = int(np.argmax(scores))
-    return PumSolution(G[j].copy(), float(scores[j]), 0.0, False, 1)
+def smoothed_choices(
+    phi: np.ndarray, dataset: Dataset, epsilon: float, values, tol: float = TOL_OPT
+) -> list[PumSolution]:
+    """Maximize <v, p> - C(p) - epsilon * sum p ln p at each row v of ``values``.
+
+    C is the fitted conjugate cost; the entropic term restores a unique
+    maximizer, and costs at most epsilon * ln|A| of unsmoothed objective.
+    Each solve runs pairwise Frank-Wolfe until its gap, a certified
+    optimality bound, is at most ``tol``, and raises ``NoProgressError``
+    when the gap stalls or ``FW_MAX_ITERATIONS`` steps run out.
+    """
+    if not epsilon > 0:  # NaN included
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    G, c = _max_affine_data(phi, dataset)
+    return [_frank_wolfe(G, c, epsilon, v, tol) for v in np.asarray(values, dtype=float)]
 
 
-def _solve_smoothed_data(
-    cost: SmoothedDataDerivedCost, v: np.ndarray, tol: float, budget: int
-) -> PumSolution:
+def _frank_wolfe(G: np.ndarray, c: np.ndarray, eps: float, v: np.ndarray, tol: float) -> PumSolution:
     # Maximize J(lam) = <v, G'lam> - c'lam - eps * sum q ln q, q = G'lam, by
     # pairwise Frank-Wolfe from e_s, s the unsmoothed maximizer, which the
     # smoothed one stays near; the mixture cost c'lam is tight for C(q) at
     # the optimum.  J is eps-strongly concave in q under l1 (Pinsker), so q
     # is within sqrt(2 * gap / eps) of the maximizer in every coordinate.
-    G, c, eps = cost.vertices, cost.offsets, cost.epsilon
     lam = np.zeros(G.shape[0])
     lam[int(np.argmax(G @ v - c))] = 1.0
     q = lam @ G
@@ -314,19 +273,13 @@ def _solve_smoothed_data(
 
     cost_lin = comp_dot(c, lam)
     phi = (1.0 + math.sqrt(5.0)) / 2.0
-    for it in range(1, budget + 1):
+    for it in range(1, FW_MAX_ITERATIONS + 1):
         grad_q = v - eps * (1.0 + np.log(np.maximum(q, 1e-300)))
         grad_lam = G @ grad_q - c
         s = int(np.argmax(grad_lam))
         gap = float(grad_lam[s]) - comp_dot(grad_lam, lam)
         if gap <= tol:
-            return PumSolution(
-                exact_simplex_array(np.maximum(q, 0.0)),
-                j_value(q, cost_lin),
-                gap,
-                True,
-                it,
-            )
+            return PumSolution(exact_simplex_array(np.maximum(q, 0.0)), j_value(q, cost_lin), gap, it)
         active = np.flatnonzero(lam > 1e-15)
         a = int(active[np.argmin(grad_lam[active])])
         if s == a:
@@ -369,36 +322,6 @@ def _solve_smoothed_data(
             q = lam @ G
             cost_lin = comp_dot(c, lam)
     raise NoProgressError(f"pairwise Frank-Wolfe stalled above gap {tol:.3e}")
-
-
-def pum_solve_general(
-    cost: CostEvaluator,
-    v,
-    tol: float = TOL_OPT,
-    *,
-    budget: int = 100_000,
-) -> PumSolution:
-    """Maximize <v, p> - C(p) over the feasible probabilities.
-
-    ``NegEntropyCost`` (C(p) = sum p ln p) takes the softmax of v,
-    ``QuadraticCost`` (C(p) = 0.5 * sum p^2) the Euclidean projection of v
-    onto the simplex, and ``DataDerivedCost`` its best vertex g_j
-    (flagged as non-unique); all three are exact, with gap 0.0.
-    ``SmoothedDataDerivedCost`` runs pairwise Frank-Wolfe until its gap, a
-    certified optimality bound, is at most ``tol``, and raises
-    ``NoProgressError`` when the gap stalls or ``budget`` runs out.  Any
-    other ``CostEvaluator`` raises ``EmptyDomainError``.
-    """
-    arr = np.asarray(v, dtype=float)
-    if isinstance(cost, SmoothedDataDerivedCost):
-        return _solve_smoothed_data(cost, arr, tol, budget)
-    if isinstance(cost, DataDerivedCost):
-        return _solve_data_derived(cost, arr)
-    kernel = _CLOSED_FORMS.get(type(cost))  # a subclass may change C, and with it the maximizer
-    if kernel is None:
-        raise EmptyDomainError(f"no solver route for cost {type(cost).__name__}")
-    p = kernel(arr)
-    return PumSolution(p, comp_dot(arr, p) - cost.value(p), 0.0, True, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -378,6 +378,25 @@ class TestErrorsAndDeterminism:
         assert proc.returncode == EXIT_USAGE
         assert proc.stderr == f"error: {path} holds no records\n"
 
+    def test_duplicate_values_print_one_warning_line_each(self, tmp_path):
+        # Observations 2 and 3 repeat observation 1's values with other
+        # probabilities: two plain warning lines, and the check still passes.
+        path = tmp_path / "dup.csv"
+        path.write_text(
+            "menu_id,obs_id,alternative,value,prob\n"
+            + "".join(f"m,{k},x,1,{p}\nm,{k},y,0,{1 - p}\n" for k, p in ((1, 0.5), (2, 0.25), (3, 0.75)))
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cyclorat.cli", "check", "--input", str(path)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == EXIT_OK
+        assert proc.stderr == "".join(
+            f"warning: observations 1 and {k} share a value vector but differ in probabilities\n"
+            for k in (2, 3)
+        )
+
     @pytest.mark.parametrize("target", ["nodir/x.json", "adir"])
     @pytest.mark.parametrize("command", ["check", "fit", "verify", "report-all"])
     def test_unwritable_output_exits_2(self, command, target, softmax_path, tmp_path, capsys):

@@ -103,6 +103,18 @@ class TestTypes:
             with pytest.raises(ValueError):
                 matrix[0, 0] = 5.0
 
+    def test_validated_matrices_are_not_copied_again(self, monkeypatch):
+        # validate_dataset keeps the matrices it built; Dataset(...), which
+        # would check and copy them again, is not called.  A caller's own
+        # arrays are still copied.
+        monkeypatch.setattr(Dataset, "__init__", lambda *args: pytest.fail("copied again"))
+        values, probs = np.array([[1.0, 2.0]]), np.array([[0.5, 0.5]])
+        d = validate_dataset("m", values, probs)
+        assert not np.shares_memory(d.values_matrix, values)
+        assert not np.shares_memory(d.probs_matrix, probs)
+        assert d.values_matrix.tolist() == [[1.0, 2.0]] and d.probs_matrix.tolist() == [[0.5, 0.5]]
+        assert not (d.values_matrix.flags.writeable or d.probs_matrix.flags.writeable)
+
     def test_observation_length_mismatch(self):
         menu = Menu("m", ("x", "y", "z"))
         with pytest.raises(LengthMismatchError, match="observation 1 has 2 entries, menu has 3"):

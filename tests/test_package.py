@@ -9,19 +9,17 @@ import pytest
 
 #: The public names of ``cyclorat``, submodules included.
 PUBLIC_NAMES = """
-BadSumError CMVerdict CostEvaluator CustomTable CycleWitness CycloratError DataDerivedCost
-Dataset DuplicateValuesWarning EmptyDatasetError EmptyDomainError InconsistentPairError
-IndexOutOfRangeError LengthMismatchError LuceExponential Menu MixedMenusError NegEntropyCost
-NegativeEntryError NoProgressError NonFiniteError NotCyclicallyMonotoneError
-PairwiseRegret PreferenceModel PumSolution QuadraticCost RationalizationReport
-RecordValidationError SalienceWeighted SmoothedDataDerivedCost TOL_CM TOL_OPT
-TOL_SIMPLEX TableLookupError TwoPointViolation ValidationError
-ZeroStrengthError check_cyclic_monotonicity check_two_point_monotonicity
-check_weak_stochastic_transitivity choice_probabilities comp_dot compute_potentials
-conjugate_cost core cost_description cycle_sum errors eval_preference evaluate_extension lp
-model_from_spec models monotonicity normalize pum_solve_general
-rationalization simplex_projection simulate_dataset softmax_probabilities validate_dataset
-validate_simplex verify_rationalization
+BadSumError CMVerdict CustomTable CycleWitness CycloratError Dataset DuplicateValuesWarning
+EmptyDatasetError InconsistentPairError IndexOutOfRangeError LengthMismatchError
+LuceExponential Menu MixedMenusError NegativeEntryError NoProgressError NonFiniteError
+NotCyclicallyMonotoneError PairwiseRegret PreferenceModel PumSolution RationalizationReport
+RecordValidationError SalienceWeighted TOL_CM TOL_OPT TOL_SIMPLEX TableLookupError
+TwoPointViolation ValidationError ZeroStrengthError check_cyclic_monotonicity
+check_two_point_monotonicity check_weak_stochastic_transitivity choice_probabilities
+comp_dot compute_potentials conjugate_cost core cost_description cycle_sum errors
+eval_preference evaluate_extension fitted_choice lp model_from_spec models monotonicity
+normalize rationalization simplex_projection simulate_dataset smoothed_choices
+softmax_probabilities validate_dataset validate_simplex verify_rationalization
 """.split()
 
 
