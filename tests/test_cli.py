@@ -428,6 +428,60 @@ class TestErrorsAndDeterminism:
         )
         assert not out.exists() and not out.with_suffix(".series.csv").exists()
 
+    @pytest.mark.parametrize(
+        "command, text, error",
+        [
+            ("check", "m,1,x,0,0.5\nm,1,y,1,0.4\n",
+             "1 invalid record(s): record 1: entries sum to 0.9, expected 1 within 1e-09"),
+            ("check", "m,1,x,0,-0.5\nm,1,y,1,1.5\n",
+             "1 invalid record(s): record 1: entry -0.5 at position 0 is below -1e-09"),
+            ("simulate", {"menu": {"id": "sim", "alternatives": ["a", "b", "c"]}},
+             "observation 1 has 2 entries, menu has 3"),
+            ("check", "m,1,x,nan,0.5\nm,1,y,1,0.5\n",
+             "1 invalid record(s): record 1: value vector contains non-finite entries"),
+            ("check", "m,1,x,1e308,0.5\nm,1,y,0,0.5\n",
+             "menu 'm' has values up to 1e+308 in magnitude, above float max / (32 n) = "
+             "5.61779e+306, where cycle sums can overflow"),
+            ("check", None, "missing column(s): prob"),
+            ("check", "", "{path} holds no records"),
+            ("simulate", {"params": {"rows": [{"values": [0, 1], "strengths": [0, 0]}]}},
+             "table row has identically zero strengths"),
+            ("simulate", {"params": {"rows": [{"values": [0, 1], "strengths": [1, 2]}]},
+                          "values": [[1, 0]]},
+             "value vector [1.0, 0.0] is not listed in the table"),
+            ("simulate", {"family": "luce_exponential", "params": {}, "values": []},
+             "simulation design is empty"),
+        ],
+        ids=[
+            "bad-sum", "negative-entry", "short-row", "nan-value", "overflowing-value",
+            "missing-column", "header-only", "zero-strengths", "unlisted-values", "empty-design",
+        ],
+    )
+    def test_faulty_input_error_line(self, command, text, error, tmp_path, capsys):
+        # Each faulty input is exactly one error line on stderr and exit 2.
+        # A CSV's records follow the standard header (None drops its prob
+        # column); a model spec's fields override a custom table over (a, b)
+        # run at (0, 1).
+        if command == "check":
+            path = tmp_path / "data.csv"
+            header = "menu_id,obs_id,alternative,value" + (",prob" if text is not None else "")
+            path.write_text(header + "\n" + ("m,1,x,0\nm,1,y,1\n" if text is None else text))
+            argv = ["check", "--input", str(path)]
+        else:
+            path = tmp_path / "model.json"
+            spec = {
+                "family": "custom_table",
+                "params": {"rows": [{"values": [0, 1], "strengths": [1, 2]}]},
+                "menu": {"id": "sim", "alternatives": ["a", "b"]},
+                "values": [[0, 1]],
+                **text,
+            }
+            path.write_text(json.dumps(spec))
+            argv = ["simulate", "--model", str(path), "--output", str(tmp_path / "sim.csv")]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: {error.format(path=path)}\n")
+        assert not (tmp_path / "sim.csv").exists()
+
     def test_bad_tolerance_rejected(self, softmax_path):
         assert main(["check", "--input", str(softmax_path), "--tol-cm", "-1"]) == EXIT_USAGE
 
