@@ -17,11 +17,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "core": """TOL_CM TOL_OPT TOL_SIMPLEX Dataset Menu comp_dot validate_dataset
         validate_simplex""",
-    "errors": """BadSumError CycloratError DuplicateValuesWarning EmptyDatasetError
-        InconsistentPairError IndexOutOfRangeError LengthMismatchError
-        MixedMenusError NegativeEntryError NoProgressError NonFiniteError
-        NotCyclicallyMonotoneError RecordValidationError TableLookupError ValidationError
-        ZeroStrengthError""",
+    "errors": """CycloratError DuplicateValuesWarning NoProgressError
+        NotCyclicallyMonotoneError RecordValidationError ValidationError""",
     "lp": "",  # public as a submodule only
     "models": """CustomTable LuceExponential PairwiseRegret PreferenceModel
         SalienceWeighted choice_probabilities eval_preference model_from_spec normalize

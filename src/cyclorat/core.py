@@ -25,15 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    BadSumError,
-    DuplicateValuesWarning,
-    EmptyDatasetError,
-    LengthMismatchError,
-    NegativeEntryError,
-    NonFiniteError,
-    RecordValidationError,
-)
+from .errors import DuplicateValuesWarning, RecordValidationError, ValidationError
 
 #: Default tolerance for simplex validation (negative dust, sum deviation).
 TOL_SIMPLEX = 1e-9
@@ -55,12 +47,24 @@ def comp_dot(x, y) -> float:
 def _check_vector(raw, *, name: str) -> np.ndarray:
     arr = np.asarray(raw, dtype=float)
     if arr.ndim != 1:
-        raise LengthMismatchError(f"{name} must be one-dimensional, got shape {arr.shape}")
+        raise ValidationError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if arr.size < 2:
-        raise LengthMismatchError(f"{name} needs at least two entries, got {arr.size}")
+        raise ValidationError(f"{name} needs at least two entries, got {arr.size}")
     if not np.all(np.isfinite(arr)):
-        raise NonFiniteError(f"{name} contains non-finite entries")
+        raise ValidationError(f"{name} contains non-finite entries")
     return arr
+
+
+def check_value_scale(menu_id: str, values, n: int) -> None:
+    """Raise ``ValidationError`` if the value entries of n observations exceed
+    float max / (32 n) in magnitude: |W_ij| <= 2 max|v|, and policy values and
+    cycle sums are within 24 n max|v|."""
+    vmax, bound = float(np.max(np.abs(values), initial=0.0)), np.finfo(float).max / (32 * n)
+    if vmax > bound:
+        raise ValidationError(
+            f"menu {menu_id!r} has values up to {vmax:.6g} in magnitude, above "
+            f"float max / (32 n) = {bound:.6g}, where cycle sums can overflow"
+        )
 
 
 def exact_simplex_array(nonneg: np.ndarray) -> np.ndarray:
@@ -89,7 +93,7 @@ class Menu:
     def __post_init__(self):
         object.__setattr__(self, "alternatives", tuple(self.alternatives))
         if len(self.alternatives) < 2:
-            raise LengthMismatchError(
+            raise ValidationError(
                 f"menu {self.id!r} needs at least two alternatives, got {len(self.alternatives)}"
             )
         if len(set(self.alternatives)) != len(self.alternatives):
@@ -118,19 +122,16 @@ def validate_simplex(raw, tol: float = TOL_SIMPLEX) -> np.ndarray:
     idempotent: feeding the output back in returns an identical vector, and
     alternatives are never reordered.
 
-    Raises ``NegativeEntryError`` for entries below ``-tol``, ``BadSumError``
-    when the sum deviates from one by more than ``tol``, and
-    ``LengthMismatchError`` / ``NonFiniteError`` for malformed input.
+    Raises ``ValidationError`` for entries below ``-tol``, a sum that
+    deviates from one by more than ``tol``, or malformed input.
     """
     arr = _check_vector(raw, name="probability vector")
     low = int(np.argmin(arr))
     if arr[low] < -tol:
-        raise NegativeEntryError(
-            f"entry {float(arr[low])!r} at position {low} is below -{tol:g}"
-        )
+        raise ValidationError(f"entry {float(arr[low])!r} at position {low} is below -{tol:g}")
     total = math.fsum(arr.tolist())
     if abs(total - 1.0) > tol:
-        raise BadSumError(f"entries sum to {total!r}, expected 1 within {tol:g}")
+        raise ValidationError(f"entries sum to {total!r}, expected 1 within {tol:g}")
     clamped = np.where(arr < 0.0, 0.0, arr)
     if np.array_equal(clamped, arr) and abs(total - 1.0) <= _EXACT_SUM_SLACK * arr.size:
         return arr
@@ -148,9 +149,9 @@ class Dataset:
 
     def __init__(self, menu: Menu, values, probs):
         if not len(values):
-            raise EmptyDatasetError(f"dataset over menu {menu.id!r} has no observations")
+            raise ValidationError(f"dataset over menu {menu.id!r} has no observations")
         if len(values) != len(probs):
-            raise LengthMismatchError(f"{len(values)} value rows vs {len(probs)} probability rows")
+            raise ValidationError(f"{len(values)} value rows vs {len(probs)} probability rows")
         try:
             V, P = np.array(values, dtype=float), np.array(probs, dtype=float)
         except ValueError:  # ragged rows, named below, or a cell that is no number
@@ -159,7 +160,7 @@ class Dataset:
             for k, pair in enumerate(zip(values, probs)):
                 for row in pair:
                     if len(row) != menu.size:
-                        raise LengthMismatchError(
+                        raise ValidationError(
                             f"observation {k + 1} has {len(row)} entries, menu has {menu.size}"
                         )
             V, P = np.array(values, dtype=float), np.array(probs, dtype=float)  # raises on a non-number
@@ -223,13 +224,13 @@ def validate_dataset(
     record (all of them, if the rows are ragged) goes through the scalar
     validators, so results and errors are theirs.
 
-    Values above float max / (32 n) in magnitude raise ``NonFiniteError``:
-    |W_ij| <= 2 max|v|, and policy values and cycle sums are within 24 n max|v|.
+    Values above float max / (32 n) in magnitude are rejected
+    (``check_value_scale``).
     """
     if len(values) != len(probs):
-        raise LengthMismatchError(f"{len(values)} value rows vs {len(probs)} probability rows")
+        raise ValidationError(f"{len(values)} value rows vs {len(probs)} probability rows")
     if not len(values):
-        raise EmptyDatasetError("no records supplied")
+        raise ValidationError("no records supplied")
 
     if alternatives is None:
         alternatives = tuple(f"a{k + 1}" for k in range(len(values[0])))
@@ -254,23 +255,16 @@ def validate_dataset(
         try:
             v = _check_vector(raw_values[k], name="value vector")
             if v.size != menu.size:
-                raise LengthMismatchError(f"{v.size} values against a menu of size {menu.size}")
+                raise ValidationError(f"{v.size} values against a menu of size {menu.size}")
             p = validate_simplex(raw_probs[k], tol)
             if p.size != menu.size:
-                raise LengthMismatchError(
-                    f"{p.size} probabilities against a menu of size {menu.size}"
-                )
+                raise ValidationError(f"{p.size} probabilities against a menu of size {menu.size}")
             values[k], probs[k] = v, p
         except Exception as exc:  # aggregated below with record indices
             failures.append((k + 1, exc))
     if failures:
         raise RecordValidationError(failures)
-    vmax, bound = float(np.max(np.abs(values))), np.finfo(float).max / (32 * shape[0])
-    if vmax > bound:
-        raise NonFiniteError(
-            f"menu {menu.id!r} has values up to {vmax:.6g} in magnitude, above "
-            f"float max / (32 n) = {bound:.6g}, where cycle sums can overflow"
-        )
+    check_value_scale(menu.id, values, shape[0])
 
     # Rows are keyed by their bytes, so -0.0 and 0.0 differ.
     row = np.dtype((np.void, values.itemsize * menu.size))

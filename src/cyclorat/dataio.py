@@ -19,13 +19,9 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .core import Dataset, validate_dataset
-from .errors import EmptyDatasetError, MixedMenusError, ValidationError
+from .errors import ValidationError
 
 CSV_COLUMNS = ("menu_id", "obs_id", "alternative", "value", "prob")
-
-
-class MissingColumnError(ValidationError):
-    """The CSV header lacks one of the required columns."""
 
 
 class ParseError(ValidationError):
@@ -161,7 +157,7 @@ def parse_datasets_csv(path) -> dict[str, Dataset]:
         header = [h.strip() for h in header]
         missing = [c for c in CSV_COLUMNS if c not in header]
         if missing:
-            raise MissingColumnError(f"missing column(s): {', '.join(missing)}")
+            raise ValidationError(f"missing column(s): {', '.join(missing)}")
         extra = [c for c in header if c not in CSV_COLUMNS]
         if extra:
             raise ParseError(1, f"unexpected column(s): {', '.join(extra)}")
@@ -177,7 +173,7 @@ def parse_datasets_csv(path) -> dict[str, Dataset]:
             menus = _menus(columns, col)
     del columns, rest
     if not menus:
-        raise EmptyDatasetError(f"{path} holds no records")
+        raise ValidationError(f"{path} holds no records")
 
     out: dict[str, Dataset] = {}
     for menu_id, alts, values, probs, fault in menus:
@@ -191,9 +187,7 @@ def parse_dataset_csv(path) -> Dataset:
     """Parse a CSV that must contain exactly one menu."""
     datasets = parse_datasets_csv(path)
     if len(datasets) != 1:
-        raise MixedMenusError(
-            f"expected a single menu, file has {sorted(datasets)!r}"
-        )
+        raise ValidationError(f"expected a single menu, file has {sorted(datasets)!r}")
     return next(iter(datasets.values()))
 
 

@@ -1,4 +1,9 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package.
+
+A failure has a class of its own only when it carries data a caller reads
+or asks for a different response; any other raises ``ValidationError``
+(malformed input) or ``CycloratError``, with a message naming what failed.
+"""
 
 from __future__ import annotations
 
@@ -9,30 +14,6 @@ class CycloratError(Exception):
 
 class ValidationError(CycloratError):
     """Base class for data-validation failures."""
-
-
-class LengthMismatchError(ValidationError):
-    """A vector's length does not match the menu it is indexed over."""
-
-
-class NonFiniteError(ValidationError):
-    """A vector contains NaN or infinite entries."""
-
-
-class NegativeEntryError(ValidationError):
-    """A probability entry is below the negative-dust tolerance."""
-
-
-class BadSumError(ValidationError):
-    """Probability entries do not sum to one within tolerance."""
-
-
-class MixedMenusError(ValidationError):
-    """Records span more than one menu where a single menu is required."""
-
-
-class EmptyDatasetError(ValidationError):
-    """No observations were supplied."""
 
 
 class RecordValidationError(ValidationError):
@@ -47,18 +28,6 @@ class RecordValidationError(ValidationError):
         super().__init__(f"{len(self.record_errors)} invalid record(s): {lines}")
 
 
-class ZeroStrengthError(CycloratError):
-    """Every strength component evaluated to zero."""
-
-
-class TableLookupError(CycloratError):
-    """A custom-table model was queried at a value vector it does not list."""
-
-
-class IndexOutOfRangeError(CycloratError):
-    """A cycle refers to an observation index outside 1..n."""
-
-
 class NotCyclicallyMonotoneError(CycloratError):
     """Potentials cannot be built: the data contain a negative cycle.
 
@@ -68,10 +37,6 @@ class NotCyclicallyMonotoneError(CycloratError):
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
-
-
-class InconsistentPairError(ValidationError):
-    """Stored binary choice probabilities p(x,y) and p(y,x) do not sum to one."""
 
 
 class NoProgressError(CycloratError):

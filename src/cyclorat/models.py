@@ -34,13 +34,14 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, fields
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .core import Dataset, Menu, _check_vector, exact_simplex_array
-from .errors import EmptyDatasetError, TableLookupError, ValidationError, ZeroStrengthError
+from .core import Dataset, Menu, _check_vector, check_value_scale, exact_simplex_array
+from .errors import CycloratError, ValidationError
 
 # Largest exponent fed to exp() before the shared max-shift guard engages.
 _EXP_GUARD = 700.0
@@ -120,7 +121,7 @@ class CustomTable:
             if any(s < 0 for s in strengths):
                 raise ValueError("table strengths must be non-negative")
             if all(s == 0.0 for s in strengths):
-                raise ZeroStrengthError("table row has identically zero strengths")
+                raise CycloratError("table row has identically zero strengths")
             normalized.append((values, strengths))
         object.__setattr__(self, "rows", tuple(normalized))
         object.__setattr__(
@@ -132,9 +133,7 @@ class CustomTable:
         try:
             return self._lookup[key].copy()
         except KeyError:
-            raise TableLookupError(
-                f"value vector {list(key)!r} is not listed in the table"
-            ) from None
+            raise CycloratError(f"value vector {list(key)!r} is not listed in the table") from None
 
 
 PreferenceModel = Union[LuceExponential, PairwiseRegret, SalienceWeighted, CustomTable]
@@ -144,7 +143,7 @@ def eval_preference(model: PreferenceModel, values) -> np.ndarray:
     """Evaluate a model's strength vector at one value vector.
 
     The result is non-negative and not identically zero; it is deterministic
-    for fixed parameters.  Raises ``ZeroStrengthError`` if every component
+    for fixed parameters.  Raises ``CycloratError`` if every component
     evaluates to zero (a parameter pathology, never reachable for the
     built-in families at finite values).
     """
@@ -155,7 +154,7 @@ def eval_preference(model: PreferenceModel, values) -> np.ndarray:
     if np.any(t < 0) or not np.all(np.isfinite(t)):
         raise ValueError("model produced negative or non-finite strengths")
     if not np.any(t > 0):
-        raise ZeroStrengthError("all strength components are zero")
+        raise CycloratError("all strength components are zero")
     return t
 
 
@@ -169,7 +168,7 @@ def normalize(strengths) -> np.ndarray:
     if np.any(t < 0) or not np.all(np.isfinite(t)):
         raise ValueError("strengths must be finite and non-negative")
     if not np.any(t > 0):
-        raise ZeroStrengthError("cannot normalize an identically zero strength vector")
+        raise CycloratError("cannot normalize an identically zero strength vector")
     peak = float(np.max(t))
     if peak > 1e150:  # keep the compensated sum away from overflow
         t = t / peak
@@ -186,10 +185,15 @@ def simulate_dataset(
     menu: Menu,
     value_rows: Sequence[Sequence[float]],
 ) -> Dataset:
-    """Build a dataset by running the model over a design of value vectors."""
+    """Build a dataset by running the model over a design of value vectors.
+
+    Values the check would reject as too large are rejected before any
+    probability is computed.
+    """
     rows = list(value_rows)
     if not rows:
-        raise EmptyDatasetError("simulation design is empty")
+        raise ValidationError("simulation design is empty")
+    check_value_scale(menu.id, np.fromiter(chain.from_iterable(rows), float), len(rows))
     return Dataset(menu, rows, [choice_probabilities(model, row) for row in rows])
 
 

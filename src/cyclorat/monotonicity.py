@@ -30,7 +30,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .core import TOL_CM, TOL_SIMPLEX, Dataset
-from .errors import IndexOutOfRangeError, InconsistentPairError, NoProgressError
+from .errors import CycloratError, NoProgressError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -117,11 +117,11 @@ def cycle_sum(dataset: Dataset, cycle: Sequence[int]) -> float:
     """
     idx = [int(i) for i in cycle]
     if len(idx) < 2:
-        raise IndexOutOfRangeError("a cycle needs at least two indices")
+        raise CycloratError("a cycle needs at least two indices")
     n = dataset.n
     for i in idx:
         if not 1 <= i <= n:
-            raise IndexOutOfRangeError(f"index {i} outside 1..{n}")
+            raise CycloratError(f"index {i} outside 1..{n}")
     V = dataset.values_matrix
     P = dataset.probs_matrix
     terms: list[float] = []
@@ -408,21 +408,22 @@ def check_weak_stochastic_transitivity(
     ``binary[(x, y)]`` is the probability of choosing x from the pair
     {x, y}.  Whenever p(x,y) >= 1/2 and p(y,z) >= 1/2, the triple (x, y, z)
     is flagged if p(x,z) < 1/2.  If only one orientation of a pair is
-    stored, the other is implied as its complement; when both are stored
-    they must sum to one within ``tol`` or ``InconsistentPairError`` is
-    raised.  Triples with missing pairs are skipped.
+    stored, the other is implied as its complement.  ``ValidationError`` is
+    raised for a pair of an item with itself, a stored p outside [0, 1] or
+    not finite, and two orientations that do not sum to one within ``tol``.
+    Triples with missing pairs are skipped.
     """
     probs: dict[tuple[str, str], float] = {}
     for (x, y), p in binary.items():
         if x == y:
-            raise InconsistentPairError(f"pair ({x!r}, {x!r}) compares an item to itself")
-        probs[(x, y)] = float(p)
+            raise ValidationError(f"pair ({x!r}, {x!r}) compares an item to itself")
+        probs[(x, y)] = p = float(p)
+        if not 0.0 <= p <= 1.0:  # NaN fails too
+            raise ValidationError(f"p({x},{y}) = {p!r} is not a probability in [0, 1]")
     for (x, y), p in probs.items():
         q = probs.get((y, x))
         if q is not None and abs(p + q - 1.0) > tol:
-            raise InconsistentPairError(
-                f"p({x},{y}) + p({y},{x}) = {p + q!r}, expected 1 within {tol:g}"
-            )
+            raise ValidationError(f"p({x},{y}) + p({y},{x}) = {p + q!r}, expected 1 within {tol:g}")
 
     # M[x, y] = p(x, y), stored or implied; NaN (never flagged) if missing or x = y.
     items = sorted({z for pair in probs for z in pair})

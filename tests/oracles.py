@@ -31,16 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from cyclorat.core import TOL_CM, Dataset, Menu, _check_vector, validate_simplex
-from cyclorat.dataio import CSV_COLUMNS, MissingColumnError, ParseError, csv_field
-from cyclorat.errors import (
-    DuplicateValuesWarning,
-    EmptyDatasetError,
-    InconsistentPairError,
-    LengthMismatchError,
-    NonFiniteError,
-    RecordValidationError,
-    ValidationError,
-)
+from cyclorat.dataio import CSV_COLUMNS, ParseError, csv_field
+from cyclorat.errors import DuplicateValuesWarning, RecordValidationError, ValidationError
 from cyclorat.lp import solve_equality_lp
 from cyclorat import monotonicity
 from cyclorat.monotonicity import (
@@ -310,12 +302,15 @@ def wst_by_permutations(binary: dict, tol: float = 1e-9) -> list[tuple[str, str,
     probs: dict[tuple[str, str], float] = {}
     for (x, y), p in binary.items():
         if x == y:
-            raise InconsistentPairError(f"pair ({x!r}, {x!r}) compares an item to itself")
-        probs[(x, y)] = float(p)
+            raise ValidationError(f"pair ({x!r}, {x!r}) compares an item to itself")
+        p = float(p)
+        if math.isnan(p) or p < 0.0 or p > 1.0:
+            raise ValidationError(f"p({x},{y}) = {p!r} is not a probability in [0, 1]")
+        probs[(x, y)] = p
     for (x, y), p in probs.items():
         q = probs.get((y, x))
         if q is not None and abs(p + q - 1.0) > tol:
-            raise InconsistentPairError(
+            raise ValidationError(
                 f"p({x},{y}) + p({y},{x}) = {p + q!r}, expected 1 within {tol:g}"
             )
 
@@ -379,9 +374,9 @@ def write_series_csv(path: Path, rows: list[tuple[str, str, str, float]]) -> Non
 def validate_dataset_per_record(menu_id, values_rows, probs_rows, *, alternatives=None, tol=1e-9) -> Dataset:
     """``validate_dataset`` one record at a time, through the scalar validators."""
     if len(values_rows) != len(probs_rows):
-        raise LengthMismatchError(f"{len(values_rows)} value rows vs {len(probs_rows)} probability rows")
+        raise ValidationError(f"{len(values_rows)} value rows vs {len(probs_rows)} probability rows")
     if not len(values_rows):
-        raise EmptyDatasetError("no records supplied")
+        raise ValidationError("no records supplied")
 
     size = len(values_rows[0])
     if alternatives is None:
@@ -394,12 +389,12 @@ def validate_dataset_per_record(menu_id, values_rows, probs_rows, *, alternative
         try:
             v = _check_vector(values, name="value vector")
             if v.size != menu.size:
-                raise LengthMismatchError(
+                raise ValidationError(
                     f"{v.size} values against a menu of size {menu.size}"
                 )
             p = validate_simplex(probs, tol)
             if p.size != menu.size:
-                raise LengthMismatchError(
+                raise ValidationError(
                     f"{p.size} probabilities against a menu of size {menu.size}"
                 )
             pairs.append((v, p))
@@ -410,7 +405,7 @@ def validate_dataset_per_record(menu_id, values_rows, probs_rows, *, alternative
     vmax = max(float(np.max(np.abs(v))) for v, _ in pairs)
     bound = np.finfo(float).max / (32 * len(pairs))
     if vmax > bound:
-        raise NonFiniteError(
+        raise ValidationError(
             f"menu {menu.id!r} has values up to {vmax:.6g} in magnitude, above "
             f"float max / (32 n) = {bound:.6g}, where cycle sums can overflow"
         )
@@ -441,7 +436,7 @@ def parse_datasets_csv_per_row(path) -> dict[str, Dataset]:
         header = [h.strip() for h in header]
         missing = [c for c in CSV_COLUMNS if c not in header]
         if missing:
-            raise MissingColumnError(f"missing column(s): {', '.join(missing)}")
+            raise ValidationError(f"missing column(s): {', '.join(missing)}")
         extra = [c for c in header if c not in CSV_COLUMNS]
         if extra:
             raise ParseError(1, f"unexpected column(s): {', '.join(extra)}")
@@ -476,7 +471,7 @@ def parse_datasets_csv_per_row(path) -> dict[str, Dataset]:
                 )
             cells[alt] = (value, prob)
     if not menus:
-        raise EmptyDatasetError(f"{path} holds no records")
+        raise ValidationError(f"{path} holds no records")
 
     out: dict[str, Dataset] = {}
     for menu_id, entry in menus.items():

@@ -201,6 +201,20 @@ class TestSimulate:
         assert main(["simulate", "--model", str(spec), "--output", str(out2), "--seed", "9"]) == EXIT_OK
         assert out.read_bytes() == out2.read_bytes()
 
+    def test_values_check_rejects_exit_2(self, tmp_path, capsys):
+        # Values whose cycle sums can overflow get check's own error line
+        # before any probability is computed, and no file is written.
+        spec, data, out = tmp_path / "model.json", tmp_path / "data.csv", tmp_path / "sim.csv"
+        menu = {"id": "sim", "alternatives": ["a", "b"]}
+        spec.write_text(json.dumps({"family": "luce_exponential", "menu": menu, "values": [[1e308, -1e308]]}))
+        data.write_text("menu_id,obs_id,alternative,value,prob\nsim,1,a,1e308,0.5\nsim,1,b,-1e308,0.5\n")
+        assert main(["simulate", "--model", str(spec), "--output", str(out)]) == EXIT_USAGE
+        simulated = capsys.readouterr()
+        assert main(["check", "--input", str(data)]) == EXIT_USAGE
+        assert simulated == capsys.readouterr()
+        assert simulated.err.startswith("error: menu 'sim' has values up to 1e+308 in magnitude, above ")
+        assert not out.exists()
+
     def test_simulate_needs_model(self, tmp_path):
         assert main(["simulate", "--output", str(tmp_path / "x.csv")]) == EXIT_USAGE
 

@@ -8,16 +8,12 @@ import numpy as np
 import pytest
 
 from cyclorat import (
-    BadSumError,
     Dataset,
     DuplicateValuesWarning,
-    EmptyDatasetError,
-    LengthMismatchError,
     LuceExponential,
     Menu,
-    NegativeEntryError,
-    NonFiniteError,
     RecordValidationError,
+    ValidationError,
     comp_dot,
     eval_preference,
     validate_dataset,
@@ -33,7 +29,7 @@ class TestValidateSimplex:
         assert p.tolist() == [0.5, 0.5]
 
     def test_bad_sum_rejected(self):
-        with pytest.raises(BadSumError):
+        with pytest.raises(ValidationError, match="^entries sum to 0.6, expected 1 within 1e-09$"):
             validate_simplex([0.3, 0.3], 1e-9)
 
     def test_negative_dust_clamps_to_boundary(self):
@@ -41,15 +37,15 @@ class TestValidateSimplex:
         assert p.tolist() == [1.0, 0.0]
 
     def test_negative_entry_rejected(self):
-        with pytest.raises(NegativeEntryError):
+        with pytest.raises(ValidationError, match="^entry -0.2 at position 1 is below -1e-09$"):
             validate_simplex([1.2, -0.2], 1e-9)
 
     def test_too_short(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(ValidationError, match="^probability vector needs at least two entries, got 1$"):
             validate_simplex([1.0], 1e-9)
 
     def test_non_finite(self):
-        with pytest.raises(NonFiniteError):
+        with pytest.raises(ValidationError, match="^probability vector contains non-finite entries$"):
             validate_simplex([np.nan, 1.0], 1e-9)
 
     def test_idempotent_on_random_inputs(self):
@@ -79,7 +75,7 @@ class TestValidateSimplex:
 
 class TestTypes:
     def test_menu_needs_two_alternatives(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(ValidationError, match="^menu 'm' needs at least two alternatives, got 1$"):
             Menu("m", ("only",))
 
     def test_menu_rejects_duplicate_labels(self):
@@ -87,11 +83,13 @@ class TestTypes:
             Menu("m", ("x", "x"))
 
     def test_value_vector_rejects_non_finite(self):
-        with pytest.raises(NonFiniteError):
+        with pytest.raises(ValidationError, match="^value vector contains non-finite entries$"):
             eval_preference(LuceExponential(), [1.0, np.inf])
         with pytest.raises(RecordValidationError) as err:
             validate_dataset("m", [[1.0, np.inf]], [[0.5, 0.5]])
-        assert [(i, type(e)) for i, e in err.value.record_errors] == [(1, NonFiniteError)]
+        assert [(i, type(e), str(e)) for i, e in err.value.record_errors] == [
+            (1, ValidationError, "value vector contains non-finite entries")
+        ]
 
     def test_matrices_are_read_only_copies(self):
         values, probs = np.array([[1.0, 2.0]]), np.array([[0.5, 0.5]])
@@ -117,14 +115,14 @@ class TestTypes:
 
     def test_observation_length_mismatch(self):
         menu = Menu("m", ("x", "y", "z"))
-        with pytest.raises(LengthMismatchError, match="observation 1 has 2 entries, menu has 3"):
+        with pytest.raises(ValidationError, match="observation 1 has 2 entries, menu has 3"):
             Dataset(menu, [[1.0, 2.0, 3.0]], [[0.5, 0.5]])
 
     def test_dataset_checks_menu_size(self):
         menu = Menu("m", ("x", "y", "z"))
-        with pytest.raises(LengthMismatchError, match="observation 2 has 2 entries, menu has 3"):
+        with pytest.raises(ValidationError, match="observation 2 has 2 entries, menu has 3"):
             Dataset(menu, [[1.0, 2.0, 3.0], [1.0, 2.0]], [[0.2, 0.3, 0.5]] * 2)
-        with pytest.raises(EmptyDatasetError, match="dataset over menu 'm' has no observations"):
+        with pytest.raises(ValidationError, match="dataset over menu 'm' has no observations"):
             Dataset(menu, [], [])
 
     def test_dataset_matrices(self):
@@ -141,11 +139,11 @@ class TestValidateDataset:
 
     def test_row_counts_must_match(self):
         for validate in (validate_dataset, validate_dataset_per_record):
-            with pytest.raises(LengthMismatchError, match="^2 value rows vs 1 probability rows$"):
+            with pytest.raises(ValidationError, match="^2 value rows vs 1 probability rows$"):
                 validate("m", [[0.0, 0.0], [1.0, 0.0]], [[0.5, 0.5]])
 
     def test_empty(self):
-        with pytest.raises(EmptyDatasetError, match="^no records supplied$"):
+        with pytest.raises(ValidationError, match="^no records supplied$"):
             validate_dataset("m", [], [])
 
     def test_duplicate_values_warn(self):
@@ -198,7 +196,7 @@ def test_values_whose_cycle_sums_overflow_are_rejected(values, probs):
     bound = np.finfo(float).max / 64  # float max / (32 n) at n = 2
     message = re.escape(f"above float max / (32 n) = {bound:.6g}")
     for validate in (validate_dataset, validate_dataset_per_record):
-        with pytest.raises(NonFiniteError, match=message):
+        with pytest.raises(ValidationError, match=message):
             validate("m", values, probs)
     # At the bound the check's sums stay finite.
     scaled = (np.array(values) / np.max(np.abs(values)) * bound).tolist()

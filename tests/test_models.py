@@ -8,12 +8,11 @@ from numpy.testing import assert_allclose
 
 from cyclorat import (
     CustomTable,
-    EmptyDatasetError,
+    CycloratError,
     LuceExponential,
     PairwiseRegret,
     SalienceWeighted,
-    TableLookupError,
-    ZeroStrengthError,
+    ValidationError,
     choice_probabilities,
     eval_preference,
     model_from_spec,
@@ -62,7 +61,7 @@ class TestEvalPreference:
     def test_custom_table_lookup_and_miss(self):
         table = CustomTable((((0.0, 0.0), (0.5, 0.5)), ((1.0, 0.0), (0.9, 0.1))))
         assert eval_preference(table, vv(1, 0)).tolist() == [0.9, 0.1]
-        with pytest.raises(TableLookupError):
+        with pytest.raises(CycloratError, match=r"^value vector \[2.0, 0.0\] is not listed in the table$"):
             eval_preference(table, vv(2, 0))
 
     def test_salience_rejects_negative_sigma(self):
@@ -78,7 +77,7 @@ class TestNormalize:
         assert normalize([3.0, 1.0]).tolist() == [0.75, 0.25]
 
     def test_zero_strength_rejected(self):
-        with pytest.raises(ZeroStrengthError):
+        with pytest.raises(CycloratError, match="^cannot normalize an identically zero strength vector$"):
             normalize([0.0, 0.0])
 
     def test_scale_invariance(self):
@@ -131,8 +130,14 @@ class TestSimulateDataset:
         assert_allclose(d.probs_matrix[1], expected, atol=1e-15)
 
     def test_empty_design(self):
-        with pytest.raises(EmptyDatasetError):
+        with pytest.raises(ValidationError, match="^simulation design is empty$"):
             simulate_dataset(LuceExponential(), menu_of(2), [])
+
+    def test_values_the_check_rejects_come_before_probabilities(self):
+        # Values above float max / (32 n) raise the check's error before any
+        # exp() runs: numpy's overflow warning would be an error here.
+        with pytest.raises(ValidationError, match=r"^menu 'm' has values up to 1e\+308 in magnitude"):
+            simulate_dataset(LuceExponential(), menu_of(2), [[1e308, -1e308]])
 
     def test_custom_table_echoes_rows(self):
         table = CustomTable((((0.0, 0.0), (0.5, 0.5)), ((1.0, 0.0), (0.9, 0.1))))

@@ -11,12 +11,12 @@ from numpy.testing import assert_allclose
 
 from cyclorat import (
     Dataset,
+    CycloratError,
     DuplicateValuesWarning,
-    InconsistentPairError,
-    IndexOutOfRangeError,
     Menu,
     NoProgressError,
     NotCyclicallyMonotoneError,
+    ValidationError,
     check_cyclic_monotonicity,
     check_two_point_monotonicity,
     check_weak_stochastic_transitivity,
@@ -63,11 +63,11 @@ class TestCycleSum:
         assert_allclose(cycle_sum(violation_fixture, [1, 2]), -0.6, atol=1e-15)
 
     def test_bad_indices(self, softmax_fixture):
-        with pytest.raises(IndexOutOfRangeError):
+        with pytest.raises(CycloratError, match=r"^index 3 outside 1\.\.2$"):
             cycle_sum(softmax_fixture, [1, 3])
-        with pytest.raises(IndexOutOfRangeError):
+        with pytest.raises(CycloratError, match=r"^index 0 outside 1\.\.2$"):
             cycle_sum(softmax_fixture, [0, 1])
-        with pytest.raises(IndexOutOfRangeError):
+        with pytest.raises(CycloratError, match="^a cycle needs at least two indices$"):
             cycle_sum(softmax_fixture, [1])
 
 
@@ -915,11 +915,23 @@ class TestWeakStochasticTransitivity:
         assert check_weak_stochastic_transitivity(binary) == []
 
     def test_inconsistent_pair(self):
-        with pytest.raises(InconsistentPairError):
-            check_weak_stochastic_transitivity({("x", "y"): 0.6, ("y", "x"): 0.6})
+        # Orientations that do not sum to one, and a stored p outside [0, 1].
+        # The range check catches a NaN reverse orientation, which the
+        # sum-to-one check alone misses: abs(nan) > tol is False.
+        not_probability = "{} is not a probability in [0, 1]".format
+        for binary, message in [
+            ({("x", "y"): 0.6, ("y", "x"): 0.6}, "p(x,y) + p(y,x) = 1.2, expected 1 within 1e-09"),
+            ({("a", "b"): 1.5, ("b", "c"): 0.9, ("a", "c"): 0.1}, not_probability("p(a,b) = 1.5")),
+            ({("a", "b"): 0.6, ("b", "c"): 0.9, ("a", "c"): -3}, not_probability("p(a,c) = -3.0")),
+            ({("a", "b"): 0.6, ("b", "a"): float("nan")}, not_probability("p(b,a) = nan")),
+            ({("a", "b"): float("inf")}, not_probability("p(a,b) = inf")),
+        ]:
+            with pytest.raises(ValidationError) as err:
+                check_weak_stochastic_transitivity(binary)
+            assert str(err.value) == message
 
     def test_self_pair_rejected(self):
-        with pytest.raises(InconsistentPairError):
+        with pytest.raises(ValidationError, match="^pair \\('x', 'x'\\) compares an item to itself$"):
             check_weak_stochastic_transitivity({("x", "x"): 0.5})
 
 
@@ -932,8 +944,8 @@ def test_wst_one_sided_storage_implies_complement():
 def _wst_outcome(check, binary):
     try:
         return check(binary)
-    except InconsistentPairError as exc:
-        return str(exc)
+    except ValidationError as exc:
+        return type(exc), str(exc)
 
 
 def test_wst_matches_the_permutation_oracle():

@@ -1,9 +1,13 @@
 """The README's examples run as written."""
 
+import builtins
+import csv
 import re
 import shlex
 from pathlib import Path
 
+import cyclorat
+from cyclorat import dataio
 from cyclorat.cli import main
 from cyclorat.models import PairwiseRegret, load_model_spec
 from cyclorat.report import SCHEMA_VERSION
@@ -17,6 +21,18 @@ def _blocks(lang: str) -> list[str]:
 
 def test_schema_version_matches_report():
     assert re.findall(r"schema_version: (\d+)", README) == [str(SCHEMA_VERSION)]
+
+
+def test_error_names_resolve():
+    # Every error class the README names in code exists under that name.
+    names = {
+        name
+        for span in re.findall(r"`([^`\n]+)`", README)
+        for name in re.findall(r"\b(\w*Error)\b", span)
+    }
+    assert {"ValidationError", "ParseError", "Error"} <= names
+    modules = (cyclorat, dataio, builtins, csv)
+    assert sorted(n for n in names if not any(hasattr(m, n) for m in modules)) == []
 
 
 def test_model_spec_example_loads(tmp_path):
