@@ -15,8 +15,7 @@ from importlib import import_module as _import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "core": """TOL_CM TOL_OPT TOL_SIMPLEX Dataset Menu comp_dot validate_dataset
-        validate_simplex""",
+    "core": "TOL_CM TOL_OPT TOL_SIMPLEX Dataset Menu comp_dot validate_simplex",
     "errors": """CycloratError DuplicateValuesWarning NoProgressError
         NotCyclicallyMonotoneError RecordValidationError ValidationError""",
     "lp": "",  # public as a submodule only

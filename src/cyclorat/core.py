@@ -4,7 +4,8 @@ Every other module works with the types defined here: a ``Menu`` fixes the
 alternative labels and their order, and a ``Dataset`` over it holds the
 observations as two read-only n-by-|A| matrices, the value vectors v^i
 (one real value per alternative) and the choice probabilities p^i, row i
-for observation i.
+for observation i.  Its constructor validates them, so every Dataset holds
+finite values and rows on the probability simplex.
 
 Numeric conventions:
 
@@ -21,7 +22,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import FrozenInstanceError, dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -123,8 +123,11 @@ def validate_simplex(raw, tol: float = TOL_SIMPLEX) -> np.ndarray:
     alternatives are never reordered.
 
     Raises ``ValidationError`` for entries below ``-tol``, a sum that
-    deviates from one by more than ``tol``, or malformed input.
+    deviates from one by more than ``tol``, or malformed input, and
+    ``ValueError`` for a NaN ``tol``.
     """
+    if math.isnan(tol):
+        raise ValueError("tol must not be NaN")
     arr = _check_vector(raw, name="probability vector")
     low = int(np.argmin(arr))
     if arr[low] < -tol:
@@ -138,108 +141,36 @@ def validate_simplex(raw, tol: float = TOL_SIMPLEX) -> np.ndarray:
     return exact_simplex_array(clamped)
 
 
-class Dataset:
-    """Observations over one menu: read-only n-by-|A| matrices of value
-    vectors and of choice probabilities.
+# A function apart from Dataset.__init__ because bench/tracer.py times it,
+# by this name, as the benchmark's core.validate layer.
+def validate_dataset(menu: Menu, values, probs, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """What ``Dataset(menu, values, probs, tol=tol)`` runs: C-ordered float
+    copies of the rows, checked and renormalized.
 
-    ``values`` and ``probs`` are the matrices, or rows of them, and are
-    copied.  Row i of each is observation i + 1; these positions (1..n) are
-    the indices used in witness cycles and reports.
+    Row k of ``values`` and ``probs`` is observation k + 1, the index used
+    in witness cycles, reports and the ``RecordValidationError`` that
+    collects every failing record.  The rows are screened as two matrices:
+    a row of finite values and probabilities in [0, 1] whose compensated
+    sum is within the bit-level slack of one is what ``validate_simplex``
+    returns unchanged; every other record (all of them, if the rows are
+    ragged) goes through the scalar validators with ``tol``.  Values beyond
+    ``check_value_scale`` are rejected and a NaN ``tol`` raises
+    ``ValueError``.  Duplicate value vectors with differing probabilities
+    are kept but trigger a ``DuplicateValuesWarning``: no single-valued
+    choice map gives such data.
     """
-
-    def __init__(self, menu: Menu, values, probs):
-        if not len(values):
-            raise ValidationError(f"dataset over menu {menu.id!r} has no observations")
-        if len(values) != len(probs):
-            raise ValidationError(f"{len(values)} value rows vs {len(probs)} probability rows")
-        try:
-            V, P = np.array(values, dtype=float), np.array(probs, dtype=float)
-        except ValueError:  # ragged rows, named below, or a cell that is no number
-            V = P = np.empty(0)
-        if not V.shape == P.shape == (len(values), menu.size):
-            for k, pair in enumerate(zip(values, probs)):
-                for row in pair:
-                    if len(row) != menu.size:
-                        raise ValidationError(
-                            f"observation {k + 1} has {len(row)} entries, menu has {menu.size}"
-                        )
-            V, P = np.array(values, dtype=float), np.array(probs, dtype=float)  # raises on a non-number
-        self._hold(menu, V, P)
-
-    def _hold(self, menu: Menu, values: np.ndarray, probs: np.ndarray) -> Dataset:
-        # Freezes and keeps these float matrices themselves: no check, no copy.
-        values.flags.writeable = probs.flags.writeable = False
-        self.__dict__.update(menu=menu, _values=values, _probs=probs)
-        return self
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    @property
-    def n(self) -> int:
-        return self._values.shape[0]
-
-    @property
-    def values_matrix(self) -> np.ndarray:
-        """n-by-|A| matrix of value vectors (read-only)."""
-        return self._values
-
-    @property
-    def probs_matrix(self) -> np.ndarray:
-        """n-by-|A| matrix of choice probabilities (read-only)."""
-        return self._probs
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Dataset)
-            and self.menu == other.menu
-            and np.array_equal(self._values, other._values)
-            and np.array_equal(self._probs, other._probs)
-        )
-
-    def __repr__(self):
-        return f"Dataset(menu={self.menu.id!r}, n={self.n}, size={self.menu.size})"
-
-
-def validate_dataset(
-    menu_id: str,
-    values: Sequence[Sequence[float]],
-    probs: Sequence[Sequence[float]],
-    *,
-    alternatives: Sequence[str] | None = None,
-    tol: float = TOL_SIMPLEX,
-) -> Dataset:
-    """Validate parallel rows of values and probabilities into a Dataset.
-
-    Row k of ``values`` and of ``probs`` is record k + 1.  Per-record
-    failures are aggregated into a single ``RecordValidationError`` carrying
-    these 1-based indices.  Duplicate value vectors with differing
-    probabilities are kept (cycle sums remain well defined) but trigger a
-    ``DuplicateValuesWarning``, since such data cannot come from a
-    single-valued choice map.
-
-    The rows are screened as two n-by-|A| matrices: a row of finite values
-    and probabilities in [0, 1] whose compensated sum is within the bit-level
-    slack of one is what ``validate_simplex`` returns unchanged.  Every other
-    record (all of them, if the rows are ragged) goes through the scalar
-    validators, so results and errors are theirs.
-
-    Values above float max / (32 n) in magnitude are rejected
-    (``check_value_scale``).
-    """
+    if math.isnan(tol):
+        raise ValueError("tol must not be NaN")
     if len(values) != len(probs):
         raise ValidationError(f"{len(values)} value rows vs {len(probs)} probability rows")
     if not len(values):
         raise ValidationError("no records supplied")
 
-    if alternatives is None:
-        alternatives = tuple(f"a{k + 1}" for k in range(len(values[0])))
-    menu = Menu(menu_id, tuple(alternatives))
-
     shape = (len(values), menu.size)
     raw_values, raw_probs = values, probs
     try:
-        values, probs = np.array(raw_values, dtype=float), np.array(raw_probs, dtype=float)
+        values = np.array(raw_values, dtype=float, order="C")
+        probs = np.array(raw_probs, dtype=float, order="C")
     except (TypeError, ValueError):
         values = probs = np.empty(0)
     if values.shape == probs.shape == shape:
@@ -276,7 +207,45 @@ def validate_dataset(
             f"observations {first[k] + 1} and {k + 1} share a value vector "
             "but differ in probabilities",
             DuplicateValuesWarning,
-            stacklevel=2,
+            stacklevel=3,  # the caller of Dataset(...)
+        )
+    return values, probs
+
+
+class Dataset:
+    """Observations over one menu, validated (``validate_dataset``):
+    read-only n-by-|A| matrices of value vectors and of choice
+    probabilities, copied once from the caller's rows."""
+
+    def __init__(self, menu: Menu, values, probs, *, tol: float = TOL_SIMPLEX):
+        values, probs = validate_dataset(menu, values, probs, tol)
+        values.flags.writeable = probs.flags.writeable = False
+        self.__dict__.update(menu=menu, _values=values, _probs=probs)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    @property
+    def n(self) -> int:
+        return self._values.shape[0]
+
+    @property
+    def values_matrix(self) -> np.ndarray:
+        """n-by-|A| matrix of value vectors (read-only)."""
+        return self._values
+
+    @property
+    def probs_matrix(self) -> np.ndarray:
+        """n-by-|A| matrix of choice probabilities (read-only)."""
+        return self._probs
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Dataset)
+            and self.menu == other.menu
+            and np.array_equal(self._values, other._values)
+            and np.array_equal(self._probs, other._probs)
         )
 
-    return Dataset.__new__(Dataset)._hold(menu, values, probs)  # matrices of its own, checked
+    def __repr__(self):
+        return f"Dataset(menu={self.menu.id!r}, n={self.n}, size={self.menu.size})"

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import Dataset, validate_dataset
+from .core import Dataset, Menu
 from .errors import ValidationError
 
 CSV_COLUMNS = ("menu_id", "obs_id", "alternative", "value", "prob")
@@ -179,7 +179,7 @@ def parse_datasets_csv(path) -> dict[str, Dataset]:
     for menu_id, alts, values, probs, fault in menus:
         if fault:
             raise ValidationError(fault)
-        out[menu_id] = validate_dataset(menu_id, values, probs, alternatives=alts)
+        out[menu_id] = Dataset(Menu(menu_id, tuple(alts)), values, probs)
     return out
 
 

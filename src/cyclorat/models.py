@@ -11,11 +11,11 @@ Families:
     ``T_a(v) = exp(v_a)``.  Normalization is the softmax map, the classic
     transitive benchmark (it is the gradient of log-sum-exp).
 
-``PairwiseRegret(theta, regret_fn)``
-    ``T_a(v) = exp(v_a + theta * sum_{b != a} r(v_a - v_b))`` with ``r`` an
-    odd, increasing scalar function (default ``tanh``).  Large ``theta``
-    produces menu-dependent interactions that can break cyclic monotonicity,
-    which makes the family useful for exercising violation paths.
+``PairwiseRegret(theta)``
+    ``T_a(v) = exp(v_a + theta * sum_{b != a} tanh(v_a - v_b))``.  Large
+    ``theta`` produces menu-dependent interactions that can break cyclic
+    monotonicity, which makes the family useful for exercising violation
+    paths.
 
 ``SalienceWeighted(sigma)``
     ``T_a(v) = softplus(v_a) * (1 + sigma * |v_a - mean(v)| / (1 + |v_a| +
@@ -25,7 +25,9 @@ Families:
 ``CustomTable``
     Explicit ``v -> strengths`` rows, defined only at the listed vectors.
 
-This module owns the model spec JSON that ``simulate`` reads
+``simulate_dataset`` runs a model over a design of value vectors and
+builds a ``Dataset``, whose constructor validates the rows like any
+other.  This module owns the model spec JSON that ``simulate`` reads
 (``load_model_spec``); ``dataio`` owns the dataset CSV.
 """
 
@@ -77,13 +79,10 @@ class PairwiseRegret:
     """Exponentiated value plus pairwise regret/rejoice terms."""
 
     theta: float = 1.0
-    regret_fn: Callable[[np.ndarray], np.ndarray] = np.tanh
 
     def strengths(self, v: np.ndarray) -> np.ndarray:
-        diffs = v[:, None] - v[None, :]
-        interaction = self.regret_fn(diffs)
-        np.fill_diagonal(interaction, 0.0)
-        return _guarded_exp(v + self.theta * interaction.sum(axis=1))
+        # The diagonal is tanh(0) = 0: b = a adds nothing to the sum.
+        return _guarded_exp(v + self.theta * np.tanh(v[:, None] - v[None, :]).sum(axis=1))
 
 
 @dataclass(frozen=True)
@@ -188,7 +187,7 @@ def simulate_dataset(
     """Build a dataset by running the model over a design of value vectors.
 
     Values the check would reject as too large are rejected before any
-    probability is computed.
+    probability is computed; ``Dataset`` validates the rest.
     """
     rows = list(value_rows)
     if not rows:
@@ -249,7 +248,7 @@ def model_from_spec(family: str, params: dict | None = None) -> PreferenceModel:
         raise ValueError(f"unknown family {family!r}; expected one of {sorted(_FAMILY_NAMES)}")
     cls = _FAMILY_NAMES[family]
     params = _typed({} if params is None else params, "an object", f"{family} 'params'")
-    names = {"rows"} if cls is CustomTable else {f.name for f in fields(cls)} - {"regret_fn"}
+    names = {"rows"} if cls is CustomTable else {f.name for f in fields(cls)}
     unexpected = sorted(set(params) - names)
     if unexpected:
         raise ValidationError(f"unexpected {family} parameters: {unexpected}")

@@ -410,9 +410,11 @@ def check_weak_stochastic_transitivity(
     is flagged if p(x,z) < 1/2.  If only one orientation of a pair is
     stored, the other is implied as its complement.  ``ValidationError`` is
     raised for a pair of an item with itself, a stored p outside [0, 1] or
-    not finite, and two orientations that do not sum to one within ``tol``.
-    Triples with missing pairs are skipped.
+    not finite, and two orientations that do not sum to one within ``tol``;
+    ``ValueError`` for a NaN ``tol``.  Triples with missing pairs are skipped.
     """
+    if math.isnan(tol):
+        raise ValueError("tol must not be NaN")
     probs: dict[tuple[str, str], float] = {}
     for (x, y), p in binary.items():
         if x == y:

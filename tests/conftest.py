@@ -13,7 +13,6 @@ from cyclorat import (
     simplex_projection,
     simulate_dataset,
     softmax_probabilities,
-    validate_dataset,
 )
 
 
@@ -26,8 +25,8 @@ def softmax_fixture() -> Dataset:
     # Two observations of the exponential-strength model, probabilities
     # rounded to five decimals; the rounding keeps the data cyclically
     # monotone with a wide margin.
-    return validate_dataset(
-        "m",
+    return Dataset(
+        menu_of(2),
         [[0.0, 0.0], [1.0, 0.0]],
         [[0.5, 0.5], [0.73106, 0.26894]],
     )
@@ -37,8 +36,8 @@ def softmax_fixture() -> Dataset:
 def violation_fixture() -> Dataset:
     # Hand-built two-cycle violation: the 1 -> 2 -> 1 sum is
     # (0.3 - 0.7) + (-0.6 + 0.4) = -0.6.
-    return validate_dataset(
-        "m",
+    return Dataset(
+        menu_of(2),
         [[1.0, 0.0], [0.0, 1.0]],
         [[0.3, 0.7], [0.6, 0.4]],
     )
@@ -95,7 +94,7 @@ def realize_weights(W_target: np.ndarray, rng: np.random.Generator) -> Dataset:
     P = rng.dirichlet(np.ones(n + 1), n)
     M = -np.where(np.eye(n, dtype=bool), 0.0, W_target)
     V = (np.linalg.pinv(P) @ M).T
-    return validate_dataset("m", V.tolist(), P.tolist())
+    return Dataset(menu_of(n + 1), V.tolist(), P.tolist())
 
 
 def benchmark_lowdim_menu(seed: int, k: int) -> Dataset:
@@ -122,4 +121,4 @@ def benchmark_lowdim_menu(seed: int, k: int) -> Dataset:
         rho = (U - css / np.arange(1, size + 1) > 0).sum(axis=1)
         theta = css[np.arange(n), rho - 1] / rho
         P = np.maximum(V - theta[:, None], 0.0)
-    return validate_dataset(f"lowdim_{k:02d}", V.tolist(), P.tolist())
+    return Dataset(menu_of(size, f"lowdim_{k:02d}"), V.tolist(), P.tolist())

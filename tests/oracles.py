@@ -14,8 +14,9 @@ per query, which shares no basis between queries as the batched route
 does.  The series CSV's reference builds every row as a tuple and formats
 them one at a time.
 Dataset validation's reference checks and builds a (values, probabilities)
-pair of arrays per record, one record at a time, and the CSV parser's
-reference reads one row at a time into nested dicts.
+pair of arrays per record, one record at a time, and returns matrices of
+its own rather than a ``Dataset``, whose constructor is what it checks; the
+CSV parser's reference reads one row at a time into nested dicts.
 Weak stochastic transitivity's reference looks up every ordered triple of
 labels in turn.
 """
@@ -371,17 +372,14 @@ def write_series_csv(path: Path, rows: list[tuple[str, str, str, float]]) -> Non
             fh.write(f"{csv_field(menu_id)},{series},{key},{value:.17g}\n")
 
 
-def validate_dataset_per_record(menu_id, values_rows, probs_rows, *, alternatives=None, tol=1e-9) -> Dataset:
-    """``validate_dataset`` one record at a time, through the scalar validators."""
+def validate_dataset_per_record(menu: Menu, values_rows, probs_rows, *, tol=1e-9) -> tuple:
+    """``Dataset(menu, values_rows, probs_rows, tol=tol)`` one record at a
+    time, through the scalar validators: ``(menu, values, probs)``, the
+    matrices built here from the validated rows."""
     if len(values_rows) != len(probs_rows):
         raise ValidationError(f"{len(values_rows)} value rows vs {len(probs_rows)} probability rows")
     if not len(values_rows):
         raise ValidationError("no records supplied")
-
-    size = len(values_rows[0])
-    if alternatives is None:
-        alternatives = tuple(f"a{k + 1}" for k in range(size))
-    menu = Menu(menu_id, tuple(alternatives))
 
     pairs: list[tuple[np.ndarray, np.ndarray]] = []
     failures: list[tuple[int, Exception]] = []
@@ -422,11 +420,12 @@ def validate_dataset_per_record(menu_id, values_rows, probs_rows, *, alternative
             )
         seen.setdefault(key, (k, pkey))
 
-    return Dataset(menu, [v for v, _ in pairs], [p for _, p in pairs])
+    return menu, np.array([v for v, _ in pairs]), np.array([p for _, p in pairs])
 
 
-def parse_datasets_csv_per_row(path) -> dict[str, Dataset]:
-    """``parse_datasets_csv`` one row at a time, validating per record."""
+def parse_datasets_csv_per_row(path) -> dict[str, tuple]:
+    """``parse_datasets_csv`` one row at a time, validating per record: each
+    menu's ``(menu, values, probs)`` from ``validate_dataset_per_record``."""
     with Path(path).open("r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -473,7 +472,7 @@ def parse_datasets_csv_per_row(path) -> dict[str, Dataset]:
     if not menus:
         raise ValidationError(f"{path} holds no records")
 
-    out: dict[str, Dataset] = {}
+    out: dict[str, tuple] = {}
     for menu_id, entry in menus.items():
         alts = entry["alts"]
         values_rows, probs_rows = [], []
@@ -485,5 +484,5 @@ def parse_datasets_csv_per_row(path) -> dict[str, Dataset]:
                 )
             values_rows.append([cells[a][0] for a in alts])
             probs_rows.append([cells[a][1] for a in alts])
-        out[menu_id] = validate_dataset_per_record(menu_id, values_rows, probs_rows, alternatives=alts)
+        out[menu_id] = validate_dataset_per_record(Menu(menu_id, tuple(alts)), values_rows, probs_rows)
     return out

@@ -450,7 +450,7 @@ class TestErrorsAndDeterminism:
             ("check", "m,1,x,0,-0.5\nm,1,y,1,1.5\n",
              "1 invalid record(s): record 1: entry -0.5 at position 0 is below -1e-09"),
             ("simulate", {"menu": {"id": "sim", "alternatives": ["a", "b", "c"]}},
-             "observation 1 has 2 entries, menu has 3"),
+             "1 invalid record(s): record 1: 2 values against a menu of size 3"),
             ("check", "m,1,x,nan,0.5\nm,1,y,1,0.5\n",
              "1 invalid record(s): record 1: value vector contains non-finite entries"),
             ("check", "m,1,x,1e308,0.5\nm,1,y,0,0.5\n",

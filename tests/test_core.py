@@ -14,12 +14,13 @@ from cyclorat import (
     Menu,
     RecordValidationError,
     ValidationError,
+    check_weak_stochastic_transitivity,
     comp_dot,
     eval_preference,
-    validate_dataset,
     validate_simplex,
 )
 
+from conftest import menu_of
 from oracles import validate_dataset_per_record
 
 
@@ -86,7 +87,7 @@ class TestTypes:
         with pytest.raises(ValidationError, match="^value vector contains non-finite entries$"):
             eval_preference(LuceExponential(), [1.0, np.inf])
         with pytest.raises(RecordValidationError) as err:
-            validate_dataset("m", [[1.0, np.inf]], [[0.5, 0.5]])
+            Dataset(menu_of(2), [[1.0, np.inf]], [[0.5, 0.5]])
         assert [(i, type(e), str(e)) for i, e in err.value.record_errors] == [
             (1, ValidationError, "value vector contains non-finite entries")
         ]
@@ -101,13 +102,16 @@ class TestTypes:
             with pytest.raises(ValueError):
                 matrix[0, 0] = 5.0
 
-    def test_validated_matrices_are_not_copied_again(self, monkeypatch):
-        # validate_dataset keeps the matrices it built; Dataset(...), which
-        # would check and copy them again, is not called.  A caller's own
-        # arrays are still copied.
-        monkeypatch.setattr(Dataset, "__init__", lambda *args: pytest.fail("copied again"))
+    def test_callers_arrays_are_copied_once_and_frozen(self, monkeypatch):
+        # Each of the caller's arrays goes through one np.array call, and the
+        # Dataset keeps and freezes what that call returned.
         values, probs = np.array([[1.0, 2.0]]), np.array([[0.5, 0.5]])
-        d = validate_dataset("m", values, probs)
+        copied, array = [], np.array
+        monkeypatch.setattr(np, "array", lambda obj, *a, **kw: copied.append(obj) or array(obj, *a, **kw))
+        d = Dataset(menu_of(2), values, probs)
+        monkeypatch.undo()
+        assert [id(obj) for obj in copied] == [id(values), id(probs)]
+        assert d.values_matrix.flags.owndata and d.probs_matrix.flags.owndata
         assert not np.shares_memory(d.values_matrix, values)
         assert not np.shares_memory(d.probs_matrix, probs)
         assert d.values_matrix.tolist() == [[1.0, 2.0]] and d.probs_matrix.tolist() == [[0.5, 0.5]]
@@ -115,59 +119,59 @@ class TestTypes:
 
     def test_observation_length_mismatch(self):
         menu = Menu("m", ("x", "y", "z"))
-        with pytest.raises(ValidationError, match="observation 1 has 2 entries, menu has 3"):
+        with pytest.raises(RecordValidationError) as err:
             Dataset(menu, [[1.0, 2.0, 3.0]], [[0.5, 0.5]])
+        assert str(err.value) == "1 invalid record(s): record 1: 2 probabilities against a menu of size 3"
 
     def test_dataset_checks_menu_size(self):
         menu = Menu("m", ("x", "y", "z"))
-        with pytest.raises(ValidationError, match="observation 2 has 2 entries, menu has 3"):
+        with pytest.raises(RecordValidationError) as err:
             Dataset(menu, [[1.0, 2.0, 3.0], [1.0, 2.0]], [[0.2, 0.3, 0.5]] * 2)
-        with pytest.raises(ValidationError, match="dataset over menu 'm' has no observations"):
-            Dataset(menu, [], [])
+        assert str(err.value) == "1 invalid record(s): record 2: 2 values against a menu of size 3"
 
     def test_dataset_matrices(self):
-        d = validate_dataset("m", [[0, 1], [2, 3]], [[0.5, 0.5], [0.25, 0.75]])
+        d = Dataset(menu_of(2), [[0, 1], [2, 3]], [[0.5, 0.5], [0.25, 0.75]])
         assert d.values_matrix.tolist() == [[0, 1], [2, 3]]
         assert d.probs_matrix.tolist() == [[0.5, 0.5], [0.25, 0.75]]
 
 
 class TestValidateDataset:
     def test_two_valid_records(self):
-        d = validate_dataset("m", [[0.0, 0.0], [1.0, 0.0]], [[0.5, 0.5], [0.7, 0.3]])
+        d = Dataset(menu_of(2), [[0.0, 0.0], [1.0, 0.0]], [[0.5, 0.5], [0.7, 0.3]])
         assert d.n == 2
         assert d.menu.id == "m"
 
     def test_row_counts_must_match(self):
-        for validate in (validate_dataset, validate_dataset_per_record):
+        for validate in (Dataset, validate_dataset_per_record):
             with pytest.raises(ValidationError, match="^2 value rows vs 1 probability rows$"):
-                validate("m", [[0.0, 0.0], [1.0, 0.0]], [[0.5, 0.5]])
+                validate(menu_of(2), [[0.0, 0.0], [1.0, 0.0]], [[0.5, 0.5]])
 
     def test_empty(self):
         with pytest.raises(ValidationError, match="^no records supplied$"):
-            validate_dataset("m", [], [])
+            Dataset(menu_of(2), [], [])
 
     def test_duplicate_values_warn(self):
         with pytest.warns(DuplicateValuesWarning):
-            d = validate_dataset("m", [[1.0, 2.0], [1.0, 2.0]], [[0.5, 0.5], [0.6, 0.4]])
+            d = Dataset(menu_of(2), [[1.0, 2.0], [1.0, 2.0]], [[0.5, 0.5], [0.6, 0.4]])
         assert d.n == 2
 
     def test_identical_records_do_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            d = validate_dataset("m", [[1.0, 2.0], [1.0, 2.0]], [[0.5, 0.5], [0.5, 0.5]])
+            d = Dataset(menu_of(2), [[1.0, 2.0], [1.0, 2.0]], [[0.5, 0.5], [0.5, 0.5]])
         assert d.n == 2
 
     def test_record_errors_carry_indices(self):
         values = [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]]
         probs = [[0.5, 0.5], [0.9, 0.3], [1.2, -0.2]]
         with pytest.raises(RecordValidationError) as err:
-            validate_dataset("m", values, probs)
+            Dataset(menu_of(2), values, probs)
         indices = [i for i, _ in err.value.record_errors]
         assert indices == [2, 3]
 
     def test_clamping_leaves_the_callers_matrix_alone(self):
         probs = np.array([[1.0, -1e-300]])
-        d = validate_dataset("m", np.zeros((1, 2)), probs)
+        d = Dataset(menu_of(2), np.zeros((1, 2)), probs)
         assert d.probs_matrix.tolist() == [[1.0, 0.0]]
         assert probs.tolist() == [[1.0, -1e-300]]
 
@@ -181,7 +185,7 @@ def test_comp_dot_matches_fsum():
 
 def test_wrong_length_record_is_aggregated():
     with pytest.raises(RecordValidationError) as err:
-        validate_dataset("m", [[0.0, 0.0], [1.0, 0.0, 2.0]], [[0.5, 0.5], [0.5, 0.25, 0.25]])
+        Dataset(menu_of(2), [[0.0, 0.0], [1.0, 0.0, 2.0]], [[0.5, 0.5], [0.5, 0.25, 0.25]])
     assert [i for i, _ in err.value.record_errors] == [2]
 
 
@@ -195,17 +199,17 @@ def test_wrong_length_record_is_aggregated():
 def test_values_whose_cycle_sums_overflow_are_rejected(values, probs):
     bound = np.finfo(float).max / 64  # float max / (32 n) at n = 2
     message = re.escape(f"above float max / (32 n) = {bound:.6g}")
-    for validate in (validate_dataset, validate_dataset_per_record):
+    for validate in (Dataset, validate_dataset_per_record):
         with pytest.raises(ValidationError, match=message):
-            validate("m", values, probs)
+            validate(menu_of(2), values, probs)
     # At the bound the check's sums stay finite.
     scaled = (np.array(values) / np.max(np.abs(values)) * bound).tolist()
-    assert validate_dataset("m", scaled, probs).values_matrix.max() == bound
+    assert Dataset(menu_of(2), scaled, probs).values_matrix.max() == bound
 
 
-def _random_records(rng: np.random.Generator, tol: float) -> tuple[list, list]:
+def _random_records(rng: np.random.Generator, tol: float) -> tuple[list, list, int]:
     """Seeded value and probability rows mixing clean records with every kind
-    of defect the validator screens."""
+    of defect the validator screens, and the menu size they are meant for."""
     n, size = int(rng.integers(1, 10)), int(rng.integers(2, 5))
     values = rng.integers(-2, 3, size=(n, size)).astype(float)  # small grid: repeated rows
     probs = rng.dirichlet(np.ones(size), size=n)
@@ -246,25 +250,24 @@ def _random_records(rng: np.random.Generator, tol: float) -> tuple[list, list]:
             p[0] = -0.0 if p[0] < 1e-3 else p[0]
         values_rows.append(v)
         probs_rows.append(p.tolist() if rng.random() < 0.5 else p)
-    return values_rows, probs_rows
+    return values_rows, probs_rows, size
 
 
-def _outcome(validate, values, probs, **kwargs):
+def _outcome(validate, menu, values, probs, **kwargs):
+    # A Dataset must hold frozen matrices; the oracle returns (menu, values, probs).
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            d = validate("m", values, probs, **kwargs)
+            d = validate(menu, values, probs, **kwargs)
         except RecordValidationError as exc:
             result = [(i, type(e), str(e)) for i, e in exc.record_errors]
         except Exception as exc:
             result = (type(exc), str(exc))
         else:
-            result = (
-                d.menu,
-                d.values_matrix.tobytes(),
-                d.probs_matrix.tobytes(),
-                (d.values_matrix.flags.writeable, d.probs_matrix.flags.writeable),
-            )
+            if isinstance(d, Dataset):
+                assert not (d.values_matrix.flags.writeable or d.probs_matrix.flags.writeable)
+                d = d.menu, d.values_matrix, d.probs_matrix
+            result = (d[0], d[1].tobytes(), d[2].tobytes())
     return result, [(w.category, str(w.message)) for w in caught]
 
 
@@ -273,13 +276,11 @@ def test_batched_validation_matches_per_record_oracle():
     kinds = {"dataset": 0, "failures": 0, "warned": 0}
     for _ in range(600):
         tol = float(rng.choice([1e-9, 1e-6]))
-        values, probs = _random_records(rng, tol)
-        kwargs = {"tol": tol}
-        if rng.random() < 0.5:
-            kwargs["alternatives"] = tuple("xyzw"[: len(values[0])])
-        got = _outcome(validate_dataset, values, probs, **kwargs)
-        assert got == _outcome(validate_dataset_per_record, values, probs, **kwargs)
-        kinds["dataset" if isinstance(got[0], tuple) and len(got[0]) == 4 else "failures"] += 1
+        values, probs, size = _random_records(rng, tol)
+        menu = Menu("m", tuple("xyzw"[:size])) if rng.random() < 0.5 else menu_of(size)
+        got = _outcome(Dataset, menu, values, probs, tol=tol)
+        assert got == _outcome(validate_dataset_per_record, menu, values, probs, tol=tol)
+        kinds["dataset" if isinstance(got[0], tuple) and len(got[0]) == 3 else "failures"] += 1
         kinds["warned"] += bool(got[1])
     assert min(kinds.values()) >= 20, kinds
 
@@ -287,7 +288,7 @@ def test_batched_validation_matches_per_record_oracle():
 def test_signed_zero_value_rows_are_distinct():
     values, probs = [[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]], [[0.5, 0.5], [0.6, 0.4], [0.7, 0.3]]
     with pytest.warns(DuplicateValuesWarning) as caught:
-        d = validate_dataset("m", values, probs)
+        d = Dataset(menu_of(2), values, probs)
     assert [str(w.message) for w in caught] == [
         "observations 1 and 3 share a value vector but differ in probabilities"
     ]
@@ -296,7 +297,58 @@ def test_signed_zero_value_rows_are_distinct():
 
 def test_subnormal_dust_is_clamped_as_by_validate_simplex():
     values, probs = [[0.0, 1.0], [1.0, 0.0]], [[1.0, -5e-324], [1.0, -1e-300]]
-    d = validate_dataset("m", values, probs)
+    d = Dataset(menu_of(2), values, probs)
     assert d.probs_matrix.tolist() == [[1.0, 0.0], [1.0, 0.0]]
     assert not np.signbit(d.probs_matrix).any()
-    assert _outcome(validate_dataset, values, probs) == _outcome(validate_dataset_per_record, values, probs)
+    assert _outcome(Dataset, d.menu, values, probs) == _outcome(validate_dataset_per_record, d.menu, values, probs)
+
+
+@pytest.mark.parametrize(
+    "probs, errors",
+    [
+        ([[2.0, -1.0], [np.nan, 0.5]], [
+            (1, "entry -1.0 at position 1 is below -1e-09"),
+            (2, "probability vector contains non-finite entries"),
+        ]),
+        ([[0.5, 0.5], [0.3, 0.3]], [(2, "entries sum to 0.6, expected 1 within 1e-09")]),
+        ([[0.5, 0.5], [-0.5, 1.5]], [(2, "entry -0.5 at position 0 is below -1e-09")]),
+    ],
+    ids=["negative-and-nan", "bad-sum", "entry-above-one"],
+)
+def test_dataset_rejects_rows_off_the_simplex(probs, errors):
+    with pytest.raises(RecordValidationError) as err:
+        Dataset(menu_of(2), [[0.0, 1.0], [1.0, 0.0]], probs)
+    assert [(i, str(e)) for i, e in err.value.record_errors] == errors
+
+
+def test_column_permuted_and_fortran_matrices_are_accepted():
+    # The duplicate screen keys rows by their bytes, which needs C-ordered
+    # matrices: the Dataset's own copies are C-ordered whatever the input.
+    rng = np.random.default_rng(8)
+    V, P = rng.uniform(-3.0, 3.0, (6, 4)), rng.dirichlet(np.ones(4), 6)
+    V[3] = V[1]
+    perm = [2, 0, 3, 1]
+    menu = menu_of(4)
+    permuted = Menu("m", tuple(menu.alternatives[k] for k in perm))
+    for m, values, probs in [
+        (permuted, V[:, perm], P[:, perm]),
+        (menu, np.asfortranarray(V), np.asfortranarray(P)),
+    ]:
+        with pytest.warns(DuplicateValuesWarning, match="^observations 2 and 4 share a value vector"):
+            d = Dataset(m, values, probs)
+        assert d.values_matrix.flags.c_contiguous and d.probs_matrix.flags.c_contiguous
+        assert np.array_equal(d.values_matrix, values) and np.array_equal(d.probs_matrix, probs)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: validate_simplex([0.3, 0.3], math.nan),
+        lambda: Dataset(menu_of(2), [[0, 1], [1, 0]], [[0.3, 0.3], [2.0, -1.0]], tol=math.nan),
+        lambda: check_weak_stochastic_transitivity({("x", "y"): 0.6, ("y", "x"): 0.6}, math.nan),
+    ],
+    ids=["validate_simplex", "Dataset", "check_weak_stochastic_transitivity"],
+)
+def test_nan_tol_is_rejected(call):
+    with pytest.raises(ValueError, match="^tol must not be NaN$"):
+        call()

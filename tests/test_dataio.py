@@ -10,10 +10,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from cyclorat import (
+    Dataset,
     LuceExponential,
+    Menu,
     RecordValidationError,
     ValidationError,
-    validate_dataset,
 )
 from cyclorat.dataio import (
     ParseError,
@@ -40,11 +41,10 @@ def test_parse_softmax_fixture(tmp_path):
     d = parse_dataset_csv(path)
     assert d.n == 2
     assert d.menu.alternatives == ("x", "y")
-    expected = validate_dataset(
-        "m",
+    expected = Dataset(
+        Menu("m", ("x", "y")),
         [[0.0, 0.0], [1.0, 0.0]],
         [[0.5, 0.5], [0.73106, 0.26894]],
-        alternatives=("x", "y"),
     )
     assert d == expected
 
@@ -279,7 +279,16 @@ def test_byte_order_mark_is_dropped(tmp_path, parse):
     plain.write_text(SOFTMAX_CSV, encoding="utf-8")
     marked.write_text("\ufeff" + SOFTMAX_CSV, encoding="utf-8")
     assert marked.read_bytes()[:3] == b"\xef\xbb\xbf"
-    assert parse(marked) == parse(plain)
+    assert _contents(parse(marked)) == _contents(parse(plain))
+
+
+def _contents(datasets: dict) -> list:
+    # The row oracle gives (menu, values, probs) where the parser gives a Dataset.
+    out = []
+    for k, d in datasets.items():
+        menu, V, P = (d.menu, d.values_matrix, d.probs_matrix) if isinstance(d, Dataset) else d
+        out.append((k, menu, V.tobytes(), P.tobytes()))
+    return out
 
 
 def _parse_error(tmp_path, body: str) -> Exception:
@@ -344,7 +353,7 @@ def test_blank_and_empty_field_rows_are_skipped(tmp_path):
         + ",,,,\n"
     )
     d = parse_dataset_csv(path)
-    assert d == validate_dataset("m", [[0.0, 0.0]], [[0.5, 0.5]], alternatives=("x", "y"))
+    assert d == Dataset(Menu("m", ("x", "y")), [[0.0, 0.0]], [[0.5, 0.5]])
     path.write_text(HEADER + "m,1,x,0,0.5\n,,,,\n   \nm,1,y,0,oops\n")
     with pytest.raises(ParseError) as err:
         parse_dataset_csv(path)
@@ -479,10 +488,7 @@ def _parse_outcome(parse, path):
             errors = [(i, type(e), str(e)) for i, e in getattr(exc, "record_errors", [])]
             result = (type(exc), str(exc), getattr(exc, "line", None), errors)
         else:
-            result = [
-                (k, d.menu, d.values_matrix.tobytes(), d.probs_matrix.tobytes())
-                for k, d in datasets.items()
-            ]
+            result = _contents(datasets)
     return result, [(w.category, str(w.message)) for w in caught]
 
 

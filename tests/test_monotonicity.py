@@ -24,7 +24,6 @@ from cyclorat import (
     compute_potentials,
     cycle_sum,
     simplex_projection,
-    validate_dataset,
     verify_rationalization,
 )
 from cyclorat import monotonicity
@@ -51,7 +50,7 @@ from oracles import (
 
 class TestCycleSum:
     def test_identical_observations_sum_to_zero(self):
-        d = validate_dataset("m", [[1, 2], [1, 2]], [[0.4, 0.6], [0.4, 0.6]])
+        d = Dataset(menu_of(2), [[1, 2], [1, 2]], [[0.4, 0.6], [0.4, 0.6]])
         assert cycle_sum(d, [1, 2]) == 0.0
 
     def test_softmax_fixture_two_cycle(self, softmax_fixture):
@@ -76,7 +75,7 @@ def _duplicated_rows_dataset():
     base = pum_dataset("negentropy", np.random.default_rng(18), 5, 3)
     V = base.values_matrix.tolist() + [base.values_matrix[1].tolist()]
     P = base.probs_matrix.tolist() + [base.probs_matrix[1].tolist()]
-    return validate_dataset("m", V, P)
+    return Dataset(menu_of(3), V, P)
 
 
 class TestEdgeWeights:
@@ -86,8 +85,8 @@ class TestEdgeWeights:
         # err = 2 * gamma_{|A|+1} * max|V| bounds |W - exact| entrywise; the
         # compensated per-entry oracle and exact rationals must both agree.
         rng = np.random.default_rng(17)
-        d = validate_dataset(
-            "m",
+        d = Dataset(
+            menu_of(size),
             rng.uniform(-scale, scale, (6, size)).tolist(),
             rng.dirichlet(np.ones(size), 6).tolist(),
         )
@@ -137,7 +136,7 @@ class TestCheckCyclicMonotonicity:
         assert_allclose(verdict.witness.cycle_sum, -0.6, atol=1e-15)
 
     def test_single_observation_passes(self):
-        d = validate_dataset("m", [[1, 2]], [[0.4, 0.6]])
+        d = Dataset(menu_of(2), [[1, 2]], [[0.4, 0.6]])
         verdict = check_cyclic_monotonicity(d)
         assert verdict.is_pass
         assert verdict.min_cycle_mean is None
@@ -161,8 +160,8 @@ class TestCheckCyclicMonotonicity:
         for _ in range(25):
             d = mixed_pool_dataset(rng, int(rng.integers(2, 7)), int(rng.integers(2, 5)))
             shift = float(rng.uniform(-50, 50))
-            shifted = validate_dataset(
-                "m",
+            shifted = Dataset(
+                d.menu,
                 (d.values_matrix + shift).tolist(),
                 d.probs_matrix.tolist(),
             )
@@ -257,7 +256,7 @@ class TestMinMeanCycle:
         rng = np.random.default_rng(35)
         v = rng.uniform(-4, 4, 3).tolist()
         with pytest.warns(DuplicateValuesWarning):
-            d = validate_dataset("m", [v] * 6, rng.dirichlet(np.ones(3), 6).tolist())
+            d = Dataset(menu_of(3), [v] * 6, rng.dirichlet(np.ones(3), 6).tolist())
         mm = _min_mean_cycle(edge_weights(d))
         assert (mm.mean, mm.lower, mm.cycle) == (0.0, 0.0, (0, 1))
         verdict = check_cyclic_monotonicity(d)
@@ -312,7 +311,7 @@ def _with_repeated_rows(d, rng, count):
     k = rng.choice(d.n, count, replace=False)
     V = np.vstack([d.values_matrix, d.values_matrix[k]])
     P = np.vstack([d.probs_matrix, d.probs_matrix[k]])
-    return validate_dataset("m", V.tolist(), P.tolist())
+    return Dataset(d.menu, V.tolist(), P.tolist())
 
 
 class TestRowBlocks:
@@ -730,7 +729,7 @@ def _near_tie_dataset():
     V[1, 0] += 1e-9
     P[1, 0] -= 3e-3
     P[1, 1] += 3e-3
-    d = validate_dataset("m", V.tolist(), P.tolist())
+    d = Dataset(base.menu, V.tolist(), P.tolist())
     assert -4e-12 < cycle_sum(d, [1, 2]) < -2e-12
     return d
 
@@ -816,7 +815,7 @@ class TestTwoPoint:
 
     def test_flagged_pair(self):
         # (0.4 - 0.5) * (1 - 0) = -0.1 on the coordinate that moved.
-        d = validate_dataset("m", [[0, 0], [1, 0]], [[0.5, 0.5], [0.4, 0.6]])
+        d = Dataset(menu_of(2), [[0, 0], [1, 0]], [[0.5, 0.5], [0.4, 0.6]])
         violations = check_two_point_monotonicity(d)
         assert len(violations) == 1
         v = violations[0]
@@ -824,7 +823,7 @@ class TestTwoPoint:
         assert_allclose(v.product, -0.1, atol=1e-15)
 
     def test_vacuous_when_pairs_differ_everywhere(self):
-        d = validate_dataset("m", [[0, 0], [1, 1]], [[0.5, 0.5], [0.4, 0.6]])
+        d = Dataset(menu_of(2), [[0, 0], [1, 1]], [[0.5, 0.5], [0.4, 0.6]])
         assert check_two_point_monotonicity(d) == []
 
     def test_cm_implies_two_point(self):
@@ -836,8 +835,8 @@ class TestTwoPoint:
                 moved = base.copy()
                 moved[1] += step
                 rows.append(moved.tolist())
-            d = validate_dataset(
-                "m",
+            d = Dataset(
+                menu_of(3),
                 rows,
                 [np.exp(r) / np.sum(np.exp(r)) for r in np.array(rows)],
             )
@@ -872,7 +871,7 @@ def _two_point_pair_loop():
         V[i, rng.integers(4)] = rng.uniform(-3, 3)
     V[7] = V[2]
     V[7, 1] += 0.5
-    d = validate_dataset("m", V.tolist(), rng.dirichlet(np.ones(4), 80).tolist())
+    d = Dataset(menu_of(4), V.tolist(), rng.dirichlet(np.ones(4), 80).tolist())
     P, labels = d.probs_matrix, d.menu.alternatives
     V = d.values_matrix
     expected = []
@@ -976,8 +975,8 @@ def test_wst_matches_the_permutation_oracle():
 def test_two_point_treats_sub_tolerance_drift_as_equal():
     # The off-coordinate differs by 1e-13, below the exact-equality slack,
     # so the pair still qualifies for the single-coordinate scan.
-    d = validate_dataset(
-        "m",
+    d = Dataset(
+        menu_of(2),
         [[0.0, 0.0], [1.0, 1e-13]],
         [[0.5, 0.5], [0.4, 0.6]],
     )
@@ -988,8 +987,8 @@ def test_two_point_treats_sub_tolerance_drift_as_equal():
 def test_witness_reversal_need_not_be_negative():
     # Frozen fixture: the reported orientation certifies the violation, but
     # walking the same cycle backwards gives a positive sum.
-    d = validate_dataset(
-        "m",
+    d = Dataset(
+        menu_of(2),
         [
             [3.864108, 1.869227],
             [-1.156596, -1.891532],

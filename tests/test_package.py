@@ -18,7 +18,7 @@ check_two_point_monotonicity check_weak_stochastic_transitivity choice_probabili
 comp_dot compute_potentials conjugate_cost core cost_description cycle_sum errors
 eval_preference evaluate_extension fitted_choice lp model_from_spec models monotonicity
 normalize rationalization simplex_projection simulate_dataset smoothed_choices
-softmax_probabilities validate_dataset validate_simplex verify_rationalization
+softmax_probabilities validate_simplex verify_rationalization
 """.split()
 
 
@@ -87,7 +87,7 @@ def test_data_carrying_errors_keep_their_data(tmp_path):
     from cyclorat.dataio import ParseError, parse_datasets_csv
 
     with pytest.raises(cy.RecordValidationError) as err:
-        cy.validate_dataset("m", [[0.0, 1.0], [1.0, 0.0]], [[0.5, 0.5], [0.3, 0.3]])
+        cy.Dataset(cy.Menu("m", ("x", "y")), [[0.0, 1.0], [1.0, 0.0]], [[0.5, 0.5], [0.3, 0.3]])
     assert [(i, str(e)) for i, e in err.value.record_errors] == [
         (2, "entries sum to 0.6, expected 1 within 1e-09")
     ]
@@ -96,7 +96,7 @@ def test_data_carrying_errors_keep_their_data(tmp_path):
     with pytest.raises(ParseError) as err:
         parse_datasets_csv(path)
     assert err.value.line == 3
-    d = cy.validate_dataset("m", [[1.0, 0.0], [0.0, 1.0]], [[0.3, 0.7], [0.6, 0.4]])
+    d = cy.Dataset(cy.Menu("m", ("x", "y")), [[1.0, 0.0], [0.0, 1.0]], [[0.3, 0.7], [0.6, 0.4]])
     with pytest.raises(cy.NotCyclicallyMonotoneError) as err:
         cy.compute_potentials(d)
     assert err.value.witness.indices == (1, 2)

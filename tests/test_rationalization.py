@@ -21,7 +21,6 @@ from cyclorat import (
     evaluate_extension,
     fitted_choice,
     smoothed_choices,
-    validate_dataset,
     verify_rationalization,
 )
 from cyclorat import monotonicity, rationalization
@@ -36,7 +35,7 @@ from cyclorat.rationalization import (
     softmax_probabilities,
 )
 
-from conftest import benchmark_lowdim_menu, luce_dataset, pum_dataset
+from conftest import benchmark_lowdim_menu, luce_dataset, menu_of, pum_dataset
 from oracles import (
     cold_conjugate_values,
     conjugate_exact_2alt,
@@ -54,7 +53,7 @@ def _quadratic_cost(p) -> float:
 
 class TestComputePotentials:
     def test_single_observation(self):
-        d = validate_dataset("m", [[1, 2]], [[0.4, 0.6]])
+        d = Dataset(menu_of(2), [[1, 2]], [[0.4, 0.6]])
         verdict = check_cyclic_monotonicity(d)
         phi = compute_potentials(d, verdict=verdict)
         assert phi is verdict.potentials and not phi.flags.writeable
@@ -419,7 +418,7 @@ class TestGeneralSolver:
         # each p^i is the unique maximizing vertex at v^i.
         rng = np.random.default_rng(0)
         V = rng.uniform(-3.0, 3.0, (200, 10))
-        d = validate_dataset("m", V.tolist(), (np.exp(V) / np.exp(V).sum(axis=1, keepdims=True)).tolist())
+        d = Dataset(menu_of(10), V.tolist(), (np.exp(V) / np.exp(V).sum(axis=1, keepdims=True)).tolist())
         phi = compute_potentials(d)
         assert np.min(phi[None, :] - phi[:, None] + edge_weights(d)) > 0.05
         for v, p in zip(d.values_matrix, d.probs_matrix):
@@ -451,7 +450,7 @@ class TestGeneralSolver:
         # within sqrt(2 gap / eps) of the maximizer for each solve.
         rng = np.random.default_rng(5)
         V = rng.uniform(-3.0, 3.0, (40, 5))
-        d = validate_dataset("m", V.tolist(), (np.exp(V) / np.exp(V).sum(axis=1, keepdims=True)).tolist())
+        d = Dataset(menu_of(5), V.tolist(), (np.exp(V) / np.exp(V).sum(axis=1, keepdims=True)).tolist())
         phi = compute_potentials(d)
         solutions = smoothed_choices(phi, d, epsilon, d.values_matrix, 1e-8)
         assert max(sol.iterations for sol in solutions) <= most
@@ -511,7 +510,7 @@ def _duplicate_gradient_menu(rng: np.random.Generator) -> Dataset:
     # projections), so many conjugate LPs are degenerate.
     rows_v = (rng.uniform(3.0, 9.0, (15, 3))).tolist()
     probs = [simplex_projection(v).tolist() for v in rows_v]
-    return validate_dataset("m", rows_v, probs)
+    return Dataset(menu_of(3), rows_v, probs)
 
 
 def _count_lp_calls(monkeypatch) -> list:
@@ -536,7 +535,7 @@ class TestVerifyRationalization:
         assert report.n_mixture_points == 1000
 
     def test_single_observation_trivial(self):
-        d = validate_dataset("m", [[1, 2]], [[0.4, 0.6]])
+        d = Dataset(menu_of(2), [[1, 2]], [[0.4, 0.6]])
         report = verify_rationalization(d, compute_potentials(d), 1e-9)
         assert report.max_fenchel_gap <= 1e-12
         assert report.max_optimality_gap <= 1e-12
@@ -640,7 +639,7 @@ class TestSolverErrorPaths:
         # takes hundreds of steps, so a budget of one cuts it short.
         rng = np.random.default_rng(5)
         V = rng.uniform(-3.0, 3.0, (40, 5))
-        d = validate_dataset("m", V.tolist(), (np.exp(V) / np.exp(V).sum(axis=1, keepdims=True)).tolist())
+        d = Dataset(menu_of(5), V.tolist(), (np.exp(V) / np.exp(V).sum(axis=1, keepdims=True)).tolist())
         phi = compute_potentials(d)
         assert smoothed_choices(phi, d, 0.1, [np.zeros(5)], 1e-12)[0].iterations > 100
         monkeypatch.setattr(rationalization, "FW_MAX_ITERATIONS", 1)
