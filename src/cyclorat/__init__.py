@@ -22,10 +22,10 @@ _EXPORTS = {
     "models": """CustomTable LuceExponential PairwiseRegret PreferenceModel
         SalienceWeighted choice_probabilities eval_preference model_from_spec normalize
         simulate_dataset""",
-    "monotonicity": """CMVerdict CycleWitness TwoPointViolation check_cyclic_monotonicity
+    "monotonicity": """CMVerdict TwoPointViolation check_cyclic_monotonicity
         check_two_point_monotonicity check_weak_stochastic_transitivity cycle_sum""",
     "rationalization": """PumSolution RationalizationReport compute_potentials
-        conjugate_cost cost_description evaluate_extension fitted_choice simplex_projection
+        conjugate_cost cost_description fitted_choice simplex_projection
         smoothed_choices softmax_probabilities verify_rationalization""",
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -123,7 +123,7 @@ def _analyze_menu(d: Dataset, config: RunConfig) -> tuple[dict, bool, bool]:
     if depth != "check" and cm_ok:
         from . import rationalization as rat
 
-        phi = rat.compute_potentials(d, config.tol_cm, verdict=verdict)
+        phi = verdict.potentials
         section["potentials"] = {"base_index": 1, "potentials": phi.tolist()}
         section["cost"] = rat.cost_description(phi, d)
         if depth in ("verify", "report-all"):
@@ -237,6 +237,19 @@ def run(config: RunConfig) -> tuple[int, dict]:
     return EXIT_OK, report
 
 
+#: Each flag's argparse settings.  A subcommand accepts only the flags it
+#: reads; a ``RunConfig`` field it takes no flag for keeps its default.
+_FLAGS = {
+    "input": {"help": "dataset CSV path"},
+    "output": {"help": "output path (report JSON, or dataset CSV for simulate)"},
+    "model": {"help": "model spec JSON path"},
+    "tol-cm": {"type": float, "default": TOL_CM, "help": "per-edge slack on cycle means"},
+    "tol-opt": {"type": float, "default": TOL_OPT, "help": "verification slack beyond --tol-cm"},
+    "epsilon": {"type": float, "default": 0.0, "help": "entropic smoothing weight"},
+    "seed": {"type": int, "default": 0, "help": "seed for sampled verification or the simulated design"},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cyclorat",
@@ -245,21 +258,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"cyclorat {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in (
-        ("simulate", "simulate a dataset from a model spec"),
-        ("check", "test cyclic monotonicity"),
-        ("fit", "fit potentials and the conjugate cost"),
-        ("verify", "fit plus Fenchel/optimality verification"),
-        ("report-all", "full pipeline plus diagnostics"),
+    for name, doc, flags in (
+        ("simulate", "simulate a dataset from a model spec", "model output seed"),
+        ("check", "test cyclic monotonicity", "input output tol-cm"),
+        ("fit", "fit potentials and the conjugate cost", "input output tol-cm"),
+        ("verify", "fit plus Fenchel/optimality verification", "input output tol-cm tol-opt epsilon seed"),
+        ("report-all", "full pipeline plus diagnostics", "input output tol-cm tol-opt epsilon seed"),
     ):
         p = sub.add_parser(name, help=doc)
-        p.add_argument("--input", help="dataset CSV path")
-        p.add_argument("--output", help="output path (report JSON, or dataset CSV for simulate)")
-        p.add_argument("--model", help="model spec JSON path (simulate)")
-        p.add_argument("--tol-cm", type=float, default=TOL_CM, help="per-edge slack on cycle means")
-        p.add_argument("--tol-opt", type=float, default=TOL_OPT, help="verification slack beyond --tol-cm")
-        p.add_argument("--epsilon", type=float, default=0.0, help="entropic smoothing weight")
-        p.add_argument("--seed", type=int, default=0, help="seed for sampled verification")
+        for flag in flags.split():
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
 
 

@@ -44,6 +44,11 @@ def comp_dot(x, y) -> float:
     return math.fsum(prod.tolist())
 
 
+def _check_tol(tol: float) -> None:
+    if math.isnan(tol):  # NaN fails every comparison, so it would turn checks off
+        raise ValueError("tol must not be NaN")
+
+
 def _check_vector(raw, *, name: str) -> np.ndarray:
     arr = np.asarray(raw, dtype=float)
     if arr.ndim != 1:
@@ -126,8 +131,7 @@ def validate_simplex(raw, tol: float = TOL_SIMPLEX) -> np.ndarray:
     deviates from one by more than ``tol``, or malformed input, and
     ``ValueError`` for a NaN ``tol``.
     """
-    if math.isnan(tol):
-        raise ValueError("tol must not be NaN")
+    _check_tol(tol)
     arr = _check_vector(raw, name="probability vector")
     low = int(np.argmin(arr))
     if arr[low] < -tol:
@@ -159,8 +163,7 @@ def validate_dataset(menu: Menu, values, probs, tol: float) -> tuple[np.ndarray,
     are kept but trigger a ``DuplicateValuesWarning``: no single-valued
     choice map gives such data.
     """
-    if math.isnan(tol):
-        raise ValueError("tol must not be NaN")
+    _check_tol(tol)
     if len(values) != len(probs):
         raise ValidationError(f"{len(values)} value rows vs {len(probs)} probability rows")
     if not len(values):

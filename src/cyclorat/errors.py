@@ -31,7 +31,8 @@ class RecordValidationError(ValidationError):
 class NotCyclicallyMonotoneError(CycloratError):
     """Potentials cannot be built: the data contain a negative cycle.
 
-    The offending cycle is attached as ``witness``.
+    ``witness`` is the check's witness: the cycle's 1-based observation
+    indices, closing from the last back to the first.
     """
 
     def __init__(self, message, witness=None):

@@ -45,15 +45,16 @@ import numpy as np
 from .core import Dataset, Menu, _check_vector, check_value_scale, exact_simplex_array
 from .errors import CycloratError, ValidationError
 
-# Largest exponent fed to exp() before the shared max-shift guard engages.
+# Largest exponent magnitude fed to exp() before the shared max-shift guard engages.
 _EXP_GUARD = 700.0
 
 
 def _guarded_exp(exponents: np.ndarray) -> np.ndarray:
     # Subtracting the max rescales all strengths by a common positive factor,
-    # which normalization cancels; only engaged when exp() would overflow.
+    # which normalization cancels; only engaged when exp() would overflow, or
+    # underflow at the largest exponent.
     m = float(np.max(exponents))
-    if m > _EXP_GUARD:
+    if abs(m) > _EXP_GUARD:
         return np.exp(exponents - m)
     return np.exp(exponents)
 

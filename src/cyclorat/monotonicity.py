@@ -29,50 +29,29 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import TOL_CM, TOL_SIMPLEX, Dataset
+from .core import TOL_CM, TOL_SIMPLEX, Dataset, _check_tol
 from .errors import CycloratError, NoProgressError, ValidationError
-
-
-@dataclass(frozen=True)
-class CycleWitness:
-    """A cycle of 1-based observation indices certifying a violation.
-
-    ``indices`` lists each node once; the cycle closes from the last index
-    back to the first.  ``cycle_sum`` is the definitional sum recomputed
-    with compensated summation.
-    """
-
-    indices: tuple[int, ...]
-    cycle_sum: float
-
-    def __post_init__(self):
-        if len(self.indices) < 2:
-            raise ValueError("a cycle needs at least two observations")
-        if len(set(self.indices)) != len(self.indices):
-            raise ValueError("cycle indices must be distinct")
 
 
 @dataclass(frozen=True)
 class CMVerdict:
     """Outcome of a cyclic-monotonicity check.
 
-    ``status`` is ``"pass"`` or ``"violation"``; a violation carries a
-    ``witness`` whose compensated cycle mean is below ``-tol``.
-    ``min_cycle_mean`` is the compensated mean of the policy-iteration
-    cycle, an attained mean within the certificate of the true minimum
-    (None when no cycle exists, i.e. n = 1).  ``min_cycle_sum`` is that
-    cycle's recomputed sum, set when the lower bound does not certify a
-    pass.  The witness is the min-mean cycle, in canonical rotation
+    A violation's ``witness`` is the min-mean cycle as 1-based indices, each
+    once, closing from the last to the first, in canonical rotation
     (smallest index first); ties between least-mean policy cycles go to the
-    lexicographically smallest.
+    lexicographically smallest.  ``status`` and ``is_pass`` are read off it.
+    ``min_cycle_mean`` is the compensated mean of the policy-iteration
+    cycle, an attained mean within the certificate of the true minimum (None
+    when no cycle exists, i.e. n = 1).  ``min_cycle_sum`` is that cycle's
+    compensated sum, set when the lower bound does not certify a pass.
     Every pass carries the Afriat ``potentials`` certifying it, 0 at the
     first observation; ``policy_iterations`` counts the check's rounds, and
     ``decided_by`` names the step that decided it: ``"certificate"``,
     ``"witness"`` or ``"band"``.  None of the three compares.
     """
 
-    status: str
-    witness: CycleWitness | None
+    witness: tuple[int, ...] | None
     min_cycle_mean: float | None
     min_cycle_sum: float | None
     potentials: np.ndarray | None = field(default=None, compare=False, repr=False)
@@ -80,8 +59,12 @@ class CMVerdict:
     decided_by: str | None = field(default=None, compare=False)
 
     @property
+    def status(self) -> str:
+        return "pass" if self.witness is None else "violation"
+
+    @property
     def is_pass(self) -> bool:
-        return self.status == "pass"
+        return self.witness is None
 
     def to_dict(self) -> dict:
         out: dict = {
@@ -92,10 +75,7 @@ class CMVerdict:
             "decided_by": self.decided_by,
         }
         if self.witness is not None:
-            out["witness"] = {
-                "cycle": list(self.witness.indices),
-                "cycle_sum": self.witness.cycle_sum,
-            }
+            out["witness"] = {"cycle": list(self.witness), "cycle_sum": self.min_cycle_sum}
         return out
 
 
@@ -340,19 +320,18 @@ def check_cyclic_monotonicity(dataset: Dataset, tol: float = TOL_CM) -> CMVerdic
     hence also a sum, below ``-tol``; it is not guaranteed to be the most
     negative cycle.  A NaN ``tol`` raises ``ValueError``.
     """
-    if math.isnan(tol):
-        raise ValueError("tol must not be NaN")
+    _check_tol(tol)
     W = edge_weights(dataset)
     mm = _min_mean_cycle(W)
     x = mm.x - mm.x[0]  # a pass's potentials, read-only as fits share them
     x.flags.writeable = False
     if mm.lower - _edge_weight_error(dataset) >= -tol:
         min_mean = None if mm.cycle is None else mm.mean
-        return CMVerdict("pass", None, min_mean, None, x, mm.iterations, "certificate")
-    total = cycle_sum(dataset, [i + 1 for i in mm.cycle])
-    if total / len(mm.cycle) < -tol:
-        witness = CycleWitness(tuple(i + 1 for i in mm.cycle), total)
-        return CMVerdict("violation", witness, mm.mean, total, None, mm.iterations, "witness")
+        return CMVerdict(None, min_mean, None, x, mm.iterations, "certificate")
+    cycle = tuple(i + 1 for i in mm.cycle)
+    total = cycle_sum(dataset, cycle)
+    if total / len(cycle) < -tol:
+        return CMVerdict(cycle, mm.mean, total, None, mm.iterations, "witness")
     vmax = np.abs(dataset.values_matrix).max()
     allowance = 16 * np.finfo(float).eps * (2.0 * (np.abs(mm.x).max() + vmax) + abs(mm.mean))
     if mm.iterations == MIN_MEAN_MAX_ITERATIONS or mm.mean - mm.lower > allowance:
@@ -361,7 +340,7 @@ def check_cyclic_monotonicity(dataset: Dataset, tol: float = TOL_CM) -> CMVerdic
             f"cap without deciding per-edge slack {tol:g}: cycle means are bounded below only "
             f"by {mm.lower:.3e}, {mm.mean - mm.lower:.1e} below the cycle found"
         )
-    return CMVerdict("pass", None, mm.mean, total, x, mm.iterations, "band")
+    return CMVerdict(None, mm.mean, total, x, mm.iterations, "band")
 
 
 #: Coordinates are considered equal when they differ by at most this much.
@@ -378,8 +357,9 @@ def check_two_point_monotonicity(
     value, all else fixed, cannot make it relatively less appealing.  Pairs
     with product below ``-tol`` are reported (1-based indices) in row-major
     i < j order, scanned over the ``row_blocks`` of i, each block against the
-    rows j after its first.
+    rows j after its first.  A NaN ``tol`` raises ``ValueError``.
     """
+    _check_tol(tol)
     V = dataset.values_matrix
     P = dataset.probs_matrix
     labels = dataset.menu.alternatives
@@ -413,8 +393,7 @@ def check_weak_stochastic_transitivity(
     not finite, and two orientations that do not sum to one within ``tol``;
     ``ValueError`` for a NaN ``tol``.  Triples with missing pairs are skipped.
     """
-    if math.isnan(tol):
-        raise ValueError("tol must not be NaN")
+    _check_tol(tol)
     probs: dict[tuple[str, str], float] = {}
     for (x, y), p in binary.items():
         if x == y:

@@ -32,53 +32,48 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import TOL_CM, TOL_OPT, Dataset, comp_dot, exact_simplex_array
-from .errors import CycloratError, NoProgressError, NotCyclicallyMonotoneError
+from .core import TOL_CM, TOL_OPT, Dataset, _check_tol, _check_vector, comp_dot, exact_simplex_array
+from .errors import CycloratError, NoProgressError, NotCyclicallyMonotoneError, ValidationError
 from .lp import FEAS_TOL, solve_equality_lp
-from .monotonicity import CMVerdict, check_cyclic_monotonicity, edge_weights, row_blocks
+from .monotonicity import check_cyclic_monotonicity, edge_weights, row_blocks
 
 #: Counts of a ``_conjugate_many`` batch: solves from an artificial and from a
 #: certified basis, their pivots, queries reused bases answered, failed bases.
 LP_COUNTERS = ("cold_solves", "warm_solves", "pivots", "reused", "rejected_bases")
 
 
-def compute_potentials(
-    dataset: Dataset, tol: float = TOL_CM, *, verdict: CMVerdict | None = None
-) -> np.ndarray:
+def compute_potentials(dataset: Dataset, tol: float = TOL_CM) -> np.ndarray:
     """Afriat potentials within ``tol``, read off a passing check's certificate.
 
-    ``verdict`` is ``check_cyclic_monotonicity(dataset, tol)``, run here when
-    not given.  Returns its read-only ``potentials`` array phi, 0 at the
-    first observation, since the fitted function is only determined up to an
-    additive constant.  phi[i] is the fitted value at v^i, and p^i its
-    gradient there, so a fit is read together with its dataset.  Its
-    policy-iteration values hold every inequality with a margin up to the
-    minimum cycle mean, if positive, and within ``tol`` otherwise:
+    Runs ``check_cyclic_monotonicity(dataset, tol)`` and returns its read-only
+    ``potentials`` array phi, 0 at the first observation, since the fitted
+    function is only determined up to an additive constant.  phi[i] is the
+    fitted value at v^i, and p^i its gradient there, so a fit is read
+    together with its dataset.  Its policy-iteration values hold every
+    inequality with a margin up to the minimum cycle mean, if positive, and
+    within ``tol`` otherwise:
 
         phi[j] >= phi[i] + <p^i, v^j - v^i> - tol,
 
     up to the check's allowance: none when its certificate decides, and at
-    most (mean - lower) + err in its rounding band.  Every pass carries
-    them; a violation raises ``NotCyclicallyMonotoneError`` with its witness.
+    most (mean - lower) + err in its rounding band.  A violation raises
+    ``NotCyclicallyMonotoneError`` whose ``witness`` is the verdict's cycle
+    of 1-based indices.
     """
-    if verdict is None:
-        verdict = check_cyclic_monotonicity(dataset, tol)
-    if verdict.potentials is None:
+    verdict = check_cyclic_monotonicity(dataset, tol)
+    if verdict.witness is not None:
         raise NotCyclicallyMonotoneError(
             f"no Afriat potentials within per-edge slack {tol:g}", witness=verdict.witness
         )
     return verdict.potentials
 
 
-def evaluate_extension(phi: np.ndarray, dataset: Dataset, v) -> float:
-    """Max-affine extension of the fitted potentials at any value vector.
-
-    Returns max_i [ phi_i + <p^i, v - v^i> ]; convex and piecewise affine,
-    and interpolates the potentials at the observed value vectors.
-    """
-    vv = np.asarray(v, dtype=float)
-    V, G = dataset.values_matrix, dataset.probs_matrix
-    return max(phi[i] + comp_dot(G[i], vv - V[i]) for i in range(phi.size))
+def _query_point(dataset: Dataset, x, name: str) -> np.ndarray:
+    # x as a finite vector over the dataset's menu, else a ValidationError.
+    arr = _check_vector(x, name=name)
+    if arr.size != dataset.menu.size:
+        raise ValidationError(f"{name} has {arr.size} entries against a menu of size {dataset.menu.size}")
+    return arr
 
 
 def _max_affine_data(phi: np.ndarray, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -110,10 +105,12 @@ def conjugate_cost(phi: np.ndarray, dataset: Dataset, p) -> float:
     weights lam >= 0, sum lam = 1, with sum_i lam_i g_i = p.  Outside
     conv{g_i} the conjugate is +inf, returned as ``math.inf`` (a domain
     signal, not an error).  Solved by the dense two-phase simplex, the
-    one-query case of ``_conjugate_many``.
+    one-query case of ``_conjugate_many``.  A ``p`` that is not a finite
+    vector over the menu raises ``ValidationError``.
     """
+    q = _query_point(dataset, p, "point p")
     G, c = _max_affine_data(phi, dataset)
-    return float(_conjugate_many(G, c, np.asarray(p, dtype=float)[None, :])[0])
+    return float(_conjugate_many(G, c, q[None, :])[0])
 
 
 def _conjugate_many(
@@ -213,17 +210,18 @@ def _neg_entropy(p: np.ndarray) -> float:
 
 
 def fitted_choice(phi: np.ndarray, dataset: Dataset, v) -> tuple[np.ndarray, float]:
-    """Best vertex of <v, p> - C(p) under the fitted conjugate cost C.
+    """Best vertex g_j of <v, p> - C(p) under the fitted conjugate cost C,
+    and the maximum, f(v) = max_i [ phi_i + <g_i, v - v^i> ] by Fenchel-Moreau.
 
-    The objective is piecewise linear over conv{g_i}, so its maximum is
-    attained at a vertex g_j, found by direct enumeration.  Returns g_j and
-    the maximum <v, g_j> - c_j, exact; the maximizer need not be unique.
+    Enumerates the pieces of f, each compensated, so f(v^i) >= phi_i
+    exactly; the maximizer need not be unique.  A ``v`` that is not a
+    finite vector over the menu raises ``ValidationError``.
     """
-    G, c = _max_affine_data(phi, dataset)
-    vv = np.asarray(v, dtype=float)
-    scores = np.array([comp_dot(vv, G[j]) - c[j] for j in range(G.shape[0])])
-    j = int(np.argmax(scores))
-    return G[j].copy(), float(scores[j])
+    vv = _query_point(dataset, v, "value vector")
+    V, G = dataset.values_matrix, dataset.probs_matrix
+    pieces = [phi[i] + comp_dot(G[i], vv - V[i]) for i in range(phi.size)]
+    j = int(np.argmax(pieces))
+    return G[j].copy(), float(pieces[j])
 
 
 #: Pairwise Frank-Wolfe steps a smoothed solve may take before it gives up.
@@ -250,12 +248,15 @@ def smoothed_choices(
     maximizer, and costs at most epsilon * ln|A| of unsmoothed objective.
     Each solve runs pairwise Frank-Wolfe until its gap, a certified
     optimality bound, is at most ``tol``, and raises ``NoProgressError``
-    when the gap stalls or ``FW_MAX_ITERATIONS`` steps run out.
+    when the gap stalls or ``FW_MAX_ITERATIONS`` steps run out.  A row that
+    is not a finite vector over the menu raises ``ValidationError``, and a
+    NaN ``tol`` raises ``ValueError``.
     """
     if not epsilon > 0:  # NaN included
         raise ValueError(f"epsilon must be positive, got {epsilon}")
+    _check_tol(tol)
     G, c = _max_affine_data(phi, dataset)
-    return [_frank_wolfe(G, c, epsilon, v, tol) for v in np.asarray(values, dtype=float)]
+    return [_frank_wolfe(G, c, epsilon, _query_point(dataset, v, "value vector"), tol) for v in values]
 
 
 def _frank_wolfe(G: np.ndarray, c: np.ndarray, eps: float, v: np.ndarray, tol: float) -> PumSolution:
@@ -400,7 +401,8 @@ def verify_rationalization(
 
     ``tol`` is absolute and bounds both gaps.  A Fenchel gap is an Afriat
     shortfall, which the potentials' certified slack bounds, so pass the
-    check's slack plus a numerical tolerance.
+    check's slack plus a numerical tolerance.  A NaN ``tol`` raises
+    ``ValueError``.
 
     Memory is O((n + mixtures) |A|) plus ``ROW_BLOCK_CELLS``-cell blocks: W,
     the Dirichlet draws and the competitor values <v^i, q> - C(q) are formed
@@ -409,6 +411,7 @@ def verify_rationalization(
     """
     if mixtures < 0:
         raise ValueError(f"mixtures must be non-negative, got {mixtures}")
+    _check_tol(tol)
     if rng is None:
         rng = np.random.default_rng(0)
     G, c = _max_affine_data(phi, dataset)

@@ -38,7 +38,6 @@ from cyclorat.lp import solve_equality_lp
 from cyclorat import monotonicity
 from cyclorat.monotonicity import (
     CMVerdict,
-    CycleWitness,
     MinMeanCycle,
     _policy_values,
     cycle_sum,
@@ -187,12 +186,12 @@ def brute_force_cm(dataset: Dataset, tol: float = TOL_CM) -> CMVerdict:
         s = cycle_sum(dataset, indices)
         best_sum = min(best_sum, s)
         if s / len(cyc) < best_mean:
-            best_mean, best = s / len(cyc), CycleWitness(indices, s)
+            best_mean, best = s / len(cyc), indices
     if best is None:
-        return CMVerdict("pass", None, None, None)
+        return CMVerdict(None, None, None)
     if best_mean < -tol:
-        return CMVerdict("violation", best, best_mean, best_sum)
-    return CMVerdict("pass", None, best_mean, best_sum)
+        return CMVerdict(best, best_mean, best_sum)
+    return CMVerdict(None, best_mean, best_sum)
 
 
 def dense_min_mean_cycle(W: np.ndarray) -> MinMeanCycle:

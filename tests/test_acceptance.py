@@ -135,9 +135,9 @@ def test_criterion_4_oracle_equivalence():
         seen[fast.status] += 1
         for verdict in (fast, slow):
             if verdict.witness is not None:
-                recomputed = cycle_sum(d, list(verdict.witness.indices))
-                assert recomputed < -1e-9
-                assert abs(recomputed - verdict.witness.cycle_sum) <= 1e-12
+                assert cycle_sum(d, verdict.witness) < -1e-9
+        if fast.witness is not None:
+            assert cycle_sum(d, fast.witness) == fast.min_cycle_sum
     elapsed = time.perf_counter() - t0
     ok = seen["pass"] > 0 and seen["violation"] > 0 and elapsed < 10.0
     _report(

@@ -215,6 +215,16 @@ class TestSimulate:
         assert simulated.err.startswith("error: menu 'sim' has values up to 1e+308 in magnitude, above ")
         assert not out.exists()
 
+    def test_design_far_below_zero_simulates(self, tmp_path, capsys):
+        # At values near -800 every exp() underflows unless shifted by the max.
+        spec, out = tmp_path / "model.json", tmp_path / "sim.csv"
+        menu = {"id": "sim", "alternatives": ["a", "b", "c"]}
+        design = {"count": 5, "low": -800, "high": -790}
+        spec.write_text(json.dumps({"family": "luce_exponential", "menu": menu, "design": design}))
+        assert main(["simulate", "--model", str(spec), "--output", str(out)]) == EXIT_OK
+        assert main(["check", "--input", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
     def test_simulate_needs_model(self, tmp_path):
         assert main(["simulate", "--output", str(tmp_path / "x.csv")]) == EXIT_USAGE
 
@@ -498,6 +508,29 @@ class TestErrorsAndDeterminism:
 
     def test_bad_tolerance_rejected(self, softmax_path):
         assert main(["check", "--input", str(softmax_path), "--tol-cm", "-1"]) == EXIT_USAGE
+
+    def test_negative_seed_exits_2(self, softmax_path, capsys):
+        assert main(["verify", "--input", str(softmax_path), "--seed", "-1"]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", "error: seed must be a non-negative integer\n")
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("check", "--epsilon", "0.5"),
+            ("check", "--seed", "4"),
+            ("check", "--model", "x.json"),
+            ("fit", "--tol-opt", "3"),
+            ("verify", "--model", "x.json"),
+            ("report-all", "--model", "x.json"),
+            ("simulate", "--input", "x.csv"),
+            ("simulate", "--tol-cm", "1e-6"),
+        ],
+    )
+    def test_unread_flag_is_a_usage_error(self, command, flag, value, capsys):
+        # A subcommand takes only the flags it reads, so none is ignored.
+        assert main([command, flag, value]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage: cyclorat") and err.endswith(f"unrecognized arguments: {flag} {value}\n")
 
     @pytest.mark.parametrize(
         "command, data, flag, value",

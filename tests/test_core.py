@@ -14,10 +14,13 @@ from cyclorat import (
     Menu,
     RecordValidationError,
     ValidationError,
+    check_two_point_monotonicity,
     check_weak_stochastic_transitivity,
     comp_dot,
     eval_preference,
+    smoothed_choices,
     validate_simplex,
+    verify_rationalization,
 )
 
 from conftest import menu_of
@@ -343,12 +346,18 @@ def test_column_permuted_and_fortran_matrices_are_accepted():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: validate_simplex([0.3, 0.3], math.nan),
-        lambda: Dataset(menu_of(2), [[0, 1], [1, 0]], [[0.3, 0.3], [2.0, -1.0]], tol=math.nan),
-        lambda: check_weak_stochastic_transitivity({("x", "y"): 0.6, ("y", "x"): 0.6}, math.nan),
+        lambda d: validate_simplex([0.3, 0.3], math.nan),
+        lambda d: Dataset(menu_of(2), [[0, 1], [1, 0]], [[0.3, 0.3], [2.0, -1.0]], tol=math.nan),
+        lambda d: check_weak_stochastic_transitivity({("x", "y"): 0.6, ("y", "x"): 0.6}, math.nan),
+        lambda d: check_two_point_monotonicity(d, math.nan),
+        lambda d: smoothed_choices(np.zeros(2), d, 0.1, d.values_matrix, math.nan),
+        lambda d: verify_rationalization(d, np.zeros(2), math.nan),
     ],
-    ids=["validate_simplex", "Dataset", "check_weak_stochastic_transitivity"],
+    ids=[
+        "validate_simplex", "Dataset", "check_weak_stochastic_transitivity",
+        "check_two_point_monotonicity", "smoothed_choices", "verify_rationalization",
+    ],
 )
-def test_nan_tol_is_rejected(call):
+def test_nan_tol_is_rejected(call, softmax_fixture):
     with pytest.raises(ValueError, match="^tol must not be NaN$"):
-        call()
+        call(softmax_fixture)

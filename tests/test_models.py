@@ -58,6 +58,33 @@ class TestEvalPreference:
         q = choice_probabilities(LuceExponential(), vv(1.0, 0.0))
         assert_allclose(p, q, atol=1e-15)
 
+    def test_underflow_guard_keeps_probabilities(self):
+        # Raw exp would underflow to all zero.  Luce's exponents shift to
+        # exactly (0, -1); the regret terms round against -800 first.
+        p = choice_probabilities(LuceExponential(), vv(-800.0, -801.0))
+        assert p.tobytes() == choice_probabilities(LuceExponential(), vv(0.0, -1.0)).tobytes()
+        p = choice_probabilities(PairwiseRegret(), vv(-800.0, -801.0))
+        assert_allclose(p, choice_probabilities(PairwiseRegret(), vv(0.0, -1.0)), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize(
+        "rows, error",
+        [
+            ((((0.0, 1.0), (1.0,)),), "^table row has mismatched values/strengths lengths$"),
+            ((((0.0, 1.0), (1.0, -1.0)),), "^table strengths must be non-negative$"),
+        ],
+        ids=["mismatched", "negative"],
+    )
+    def test_custom_table_rejects_bad_rows(self, rows, error):
+        with pytest.raises(ValueError, match=error):
+            CustomTable(rows)
+
+    def test_non_finite_strengths_rejected(self):
+        # sigma * |v_a - mean| overflows to inf at these values, and 0 * inf
+        # is NaN; numpy's warnings about that are not what is tested here.
+        model = SalienceWeighted(sigma=1e308)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="^model produced negative or non-finite"):
+            eval_preference(model, vv(1e300, 0.0, -1e300))
+
     def test_custom_table_lookup_and_miss(self):
         table = CustomTable((((0.0, 0.0), (0.5, 0.5)), ((1.0, 0.0), (0.9, 0.1))))
         assert eval_preference(table, vv(1, 0)).tolist() == [0.9, 0.1]
@@ -75,6 +102,10 @@ class TestNormalize:
 
     def test_direct_ratio(self):
         assert normalize([3.0, 1.0]).tolist() == [0.75, 0.25]
+
+    def test_negative_strength_rejected(self):
+        with pytest.raises(ValueError, match="^strengths must be finite and non-negative$"):
+            normalize([1.0, -1.0])
 
     def test_zero_strength_rejected(self):
         with pytest.raises(CycloratError, match="^cannot normalize an identically zero strength vector$"):

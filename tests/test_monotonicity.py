@@ -132,8 +132,8 @@ class TestCheckCyclicMonotonicity:
     def test_violation_fixture_witness(self, violation_fixture):
         verdict = check_cyclic_monotonicity(violation_fixture)
         assert verdict.status == "violation"
-        assert verdict.witness.indices == (1, 2)
-        assert_allclose(verdict.witness.cycle_sum, -0.6, atol=1e-15)
+        assert verdict.witness == (1, 2)
+        assert_allclose(verdict.min_cycle_sum, -0.6, atol=1e-15)
 
     def test_single_observation_passes(self):
         d = Dataset(menu_of(2), [[1, 2]], [[0.4, 0.6]])
@@ -149,10 +149,9 @@ class TestCheckCyclicMonotonicity:
             verdict = check_cyclic_monotonicity(d, 1e-9)
             if verdict.status == "violation":
                 found += 1
-                w = verdict.witness
-                recomputed = cycle_sum(d, list(w.indices))
+                recomputed = cycle_sum(d, verdict.witness)
                 assert recomputed < -1e-9
-                assert abs(recomputed - w.cycle_sum) <= 1e-12
+                assert recomputed == verdict.min_cycle_sum
         assert found > 10  # the adversarial generator must exercise the path
 
     def test_translation_invariance(self):
@@ -169,7 +168,7 @@ class TestCheckCyclicMonotonicity:
             b = check_cyclic_monotonicity(shifted)
             assert a.status == b.status
             if a.witness is not None:
-                assert abs(cycle_sum(shifted, list(a.witness.indices)) - a.witness.cycle_sum) <= 1e-9
+                assert abs(cycle_sum(shifted, a.witness) - a.min_cycle_sum) <= 1e-9
 
 
 class TestMinMeanCycle:
@@ -460,8 +459,8 @@ class TestCheckOrder:
         assert cycle_sum(d, list(expected)) < -1e-9
         verdict = check_cyclic_monotonicity(d, 1e-9)
         assert verdict.status == "violation"
-        assert verdict.witness.indices == expected
-        assert verdict.witness.cycle_sum == cycle_sum(d, list(expected))
+        assert verdict.witness == expected
+        assert verdict.min_cycle_sum == cycle_sum(d, expected)
         assert verdict.min_cycle_mean == mm.mean
 
     def test_tolerance_bounds_the_cycle_mean(self):
@@ -478,8 +477,8 @@ class TestCheckOrder:
         fast = check_cyclic_monotonicity(d, 0.37)
         slow = brute_force_cm(d, 0.37)
         assert fast.status == slow.status == "violation"
-        assert fast.witness.indices == slow.witness.indices == (1, 2)
-        assert_allclose(fast.witness.cycle_sum, -0.8, atol=1e-9)
+        assert fast.witness == slow.witness == (1, 2)
+        assert_allclose(fast.min_cycle_sum, -0.8, atol=1e-9)
 
     def test_three_cycle_is_decided_by_converged_rounds(self, monkeypatch):
         # Every node's cheapest edge points into 1 <-> 2 (mean -0.1), so one
@@ -490,8 +489,8 @@ class TestCheckOrder:
         d = realize_weights(W, np.random.default_rng(47))
         verdict = check_cyclic_monotonicity(d, 0.15)
         assert verdict.status == brute_force_cm(d, 0.15).status == "violation"
-        assert verdict.witness.indices == (1, 2, 3)
-        assert_allclose(verdict.witness.cycle_sum, -0.65, atol=1e-9)
+        assert verdict.witness == (1, 2, 3)
+        assert_allclose(verdict.min_cycle_sum, -0.65, atol=1e-9)
         phi = check_cyclic_monotonicity(d, 0.25).potentials
         assert brute_force_cm(d, 0.25).is_pass
         slack = phi[None, :] - phi[:, None] + edge_weights(d)
@@ -542,7 +541,7 @@ class TestMetamorphicRelations:
             permuted = check_cyclic_monotonicity(d2, tol)
             assert permuted.status == verdict.status
             if verdict.witness is not None:
-                means = [w.cycle_sum / len(w.indices) for w in (verdict.witness, permuted.witness)]
+                means = [v.min_cycle_sum / len(v.witness) for v in (verdict, permuted)]
                 assert abs(means[1] - means[0]) <= 2 * _edge_weight_error(d)
 
     @pytest.mark.parametrize("family", METAMORPHIC_FAMILIES)
@@ -600,12 +599,11 @@ def _assert_stages_agree(d, tol):
         report = verify_rationalization(d, phi, tol + ROUNDING, mixtures=50)
         assert report.passed
     else:
-        w = fast.witness
-        assert w.cycle_sum / len(w.indices) < -tol
+        assert fast.min_cycle_sum / len(fast.witness) < -tol
         with pytest.raises(NotCyclicallyMonotoneError) as err:
             compute_potentials(d, tol)
-        assert err.value.witness.cycle_sum < -tol
-        assert err.value.witness.cycle_sum == cycle_sum(d, list(err.value.witness.indices))
+        assert err.value.witness == fast.witness
+        assert cycle_sum(d, fast.witness) == fast.min_cycle_sum
     return fast.status
 
 
@@ -622,7 +620,7 @@ class TestToleranceRule:
         status = _assert_stages_agree(d, tol)
         assert status == ("pass" if tol > 0.4 else "violation")
         if status == "violation":
-            assert check_cyclic_monotonicity(d, tol).witness.indices == (1, 2)
+            assert check_cyclic_monotonicity(d, tol).witness == (1, 2)
 
     def test_nan_tolerance_raises(self, violation_fixture):
         # NaN fails every comparison, so it would pass a violation in the
@@ -666,7 +664,8 @@ class TestToleranceRule:
                     continue
                 band += verdict.min_cycle_sum is not None
                 assert verdict.potentials is not None
-                phi = compute_potentials(d, tol, verdict=verdict)
+                phi = compute_potentials(d, tol)
+                assert np.array_equal(phi, verdict.potentials)
                 allowance = tol + (mm.mean - mm.lower) + _edge_weight_error(d)
                 assert np.min(phi[None, :] - phi[:, None] + W) >= -allowance
         assert seen["pass"] > 0 and seen["violation"] > 0 and band > 0
@@ -785,8 +784,7 @@ class TestBruteForce:
             assert fast.status == slow.status
             statuses.add(fast.status)
             if fast.status == "violation":
-                assert abs(cycle_sum(d, list(fast.witness.indices)) - fast.witness.cycle_sum) <= 1e-12
-                assert abs(cycle_sum(d, list(slow.witness.indices)) - slow.witness.cycle_sum) <= 1e-12
+                assert cycle_sum(d, fast.witness) == fast.min_cycle_sum
         assert statuses == {"pass", "violation"}
 
     def test_pum_generated_data_pass(self):
@@ -1004,8 +1002,8 @@ def test_witness_reversal_need_not_be_negative():
     )
     verdict = check_cyclic_monotonicity(d, 1e-9)
     assert verdict.status == "violation"
-    assert len(verdict.witness.indices) >= 3
-    forward = cycle_sum(d, list(verdict.witness.indices))
-    backward = cycle_sum(d, list(reversed(verdict.witness.indices)))
+    assert len(verdict.witness) >= 3
+    forward = cycle_sum(d, verdict.witness)
+    backward = cycle_sum(d, list(reversed(verdict.witness)))
     assert forward < -1e-9
     assert backward > 0

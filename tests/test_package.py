@@ -10,13 +10,13 @@ import pytest
 
 #: The public names of ``cyclorat``, submodules included.
 PUBLIC_NAMES = """
-CMVerdict CustomTable CycleWitness CycloratError Dataset DuplicateValuesWarning
+CMVerdict CustomTable CycloratError Dataset DuplicateValuesWarning
 LuceExponential Menu NoProgressError NotCyclicallyMonotoneError PairwiseRegret
 PreferenceModel PumSolution RationalizationReport RecordValidationError SalienceWeighted
 TOL_CM TOL_OPT TOL_SIMPLEX TwoPointViolation ValidationError check_cyclic_monotonicity
 check_two_point_monotonicity check_weak_stochastic_transitivity choice_probabilities
 comp_dot compute_potentials conjugate_cost core cost_description cycle_sum errors
-eval_preference evaluate_extension fitted_choice lp model_from_spec models monotonicity
+eval_preference fitted_choice lp model_from_spec models monotonicity
 normalize rationalization simplex_projection simulate_dataset smoothed_choices
 softmax_probabilities validate_simplex verify_rationalization
 """.split()
@@ -99,4 +99,4 @@ def test_data_carrying_errors_keep_their_data(tmp_path):
     d = cy.Dataset(cy.Menu("m", ("x", "y")), [[1.0, 0.0], [0.0, 1.0]], [[0.3, 0.7], [0.6, 0.4]])
     with pytest.raises(cy.NotCyclicallyMonotoneError) as err:
         cy.compute_potentials(d)
-    assert err.value.witness.indices == (1, 2)
+    assert err.value.witness == (1, 2)

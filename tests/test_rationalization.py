@@ -13,12 +13,12 @@ from cyclorat import (
     LuceExponential,
     NoProgressError,
     NotCyclicallyMonotoneError,
+    ValidationError,
     check_cyclic_monotonicity,
     choice_probabilities,
     compute_potentials,
     conjugate_cost,
     cost_description,
-    evaluate_extension,
     fitted_choice,
     smoothed_choices,
     verify_rationalization,
@@ -54,10 +54,9 @@ def _quadratic_cost(p) -> float:
 class TestComputePotentials:
     def test_single_observation(self):
         d = Dataset(menu_of(2), [[1, 2]], [[0.4, 0.6]])
-        verdict = check_cyclic_monotonicity(d)
-        phi = compute_potentials(d, verdict=verdict)
-        assert phi is verdict.potentials and not phi.flags.writeable
-        assert phi.tolist() == [0.0]
+        phi = compute_potentials(d)
+        assert not phi.flags.writeable
+        assert phi.tolist() == check_cyclic_monotonicity(d).potentials.tolist() == [0.0]
 
     def test_softmax_fixture(self, softmax_fixture):
         # Policy iteration holds both edges of the two-cycle with margin
@@ -71,7 +70,7 @@ class TestComputePotentials:
     def test_violation_raises_with_witness(self, violation_fixture):
         with pytest.raises(NotCyclicallyMonotoneError) as err:
             compute_potentials(violation_fixture)
-        assert err.value.witness.indices == (1, 2)
+        assert err.value.witness == (1, 2)
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_rounding_cycle_needs_only_rounding_slack(self, k):
@@ -98,15 +97,18 @@ class TestComputePotentials:
                         assert phi[j] >= lower - 1e-9
 
 
+def _extension(phi, d, v) -> float:
+    # f(v), the fitted max-affine extension: the value fitted_choice returns.
+    return fitted_choice(phi, d, v)[1]
+
+
 class TestEvaluateExtension:
     def test_fixture_values(self, softmax_fixture):
         phi = compute_potentials(softmax_fixture)
         # At v1 the candidate pieces are 0 and 0.61553 - 0.73106 < 0.
-        assert evaluate_extension(phi, softmax_fixture, [0.0, 0.0]) == 0.0
+        assert _extension(phi, softmax_fixture, [0.0, 0.0]) == 0.0
         # At v2 the pieces are 0.5 and 0.61553.
-        assert_allclose(
-            evaluate_extension(phi, softmax_fixture, [1.0, 0.0]), 0.61553, atol=1e-15
-        )
+        assert_allclose(_extension(phi, softmax_fixture, [1.0, 0.0]), 0.61553, atol=1e-15)
 
     def test_base_point_is_zero(self):
         rng = np.random.default_rng(32)
@@ -114,7 +116,7 @@ class TestEvaluateExtension:
             d = luce_dataset(rng, int(rng.integers(1, 9)), int(rng.integers(2, 5)))
             phi = compute_potentials(d)
             base_v = d.values_matrix[0]
-            assert_allclose(evaluate_extension(phi, d, base_v), 0.0, atol=1e-12)
+            assert_allclose(_extension(phi, d, base_v), 0.0, atol=1e-12)
 
     def test_interpolates_potentials_and_dominates_pieces(self):
         rng = np.random.default_rng(33)
@@ -122,8 +124,8 @@ class TestEvaluateExtension:
         phi = compute_potentials(d)
         V, G = d.values_matrix, d.probs_matrix
         for j in range(d.n):
-            fj = evaluate_extension(phi, d, V[j])
-            assert_allclose(fj, phi[j], atol=1e-11)
+            fj = _extension(phi, d, V[j])
+            assert phi[j] <= fj <= phi[j] + 1e-11  # piece j is phi_j exactly at v^j
             for i in range(d.n):
                 assert fj >= phi[i] + comp_dot(G[i], V[j] - V[i]) - 1e-12
 
@@ -135,9 +137,38 @@ class TestEvaluateExtension:
             a = rng.uniform(-5, 5, 3)
             b = rng.uniform(-5, 5, 3)
             lam = float(rng.uniform())
-            mixed = evaluate_extension(phi, d, lam * a + (1 - lam) * b)
-            chord = lam * evaluate_extension(phi, d, a) + (1 - lam) * evaluate_extension(phi, d, b)
+            mixed = _extension(phi, d, lam * a + (1 - lam) * b)
+            chord = lam * _extension(phi, d, a) + (1 - lam) * _extension(phi, d, b)
             assert mixed <= chord + 1e-10
+
+
+class TestQueryPoints:
+    # The fit's readers take points over its menu, here of three
+    # alternatives; any other point is a ValidationError naming it.
+    @pytest.mark.parametrize(
+        "read, point, error",
+        [
+            (conjugate_cost, [0.5, 0.5], "^point p has 2 entries against a menu of size 3$"),
+            (conjugate_cost, [math.nan, 0.5, 0.5], "^point p contains non-finite entries$"),
+            (conjugate_cost, [[0.5, 0.25, 0.25]], r"^point p must be one-dimensional, got shape \(1, 3\)$"),
+            (fitted_choice, [0.0, 1.0], "^value vector has 2 entries against a menu of size 3$"),
+            (fitted_choice, [math.nan, 0.0, 1.0], "^value vector contains non-finite entries$"),
+            (fitted_choice, np.zeros((3, 3)), r"^value vector must be one-dimensional, got shape \(3, 3\)$"),
+            (
+                lambda phi, d, rows: smoothed_choices(phi, d, 0.1, rows),
+                [[0.0, 1.0, 2.0], [0.0, 1.0]],
+                "^value vector has 2 entries against a menu of size 3$",
+            ),
+        ],
+        ids=[
+            "conjugate-short", "conjugate-nan", "conjugate-2d", "choice-short", "choice-nan",
+            "choice-2d", "smoothed-short-row",
+        ],
+    )
+    def test_point_off_the_menu_is_rejected(self, read, point, error):
+        d = luce_dataset(np.random.default_rng(36), 6, 3)
+        with pytest.raises(ValidationError, match=error):
+            read(compute_potentials(d), d, point)
 
 
 class TestConjugateCost:
@@ -587,7 +618,7 @@ class TestVerifyRationalization:
         assert (report.n_vertex_points, report.n_mixture_points) == (d.n, 0)
         extension = np.maximum(phi, np.max(phi[:, None] - edge_weights(d), axis=0))
         assert np.array_equal(report.fenchel_gaps, extension - phi)
-        exact = [evaluate_extension(phi, d, v) for v in d.values_matrix]
+        exact = [_extension(phi, d, v) for v in d.values_matrix]
         assert_allclose(report.fenchel_gaps, np.array(exact) - phi, atol=1e-12)
 
     def test_large_menu_solves_mixtures_only(self, monkeypatch):
