@@ -13,15 +13,18 @@ Exit codes: 0 success, 2 usage/IO/config failure or a solver that stopped
 undecided, 3 analysis ran and the hypothesis was rejected (a violation was
 found or verification exceeded its tolerance).  Menus in a multi-menu file are analyzed independently; report
 sections are ordered by menu id.  ``CYCLORAT_LOG`` sets log verbosity.
+On two CPUs, report-all's two-cycle rows are formatted in a forked child.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import logging
 import os
 import sys
+import threading
 import time
 import warnings
 from dataclasses import asdict, dataclass
@@ -152,29 +155,29 @@ def _analyze_menu(d: Dataset, config: RunConfig) -> tuple[dict, bool, bool]:
     return section, cm_ok, verify_ok
 
 
-def _write_series_csv(path: Path, datasets: dict[str, Dataset], report: dict) -> None:
+def _write_two_cycle_rows(fh, menu_id: str, d: Dataset) -> None:
+    head, cells = csv_field(menu_id).replace("%", "%%"), [f"{k},%.17g\n" for k in range(1, d.n + 1)]
+    W = edge_weights(d)  # freed on return, before the next menu's is built
+    for i in range(d.n - 1):
+        prefix = f"{head},two_cycle_sum,{i + 1}-"
+        fh.write((prefix + prefix.join(cells[i + 1 :])) % tuple((W[i, i + 1 :] + W[i + 1 :, i]).tolist()))
+
+
+def _write_series_csv(path: Path, datasets: dict[str, Dataset], sections: list[dict],
+                      two_cycle_rows=_write_two_cycle_rows) -> None:
     """Write the tidy (menu_id, series, key, value) table for plotting.
 
     Per menu, in id order: two-cycle sums W_ij + W_ji keyed ``i-j`` over
     i < j in row-major order, then any potentials, Fenchel gaps and
-    optimality gaps, at 17 significant digits; ids quoted as csv does.
-    The key cells ``k,%.17g`` are joined once per menu, so each row of
-    pairs, and each later series, is one % call on its values alone.
+    optimality gaps of its section, at 17 significant digits; ids quoted as
+    csv does.  Each row of pairs (written by ``two_cycle_rows``), and each
+    later series, is one % call on its values alone.
     """
-    by_id = {section["menu_id"]: section for section in report.get("menus", [])}
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write("menu_id,series,key,value\n")
-        for menu_id in sorted(datasets):
+        for menu_id, section in zip(sorted(datasets), sections):
+            two_cycle_rows(fh, menu_id, datasets[menu_id])
             head = csv_field(menu_id).replace("%", "%%") + ","
-            n = datasets[menu_id].n
-            cells = [f"{k},%.17g\n" for k in range(1, n + 1)]
-            W = edge_weights(datasets[menu_id])
-            for i in range(n - 1):
-                prefix = f"{head}two_cycle_sum,{i + 1}-"
-                sums = (W[i, i + 1 :] + W[i + 1 :, i]).tolist()
-                fh.write((prefix + prefix.join(cells[i + 1 :])) % tuple(sums))
-            del W  # before the next menu's W is built
-            section = by_id.get(menu_id, {})
             verification = section.get("verification", {})
             for series, values in (
                 ("potential", section.get("potentials", {}).get("potentials", [])),
@@ -183,7 +186,70 @@ def _write_series_csv(path: Path, datasets: dict[str, Dataset], report: dict) ->
             ):
                 if values:  # a menu that failed the check has none
                     prefix = f"{head}{series},"
+                    cells = (f"{k},%.17g\n" for k in range(1, len(values) + 1))
                     fh.write((prefix + prefix.join(cells)) % tuple(values))
+
+
+@contextlib.contextmanager
+def _series_writer(config: RunConfig, datasets: dict[str, Dataset]):
+    """Yield ``write(sections)``, which writes report-all's series CSV.
+
+    Where fork is (``sched_getaffinity`` exists only there), on two usable
+    CPUs and with no other thread, a forked child formats the two-cycle rows
+    into an unlinked file beside the CSV while the caller analyzes the menus;
+    ``write`` copies them in-kernel, or formats them itself if the child failed.
+    """
+    path = config.output and Path(config.output).with_suffix(".series.csv")
+    pid, tmp = 0, None
+    if (config.command == "report-all" and path and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) > 1 and threading.active_count() == 1):
+        import mmap
+        import signal
+        import tempfile
+
+        with contextlib.suppress(OSError):  # no room for the rows: write them inline
+            tmp = tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n", dir=path.parent)
+            # Each menu's end offset in ``tmp``, in memory shared with the child.
+            ends = np.frombuffer(mmap.mmap(-1, 8 * (len(datasets) + 1)), dtype=np.int64)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DeprecationWarning)  # Python 3.12+, on OS threads
+                pid = os.fork()
+            if not pid:  # the child: silent, and any warning or error exits 1
+                code = 1
+                try:
+                    os.dup2(os.open(os.devnull, os.O_WRONLY), 2)
+                    warnings.simplefilter("error")
+                    for k, menu_id in enumerate(sorted(datasets), start=1):
+                        _write_two_cycle_rows(tmp, menu_id, datasets[menu_id])
+                        ends[k] = tmp.tell()  # a byte offset, as nothing is read
+                    code = 0
+                finally:
+                    os._exit(code)
+
+    def write(sections: list[dict]) -> None:
+        nonlocal pid
+        if pid:
+            status, pid = os.waitpid(pid, 0)[1], 0
+            if status == 0:  # the child exited 0: every menu's rows are in tmp
+                spans = zip(ends[:-1].tolist(), ends[1:].tolist())
+
+                def copy_rows(fh, menu_id: str, d: Dataset) -> None:
+                    fh.flush()  # the copy lands at the file's offset
+                    start, end = next(spans)
+                    while start < end:
+                        start += os.sendfile(fh.fileno(), tmp.fileno(), start, end - start)
+
+                return _write_series_csv(path, datasets, sections, copy_rows)
+        _write_series_csv(path, datasets, sections)
+
+    try:
+        yield write
+    finally:
+        if pid:  # left early
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        if tmp is not None:
+            tmp.close()
 
 
 def run(config: RunConfig) -> tuple[int, dict]:
@@ -210,25 +276,26 @@ def run(config: RunConfig) -> tuple[int, dict]:
         raise CycloratError(f"{config.command} needs --input")
     datasets = parse_datasets_csv(config.input)
 
-    sections = []
-    all_cm = True
-    all_verified = True
-    for menu_id in sorted(datasets):
-        section, cm_ok, verify_ok = _analyze_menu(datasets[menu_id], config)
-        sections.append(section)
-        all_cm &= cm_ok
-        all_verified &= verify_ok
-    report["menus"] = sections
-    if config.command == "report-all":
-        wst = _wst_section(datasets)
-        if wst is not None:
-            report["weak_stochastic_transitivity"] = wst
+    with _series_writer(config, datasets) as write_series:
+        sections = []
+        all_cm = True
+        all_verified = True
+        for menu_id in sorted(datasets):
+            section, cm_ok, verify_ok = _analyze_menu(datasets[menu_id], config)
+            sections.append(section)
+            all_cm &= cm_ok
+            all_verified &= verify_ok
+        report["menus"] = sections
+        if config.command == "report-all":
+            wst = _wst_section(datasets)
+            if wst is not None:
+                report["weak_stochastic_transitivity"] = wst
+            if config.output:
+                report["series_csv"] = str(Path(config.output).with_suffix(".series.csv"))
         if config.output:
-            report["series_csv"] = str(Path(config.output).with_suffix(".series.csv"))
-    if config.output:
-        Path(config.output).write_text(dumps_report(report), encoding="utf-8", newline="\n")
-        if "series_csv" in report:
-            _write_series_csv(Path(report["series_csv"]), datasets, report)
+            Path(config.output).write_text(dumps_report(report), encoding="utf-8", newline="\n")
+            if "series_csv" in report:
+                write_series(sections)
 
     if not all_cm:
         return EXIT_REJECTED, report

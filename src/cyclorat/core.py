@@ -102,7 +102,7 @@ class Menu:
                 f"menu {self.id!r} needs at least two alternatives, got {len(self.alternatives)}"
             )
         if len(set(self.alternatives)) != len(self.alternatives):
-            raise ValueError(f"menu {self.id!r} has duplicate alternative labels")
+            raise ValidationError(f"menu {self.id!r} has duplicate alternative labels")
 
     @property
     def size(self) -> int:

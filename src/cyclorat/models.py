@@ -94,8 +94,9 @@ class SalienceWeighted:
 
     def __post_init__(self):
         if self.sigma < 0:
-            raise ValueError(f"sigma must be non-negative, got {self.sigma}")
+            raise ValidationError(f"sigma must be non-negative, got {self.sigma}")
 
+    @np.errstate(over="ignore", invalid="ignore")  # eval_preference rejects inf and NaN
     def strengths(self, v: np.ndarray) -> np.ndarray:
         mean = float(np.mean(v))
         weight = 1.0 + self.sigma * np.abs(v - mean) / (1.0 + np.abs(v) + abs(mean))
@@ -117,9 +118,9 @@ class CustomTable:
             values = tuple(float(x) for x in values)
             strengths = tuple(float(x) for x in strengths)
             if len(values) != len(strengths):
-                raise ValueError("table row has mismatched values/strengths lengths")
+                raise ValidationError("table row has mismatched values/strengths lengths")
             if any(s < 0 for s in strengths):
-                raise ValueError("table strengths must be non-negative")
+                raise ValidationError("table strengths must be non-negative")
             if all(s == 0.0 for s in strengths):
                 raise CycloratError("table row has identically zero strengths")
             normalized.append((values, strengths))
@@ -150,9 +151,9 @@ def eval_preference(model: PreferenceModel, values) -> np.ndarray:
     v = _check_vector(values, name="value vector")
     t = np.asarray(model.strengths(v), dtype=float)
     if t.shape != v.shape:
-        raise ValueError(f"model returned shape {t.shape}, expected {v.shape}")
+        raise CycloratError(f"model returned shape {t.shape}, expected {v.shape}")
     if np.any(t < 0) or not np.all(np.isfinite(t)):
-        raise ValueError("model produced negative or non-finite strengths")
+        raise CycloratError("model produced negative or non-finite strengths")
     if not np.any(t > 0):
         raise CycloratError("all strength components are zero")
     return t
@@ -166,7 +167,7 @@ def normalize(strengths) -> np.ndarray:
     """
     t = np.asarray(strengths, dtype=float)
     if np.any(t < 0) or not np.all(np.isfinite(t)):
-        raise ValueError("strengths must be finite and non-negative")
+        raise CycloratError("strengths must be finite and non-negative")
     if not np.any(t > 0):
         raise CycloratError("cannot normalize an identically zero strength vector")
     peak = float(np.max(t))
@@ -242,11 +243,11 @@ def model_from_spec(family: str, params: dict | None = None) -> PreferenceModel:
     ``custom_table`` expects ``params = {"rows": [{"values": [...],
     "strengths": [...]}, ...]}``; ``strengths`` may be given as ``probs``.
     The other families take their numeric fields by name.  A missing,
-    unexpected or mistyped entry raises ``ValidationError`` naming it; an
-    unknown family raises ``ValueError``.
+    unexpected or mistyped entry, or an unknown family, raises
+    ``ValidationError`` naming it.
     """
     if family not in _FAMILY_NAMES:
-        raise ValueError(f"unknown family {family!r}; expected one of {sorted(_FAMILY_NAMES)}")
+        raise ValidationError(f"unknown family {family!r}; expected one of {sorted(_FAMILY_NAMES)}")
     cls = _FAMILY_NAMES[family]
     params = _typed({} if params is None else params, "an object", f"{family} 'params'")
     names = {"rows"} if cls is CustomTable else {f.name for f in fields(cls)}

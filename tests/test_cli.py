@@ -3,15 +3,17 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from cyclorat import monotonicity
+from cyclorat import cli, monotonicity
 from cyclorat.cli import EXIT_OK, EXIT_REJECTED, EXIT_USAGE, RunConfig, main, run
 from cyclorat.dataio import parse_dataset_csv, parse_datasets_csv, write_dataset_csv
+from cyclorat.errors import NoProgressError
 from cyclorat.rationalization import RationalizationReport
 from cyclorat.report import dumps_report, strip_timing
 
@@ -60,6 +62,18 @@ def mixed_menus_csv(rng: np.random.Generator) -> str:
     rows += VIOLATION_CSV.replace("m,", "viol,").splitlines()[1:]
     rows += BINARY_MENUS_CSV.splitlines()[1:]
     return "\n".join(["menu_id,obs_id,alternative,value,prob"] + rows) + "\n"
+
+
+@pytest.fixture(params=["fork", "inline"])
+def series_route(request, monkeypatch):
+    # report-all formats the series' two-cycle rows in a forked child when it
+    # sees two CPUs, inline on one; each route is forced here whatever the
+    # machine has.  Yields the route and the list of fork calls the CLI made.
+    cpus = {0, 1} if request.param == "fork" else {0}
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    yield request.param, forks
 
 
 @pytest.fixture
@@ -331,6 +345,76 @@ class TestSeriesCsv:
         if n_rows is not None:
             assert written.count(b"\n") == 1 + n_rows
 
+    @pytest.mark.parametrize("name", list(SERIES_FIXTURES))
+    def test_fork_and_inline_routes_agree(self, name, tmp_path, monkeypatch):
+        # The series CSV built from a forked child's rows, and the report
+        # beside it, have the inline route's bytes; no other file is left.
+        # Only the inline route builds W for the rows in this process.
+        text, exit_code, _ = SERIES_FIXTURES[name]
+        data, out = tmp_path / "menus.csv", tmp_path / "out" / "report.json"
+        data.write_text(text)
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        inline, edge_weights = [], cli.edge_weights
+        monkeypatch.setattr(cli, "edge_weights", lambda d: inline.append(1) or edge_weights(d))
+        outputs = []
+        for cpus in ({0, 1}, {0}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+            out.parent.mkdir()
+            assert main(["report-all", "--input", str(data), "--output", str(out)]) == exit_code
+            report = dumps_report(strip_timing(json.loads(out.read_text())))
+            outputs.append((report, out.with_suffix(".series.csv").read_bytes()))
+            assert sorted(p.name for p in out.parent.iterdir()) == ["report.json", "report.series.csv"]
+            shutil.rmtree(out.parent)
+        assert outputs[0] == outputs[1]
+        assert len(forks) == 1 and len(inline) == len(parse_datasets_csv(data))
+
+    def test_failed_child_leaves_the_rows_to_the_parent(self, tmp_path, monkeypatch, capfd):
+        # A child that raises exits 1 without a word on stderr, and the
+        # parent formats the rows itself: the same bytes as the inline route.
+        data, out = tmp_path / "menus.csv", tmp_path / "report.json"
+        data.write_text(mixed_menus_csv(np.random.default_rng(74)))
+        argv = ["report-all", "--input", str(data), "--output", str(out)]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert main(argv) == EXIT_REJECTED
+        inline = out.with_suffix(".series.csv").read_bytes()
+        parent, rows = os.getpid(), cli._write_two_cycle_rows
+
+        def fail_in_child(*args):
+            if os.getpid() != parent:
+                raise RuntimeError("the child failed")
+            return rows(*args)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(cli, "_write_two_cycle_rows", fail_in_child)
+        assert main(argv) == EXIT_REJECTED
+        assert capfd.readouterr() == ("", "")
+        assert out.with_suffix(".series.csv").read_bytes() == inline
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["menus.csv", "report.json", "report.series.csv"]
+
+    def test_analysis_error_leaves_no_child_or_file(self, series_route, tmp_path, monkeypatch, capsys):
+        # The second menu's solver stalls: exit 2 with its error line, no
+        # child process left, and nothing written beside the report path.
+        data, out = tmp_path / "menus.csv", tmp_path / "out" / "report.json"
+        data.write_text(mixed_menus_csv(np.random.default_rng(73)))
+        out.parent.mkdir()
+        analyze, calls = cli._analyze_menu, []
+
+        def stall_on_second(d, config):
+            calls.append(d.menu.id)
+            if len(calls) == 2:
+                raise NoProgressError("solver stalled")
+            return analyze(d, config)
+
+        monkeypatch.setattr(cli, "_analyze_menu", stall_on_second)
+        assert main(["report-all", "--input", str(data), "--output", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", "error: solver stalled\n")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert list(out.parent.iterdir()) == []
+        route, forks = series_route
+        assert len(forks) == (route == "fork")
+
     def test_runs_are_byte_identical(self, tmp_path):
         data, out = tmp_path / "menus.csv", tmp_path / "report.json"
         data.write_text(mixed_menus_csv(np.random.default_rng(71)))
@@ -432,6 +516,20 @@ class TestErrorsAndDeterminism:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.is_file() and not out.with_suffix(".series.csv").exists()
 
+    def test_unwritable_series_exits_2(self, series_route, softmax_path, tmp_path, capsys):
+        # A series path that is a directory, beside a writable report: one
+        # error line and exit 2, with the report written and no series.
+        out = tmp_path / "report.json"
+        out.with_suffix(".series.csv").mkdir()
+        assert main(["report-all", "--input", str(softmax_path), "--output", str(out)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert json.loads(out.read_text())["menus"][0]["menu_id"] == "m"
+        assert list(out.with_suffix(".series.csv").iterdir()) == []
+        route, forks = series_route
+        assert len(forks) == (route == "fork")
+
     @pytest.mark.parametrize(
         "big, probs", [("8e307", (1, 0, 0, 1)), ("1e308", (0.3, 0.7, 0.6, 0.4))]
     )
@@ -475,10 +573,17 @@ class TestErrorsAndDeterminism:
              "value vector [1.0, 0.0] is not listed in the table"),
             ("simulate", {"family": "luce_exponential", "params": {}, "values": []},
              "simulation design is empty"),
+            # sigma * |v_a - mean| overflows and 0 * inf is NaN: no numpy
+            # warning lines before the error line.
+            ("simulate", {"family": "salience_weighted", "params": {"sigma": 1e308},
+                          "menu": {"id": "sim", "alternatives": ["a", "b", "c"]},
+                          "values": [[1e300, 0, -1e300]]},
+             "model produced negative or non-finite strengths"),
         ],
         ids=[
             "bad-sum", "negative-entry", "short-row", "nan-value", "overflowing-value",
             "missing-column", "header-only", "zero-strengths", "unlisted-values", "empty-design",
+            "non-finite-strengths",
         ],
     )
     def test_faulty_input_error_line(self, command, text, error, tmp_path, capsys):

@@ -83,7 +83,7 @@ class TestTypes:
             Menu("m", ("only",))
 
     def test_menu_rejects_duplicate_labels(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="^menu 'm' has duplicate alternative labels$"):
             Menu("m", ("x", "x"))
 
     def test_value_vector_rejects_non_finite(self):

@@ -75,14 +75,14 @@ class TestEvalPreference:
         ids=["mismatched", "negative"],
     )
     def test_custom_table_rejects_bad_rows(self, rows, error):
-        with pytest.raises(ValueError, match=error):
+        with pytest.raises(ValidationError, match=error):
             CustomTable(rows)
 
     def test_non_finite_strengths_rejected(self):
         # sigma * |v_a - mean| overflows to inf at these values, and 0 * inf
-        # is NaN; numpy's warnings about that are not what is tested here.
+        # is NaN, without a numpy warning (the suite turns warnings into errors).
         model = SalienceWeighted(sigma=1e308)
-        with np.errstate(all="ignore"), pytest.raises(ValueError, match="^model produced negative or non-finite"):
+        with pytest.raises(CycloratError, match="^model produced negative or non-finite"):
             eval_preference(model, vv(1e300, 0.0, -1e300))
 
     def test_custom_table_lookup_and_miss(self):
@@ -92,7 +92,7 @@ class TestEvalPreference:
             eval_preference(table, vv(2, 0))
 
     def test_salience_rejects_negative_sigma(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="^sigma must be non-negative, got -0.1$"):
             SalienceWeighted(sigma=-0.1)
 
 
@@ -104,7 +104,7 @@ class TestNormalize:
         assert normalize([3.0, 1.0]).tolist() == [0.75, 0.25]
 
     def test_negative_strength_rejected(self):
-        with pytest.raises(ValueError, match="^strengths must be finite and non-negative$"):
+        with pytest.raises(CycloratError, match="^strengths must be finite and non-negative$"):
             normalize([1.0, -1.0])
 
     def test_zero_strength_rejected(self):
@@ -192,7 +192,7 @@ class TestModelFromSpec:
         assert isinstance(m, CustomTable)
 
     def test_unknown_family(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="^unknown family 'nope'"):
             model_from_spec("nope")
 
 
