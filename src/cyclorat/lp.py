@@ -7,8 +7,8 @@ which the conjugate-cost tests rely on.  Pivots follow Dantzig's rule until
 m consecutive pivots make no step, then Bland's smallest-index rule, which
 cannot cycle, until one moves again.  A solve runs two phases from an
 artificial basis or, given ``start`` (the basis an optimal result for the
-same A and c carries), dual pivots from that basis in place of phase 1.
-Each result counts its pivots.
+same A and c carries) and optionally its columns' pseudo-inverse, dual
+pivots from that basis in place of phase 1.  Each result counts its pivots.
 
 ``batch_support_values`` scans candidate supports directly, for many
 right-hand sides at once; it is combinatorial in the column count and is
@@ -99,14 +99,14 @@ def _run_simplex(
 
 
 def _warm_tableau(
-    c: np.ndarray, A: np.ndarray, b: np.ndarray, basis: list[int], bound: float
+    c: np.ndarray, A: np.ndarray, b: np.ndarray, basis: list[int], bound: float, inverse=None
 ) -> np.ndarray | None:
-    # Phase-2 tableau of a start basis B: rows B^+ [A | b], exact only if B
-    # has full column rank and spans the columns of A and b; None otherwise.
+    # Phase-2 tableau of a start basis B: rows B^+ [A | b], with B^+ = ``inverse`` if given, exact
+    # only if B has full column rank and spans the columns of A and b; None otherwise.
     r, n = len(basis), A.shape[1]
     AB, Ab = A[:, basis], np.column_stack([A, b])
     T = np.zeros((r + 1, n + 1))
-    T[:r] = np.linalg.pinv(AB) @ Ab
+    T[:r] = (np.linalg.pinv(AB) if inverse is None else inverse) @ Ab
     if np.abs(AB @ T[:r] - Ab).max() > bound or np.abs(T[:r, basis] - np.eye(r)).max() > bound:
         return None
     T[:r, basis] = np.eye(r)
@@ -115,12 +115,13 @@ def _warm_tableau(
 
 
 def solve_equality_lp(
-    c: np.ndarray, A: np.ndarray, b: np.ndarray, *, start: tuple[int, ...] | None = None
+    c: np.ndarray, A: np.ndarray, b: np.ndarray, *, start: tuple[int, ...] | None = None, inverse=None
 ) -> LPResult:
     """Simplex for min c'x, A x = b, x >= 0, cold or from ``start``.
 
     A start that is no basis of A, or from which the dual pivots do not
-    settle, falls back to the two phases.
+    settle, falls back to the two phases.  A warm start uses ``inverse``,
+    the pseudo-inverse of A's ``start`` columns, or else computes it.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -128,7 +129,7 @@ def solve_equality_lp(
     m, n = A.shape
     bound = FEAS_TOL * (1.0 + float(np.abs(b).max(initial=0.0)))
     basis = list(start or ())
-    T2 = _warm_tableau(c, A, b, basis, bound) if start else None
+    T2 = _warm_tableau(c, A, b, basis, bound, inverse) if start else None
     pivots = 0
     if T2 is not None:
         status, pivots = _run_simplex(T2, basis, n, bound)

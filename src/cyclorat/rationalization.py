@@ -128,24 +128,24 @@ def _conjugate_many(
     duality bounds each reused value's error by FEAS_TOL plus its residual
     terms.  The first query is solved cold; each later unanswered query
     starts from the certified basis whose lam_B was least infeasible for
-    it, so dual pivots replace phase 1.  A cold basis that fails the
-    certificate (a rank-deficient one, say) answers only its own query; a
-    warm one answers nothing and its query is solved cold.  ``counts``, a
-    dict keyed by ``LP_COUNTERS``, accumulates the batch's LP work.
+    it, and from its certificate's B^+, so dual pivots replace phase 1.  A
+    cold basis that fails the certificate (a rank-deficient one, say)
+    answers only its own query; a warm one answers nothing and its query is
+    solved cold.  ``counts``, a dict keyed by ``LP_COUNTERS``, sums its work.
     """
     A = np.vstack([G.T, np.ones((1, G.shape[0]))])  # sum lam_i g_i = q, sum lam_i = 1
     rhs = np.hstack([Q, np.ones((Q.shape[0], 1))])
     scale = 1.0 + np.abs(rhs).max(axis=1)
     values = np.empty(rhs.shape[0])
     todo = np.ones(rhs.shape[0], dtype=bool)
-    bases: list[tuple[int, ...]] = []
+    bases: list[tuple[tuple[int, ...], np.ndarray]] = []  # certified, with B^+
     nearest = np.full(rhs.shape[0], -1)  # per query: index into bases
     closest = np.full(rhs.shape[0], -np.inf)  # and min(lam_B) there
     counts = dict.fromkeys(LP_COUNTERS, 0) if counts is None else counts
     while todo.any():
         k = int(np.argmax(todo))
-        start = bases[nearest[k]] if nearest[k] >= 0 else None
-        res = solve_equality_lp(c, A, rhs[k], start=start)
+        start, inverse = bases[nearest[k]] if nearest[k] >= 0 else (None, None)
+        res = solve_equality_lp(c, A, rhs[k], start=start, inverse=inverse)
         counts["warm_solves" if start else "cold_solves"] += 1
         counts["pivots"] += res.pivots
         if res.status == "infeasible":
@@ -165,10 +165,11 @@ def _conjugate_many(
             continue
         values[k] = res.value
         todo[k] = False
-        bases.append(res.basis)
+        bases.append((res.basis, pinv))
         rest = np.flatnonzero(todo)
-        lam = pinv @ rhs[rest].T
-        resid = np.abs(AB @ lam - rhs[rest].T).max(axis=0)
+        R = rhs[rest].T
+        lam = pinv @ R
+        resid = np.abs(AB @ lam - R).max(axis=0)
         low = lam.min(axis=0)
         hit = (low >= -FEAS_TOL) & (resid <= FEAS_TOL * scale[rest])
         values[rest[hit]] = cB @ lam[:, hit]
@@ -337,8 +338,8 @@ class RationalizationReport:
     f(v^i) - phi_i >= 0, which bounds the true gap |<v^i, p^i> - C(p^i) -
     f(v^i)|: lam = e_i gives C(p^i) <= c_i = <v^i, p^i> - phi_i, and
     Fenchel-Young gives C(p^i) >= <v^i, p^i> - f(v^i).
-    ``optimality_gaps[i]`` is the largest advantage any sampled competitor
-    q attains over phi_i in <v^i, q> - C(q), vertices priced at c_j.  Both
+    ``optimality_gaps[i]`` is the largest advantage any competitor q attains
+    over phi_i in <v^i, q> - C(q), vertices priced through f.  Both
     should sit at numerical noise level for cyclically monotone data.  The
     sampled mixtures can only test the conjugate LP: by Fenchel-Moreau
     (Rockafellar, Convex Analysis, Thm. 12.2) the advantage over the whole
@@ -391,13 +392,13 @@ def verify_rationalization(
 ) -> RationalizationReport:
     """Check Fenchel equality and sampled optimality at every observation.
 
-    The competitor pool contains every gradient vertex g_j plus ``mixtures``
-    random convex combinations drawn from the supplied generator (seeded
-    from 0 when omitted, so runs are reproducible).  All pool points lie in
-    conv{g_j}, where the conjugate is finite by construction.  The gradients
-    are the probabilities, so f(v^j) is read off the edge weights.  Vertices
-    are priced at c_j, within the Afriat shortfall of C(g_j) (see
-    ``RationalizationReport``), so only the mixtures go to the LP.
+    The competitors are every gradient vertex g_j plus ``mixtures`` random
+    convex combinations drawn from the supplied generator (seeded from 0
+    when omitted, so runs are reproducible), all in conv{g_j}, where the
+    conjugate is finite.  The gradients are the probabilities, so f(v^j) is
+    read off the edge weights.  Priced at c_j, vertex g_j's advantage at v^i
+    is phi_j - w(j -> i) - phi_i, so their best is f(v^i) - phi_i, the
+    Fenchel gap: only the mixtures go to the LP and to products with V.
 
     ``tol`` is absolute and bounds both gaps.  A Fenchel gap is an Afriat
     shortfall, which the potentials' certified slack bounds, so pass the
@@ -405,8 +406,8 @@ def verify_rationalization(
     ``ValueError``.
 
     Memory is O((n + mixtures) |A|) plus ``ROW_BLOCK_CELLS``-cell blocks: W,
-    the Dirichlet draws and the competitor values <v^i, q> - C(q) are formed
-    one block at a time, and each block is reduced to pool points or to
+    the Dirichlet draws and the mixtures' values <v^i, q> - C(q) are formed
+    one block at a time, and each block is reduced to mixture points or to
     maxima, which are exact in any order.
     """
     if mixtures < 0:
@@ -424,21 +425,21 @@ def verify_rationalization(
         np.maximum(extension, np.max(np.subtract(phi[rows, None], W, out=W), axis=0), out=extension)
     # numpy draws a Dirichlet sample row by row, so blocks continue one stream.
     draws = (rng.dirichlet(np.ones(n), size=b.stop - b.start) @ G for b in row_blocks(n, mixtures))
-    pool = np.vstack([G, *draws])
+    Q = np.vstack([G[:0], *draws])
     lp = dict.fromkeys(LP_COUNTERS, 0)
-    pool_cost = np.concatenate([c, _conjugate_many(G, c, pool[n:], lp)])
-    if not np.all(np.isfinite(pool_cost)):
+    cost = _conjugate_many(G, c, Q, lp)
+    if not np.all(np.isfinite(cost)):
         raise CycloratError("conjugate reported infeasible at an in-hull point")
 
-    # <v^i, g_i> - c_i = phi_i, so the Fenchel gap is the Afriat shortfall.
-    best = np.full(n, -np.inf)
-    for cols in row_blocks(n, pool.shape[0]):
-        np.maximum(best, (V @ pool[cols].T - pool_cost[cols]).max(axis=1), out=best)
+    # <v^i, g_j> - c_j = phi_j - W[j, i], so the vertices' best is f(v^i).
+    best = extension
+    for cols in row_blocks(n, mixtures):
+        best = np.maximum(best, (V @ Q[cols].T - cost[cols]).max(axis=1))
     return RationalizationReport(
         fenchel_gaps=extension - phi,
         optimality_gaps=best - phi,
         tolerance=tol,
         n_vertex_points=n,
-        n_mixture_points=pool.shape[0] - n,
+        n_mixture_points=mixtures,
         lp=lp,
     )

@@ -235,18 +235,31 @@ def dense_min_mean_cycle(W: np.ndarray) -> MinMeanCycle:
 
 
 def dense_verify(
-    dataset: Dataset, phi, tol: float = 1e-8, *, mixtures: int = 1000, rng=None, blocked: bool = True
+    dataset: Dataset,
+    phi,
+    tol: float = 1e-8,
+    *,
+    mixtures: int = 1000,
+    rng=None,
+    blocked: bool = True,
+    offsets: bool = False,
 ) -> RationalizationReport:
     """``verify_rationalization`` with every operand whole: W, the mixtures x n
-    Dirichlet draws made in one call, and the n x (n + mixtures) competitor
-    matrix, maximized in one pass.
+    Dirichlet draws made in one call, and the competitor matrix, maximized in
+    one pass.
+
+    The vertices are priced through f: their column of the competitor matrix
+    is the extension f(v^i).  ``offsets=True`` prices them instead as points
+    g_j at their offsets c_j, in an n x (n + mixtures) matrix: a reference
+    that agrees to rounding, as the vertices' best advantage is
+    f(v^i) - phi_i in exact arithmetic.
 
     BLAS may round a block of a product differently from the same entries of
-    the whole product.  So by default the pool is formed from the library's
-    row blocks of the draws and the competitor matrix from its column blocks
-    of the pool, and a comparison tests the streaming, not BLAS.
-    ``blocked=False`` forms both as single products, as verification did
-    before it streamed.
+    the whole product.  So by default the mixtures are formed from the
+    library's row blocks of the draws and the competitor matrix from its
+    column blocks of the points, and a comparison tests the streaming, not
+    BLAS.  ``blocked=False`` forms both as single products, as verification
+    did before it streamed.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     G, c = _max_affine_data(phi, dataset)
@@ -254,11 +267,14 @@ def dense_verify(
     extension = np.maximum(phi, np.max(phi[:, None] - edge_weights(dataset), axis=0))
     draws = rng.dirichlet(np.ones(n), size=mixtures)
     blocks = row_blocks(n, mixtures) if blocked else [slice(None)]
-    pool = np.vstack([G] + [draws[b] @ G for b in blocks])
+    Q = np.vstack([G[:0]] + [draws[b] @ G for b in blocks])
     lp = dict.fromkeys(LP_COUNTERS, 0)
-    pool_cost = np.concatenate([c, _conjugate_many(G, c, pool[n:], lp)])
-    cols = row_blocks(n, pool.shape[0]) if blocked else [slice(None)]
-    competitor = np.hstack([V @ pool[b].T for b in cols]) - pool_cost
+    cost = _conjugate_many(G, c, Q, lp)
+    if offsets:
+        Q, cost = np.vstack([G, Q]), np.concatenate([c, cost])
+    cols = row_blocks(n, Q.shape[0]) if blocked else [slice(None)]
+    vertices = [] if offsets else [extension[:, None]]
+    competitor = np.hstack(vertices + [V @ Q[b].T - cost[b] for b in cols])
     return RationalizationReport(extension - phi, competitor.max(axis=1) - phi, tol, n, mixtures, lp)
 
 

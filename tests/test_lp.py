@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cyclorat.lp import _pivot, batch_support_values, solve_equality_lp
+from cyclorat.lp import FEAS_TOL, _pivot, _warm_tableau, batch_support_values, solve_equality_lp
 
 from oracles import enumerate_basic_values
 
@@ -192,3 +192,18 @@ def test_start_that_is_not_a_basis_falls_back_to_two_phase():
     res = solve_equality_lp(c, A, b, start=(0, 1))
     assert res.status == "optimal"
     assert_allclose(res.value, 1.0, atol=1e-12)
+
+
+def test_warm_tableau_takes_the_callers_inverse():
+    # Handed pinv(A[:, B]), the start tableau is the one built from the
+    # pseudo-inverse it computes itself, byte for byte.
+    rng = np.random.default_rng(28)
+    for _ in range(20):
+        rows, cols = int(rng.integers(2, 5)), int(rng.integers(3, 9))
+        c, A, b = _random_transport_instance(rng, rows, cols)
+        basis = list(solve_equality_lp(c, A, b).basis)
+        b2 = np.append(rng.dirichlet(np.ones(cols)) @ A[:-1].T, 1.0)
+        bound = FEAS_TOL * (1.0 + np.abs(b2).max())
+        own = _warm_tableau(c, A, b2, basis, bound)
+        handed = _warm_tableau(c, A, b2, basis, bound, np.linalg.pinv(A[:, basis]))
+        assert own is not None and own.tobytes() == handed.tobytes()

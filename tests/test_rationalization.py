@@ -324,6 +324,41 @@ class TestConjugateCost:
         assert max(pivots) <= most
         assert total is None or sum(pivots) <= total
 
+    @pytest.mark.parametrize("kind", ["softmax-200-10", "projection", "luce-duplicated-rows"])
+    def test_warm_starts_take_the_certificates_inverse(self, kind, monkeypatch):
+        # Each warm start reuses the B^+ its basis's certificate computed.
+        # The values and counters equal those of warm starts that compute
+        # B^+ again from the same columns.
+        rng = np.random.default_rng(85)
+        if kind == "softmax-200-10":
+            d = pum_dataset("negentropy", rng, 200, 10)
+        elif kind == "projection":
+            d = pum_dataset("quadratic", rng, 150, 4)
+        else:
+            luce = luce_dataset(rng, 60, 3)
+            k = rng.choice(luce.n, 20, replace=False)
+            d = Dataset(luce.menu, np.vstack([luce.values_matrix, luce.values_matrix[k]]).tolist(),
+                        np.vstack([luce.probs_matrix, luce.probs_matrix[k]]).tolist())
+        G, c = _max_affine_data(compute_potentials(d), d)
+        Q = rng.dirichlet(np.ones(d.n), size=1000) @ G
+        solve, handed = rationalization.solve_equality_lp, []
+
+        def keep(*args, start=None, inverse=None):
+            if start:
+                handed.append(inverse is not None)
+            return solve(*args, start=start, inverse=inverse)
+
+        def drop(*args, start=None, inverse=None):
+            return solve(*args, start=start)
+
+        runs = []
+        for route in (keep, drop):
+            monkeypatch.setattr(rationalization, "solve_equality_lp", route)
+            counts = dict.fromkeys(rationalization.LP_COUNTERS, 0)
+            runs.append((_conjugate_many(G, c, Q, counts).tobytes(), counts))
+        assert runs[0] == runs[1]
+        assert len(handed) == runs[0][1]["warm_solves"] > 0 and all(handed)
+
     def test_matches_exact_two_alternative_oracle(self):
         rng = np.random.default_rng(37)
         for _ in range(10):
@@ -645,6 +680,32 @@ class TestVerifyRationalization:
         assert_allclose(report.optimality_gaps[1], 1e-6, atol=1e-12)
 
 
+class TestVertexPricing:
+    # Priced at c_j, vertex g_j's advantage at v^i is phi_j - W[j, i] - phi_i,
+    # whose maximum over j is the Fenchel gap.  Verification takes it from
+    # the extension, so no rounding of V @ G' can put a gap below it.
+    MENUS = {
+        "softmax": lambda rng: pum_dataset("negentropy", rng, 200, 10),
+        "projection": lambda rng: pum_dataset("quadratic", rng, 150, 4),
+        "luce": lambda rng: luce_dataset(rng, 120, 3),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(MENUS))
+    def test_without_mixtures_the_gaps_are_the_fenchel_gaps(self, kind):
+        d = self.MENUS[kind](np.random.default_rng(87))
+        report = verify_rationalization(d, compute_potentials(d), mixtures=0)
+        assert (report.n_vertex_points, report.n_mixture_points) == (d.n, 0)
+        assert report.optimality_gaps.tobytes() == report.fenchel_gaps.tobytes()
+
+    @pytest.mark.parametrize("kind", sorted(MENUS))
+    def test_the_fenchel_gap_is_a_floor(self, kind):
+        d = self.MENUS[kind](np.random.default_rng(87))
+        report = verify_rationalization(d, compute_potentials(d))
+        assert report.n_mixture_points == 1000
+        assert np.all(report.optimality_gaps >= report.fenchel_gaps)
+        assert np.all(report.optimality_gaps >= 0.0)
+
+
 class TestDegenerateGeometry:
     def test_duplicate_gradients_across_observations(self):
         rng = np.random.default_rng(60)
@@ -742,14 +803,16 @@ class TestStreamedVerify:
 
     def test_single_products_agree_to_rounding(self):
         # Against the whole products of the unstreamed formula, only BLAS's
-        # rounding of a block may differ.
+        # rounding of a block may differ.  Against vertices priced at their
+        # offsets c_j, as pool points, only the rounding of V @ G' may.
         for n, size in [(193, 9), (200, 10), (250, 7)]:
             d = pum_dataset("negentropy", np.random.default_rng(n + size), n, size)
             phi = compute_potentials(d)
             got = verify_rationalization(d, phi, mixtures=500)
-            want = dense_verify(d, phi, mixtures=500, blocked=False)
-            assert got.fenchel_gaps.tobytes() == want.fenchel_gaps.tobytes()
-            assert_allclose(got.optimality_gaps, want.optimality_gaps, rtol=0, atol=1e-13)
+            for want in (dense_verify(d, phi, mixtures=500, blocked=False),
+                         dense_verify(d, phi, mixtures=500, offsets=True)):
+                assert got.fenchel_gaps.tobytes() == want.fenchel_gaps.tobytes()
+                assert_allclose(got.optimality_gaps, want.optimality_gaps, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("cells", [None, 5 * 40])
     def test_blocked_draws_continue_one_stream(self, cells, monkeypatch):
