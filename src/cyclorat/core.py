@@ -85,7 +85,7 @@ def exact_simplex_array(nonneg: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Menu:
     """A finite set of alternatives with a fixed ordering.
 
@@ -107,13 +107,6 @@ class Menu:
     @property
     def size(self) -> int:
         return len(self.alternatives)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Menu)
-            and self.id == other.id
-            and self.alternatives == other.alternatives
-        )
 
     def __repr__(self):
         return f"Menu({self.id!r}, {list(self.alternatives)!r})"

@@ -132,7 +132,10 @@ def _conjugate_many(
     cold basis that fails the certificate (a rank-deficient one, say)
     answers only its own query; a warm one answers nothing and its query is
     solved cold.  ``counts``, a dict keyed by ``LP_COUNTERS``, sums its work.
+    The LP sees c over the power of two at or above max|c|, an exact scaling.
     """
+    unit = math.frexp(float(np.abs(c).max()))[1]
+    c = np.ldexp(c, -unit)
     A = np.vstack([G.T, np.ones((1, G.shape[0]))])  # sum lam_i g_i = q, sum lam_i = 1
     rhs = np.hstack([Q, np.ones((Q.shape[0], 1))])
     scale = 1.0 + np.abs(rhs).max(axis=1)
@@ -177,7 +180,7 @@ def _conjugate_many(
         counts["reused"] += int(hit.sum())
         closer = low > closest[rest]
         nearest[rest[closer]], closest[rest[closer]] = len(bases) - 1, low[closer]
-    return values
+    return np.ldexp(values, unit)
 
 
 # ---------------------------------------------------------------------------
@@ -269,60 +272,43 @@ def _frank_wolfe(G: np.ndarray, c: np.ndarray, eps: float, v: np.ndarray, tol: f
     lam = np.zeros(G.shape[0])
     lam[int(np.argmax(G @ v - c))] = 1.0
     q = lam @ G
-
-    def j_value(qv: np.ndarray, cost_lin: float) -> float:
-        return comp_dot(v, qv) - cost_lin - eps * _neg_entropy(qv)
-
-    cost_lin = comp_dot(c, lam)
-    phi = (1.0 + math.sqrt(5.0)) / 2.0
     for it in range(1, FW_MAX_ITERATIONS + 1):
         grad_q = v - eps * (1.0 + np.log(np.maximum(q, 1e-300)))
         grad_lam = G @ grad_q - c
         s = int(np.argmax(grad_lam))
         gap = float(grad_lam[s]) - comp_dot(grad_lam, lam)
         if gap <= tol:
-            return PumSolution(exact_simplex_array(np.maximum(q, 0.0)), j_value(q, cost_lin), gap, it)
-        active = np.flatnonzero(lam > 1e-15)
-        a = int(active[np.argmin(grad_lam[active])])
-        if s == a:
-            break
-        gamma_max = float(lam[a])
+            objective = comp_dot(v, q) - comp_dot(c, lam) - eps * _neg_entropy(q)
+            return PumSolution(exact_simplex_array(np.maximum(q, 0.0)), objective, gap, it)
+        # The away vertex a is the worst of those carrying over tol / n of
+        # the gap, one of which always does; a smaller weight may stay put.
+        carries = lam * (grad_lam[s] - grad_lam) > tol / lam.size
+        a = int(np.argmin(np.where(carries, grad_lam, np.inf)))
+        # Exact line search: moving gamma from a to s, J'(gamma) = <v, dq> -
+        # (c_s - c_a) - eps <dq, 1 + ln(q + gamma dq)> falls, so the step is
+        # the largest double in [0, lam_a] where J' >= 0: lam_a, or found by
+        # bisecting the bit patterns, which order non-negative doubles.
         dq = G[s] - G[a]
-        dcost = float(c[s] - c[a])
-
-        # Golden-section the 1-D slice; J is concave along the segment.
-        lo, hi = 0.0, gamma_max
-        m1 = hi - (hi - lo) / phi
-        m2 = lo + (hi - lo) / phi
-        f1 = j_value(q + m1 * dq, cost_lin + m1 * dcost)
-        f2 = j_value(q + m2 * dq, cost_lin + m2 * dcost)
-        for _ in range(60):
-            if hi - lo < 1e-14 * (1.0 + gamma_max):
-                break
-            if f1 < f2:
-                lo, m1, f1 = m1, m2, f2
-                m2 = lo + (hi - lo) / phi
-                f2 = j_value(q + m2 * dq, cost_lin + m2 * dcost)
-            else:
-                hi, m2, f2 = m2, m1, f1
-                m1 = hi - (hi - lo) / phi
-                f1 = j_value(q + m1 * dq, cost_lin + m1 * dcost)
-        gamma = 0.5 * (lo + hi)
-        end = j_value(q + gamma_max * dq, cost_lin + gamma_max * dcost)
-        if end > j_value(q + gamma * dq, cost_lin + gamma * dcost):
-            gamma = gamma_max
-        if gamma <= 0.0:
+        rise = float(v @ dq - (c[s] - c[a]))
+        qs, dq = q[dq != 0], dq[dq != 0]
+        step = lam[a:a + 1].copy()
+        bits = step.view(np.int64)
+        lo = 0
+        hi = mid = int(bits[0])
+        with np.errstate(divide="ignore", invalid="ignore"):  # ln 0 = -inf on a face
+            while lo < hi:
+                bits[0] = mid
+                if rise - eps * float(dq @ (1.0 + np.log(qs + step * dq))) >= 0.0:
+                    lo = mid
+                else:
+                    hi = mid - 1
+                mid = (lo + hi + 1) // 2
+        if lo == 0:
             break
-        lam = lam.copy()
-        lam[s] += gamma
-        lam[a] -= gamma
-        if lam[a] < 1e-17:
-            lam[a] = 0.0
-        cost_lin = cost_lin + gamma * dcost
-        q = q + gamma * dq
-        if it % 64 == 0:
-            q = lam @ G
-            cost_lin = comp_dot(c, lam)
+        bits[0] = lo
+        lam[s] += step[0]
+        lam[a] -= step[0]
+        q = lam @ G
     raise NoProgressError(f"pairwise Frank-Wolfe stalled above gap {tol:.3e}")
 
 

@@ -86,6 +86,12 @@ class TestTypes:
         with pytest.raises(ValidationError, match="^menu 'm' has duplicate alternative labels$"):
             Menu("m", ("x", "x"))
 
+    def test_menus_hash_by_value(self):
+        menu = Menu("m", ("x", "y"))
+        assert hash(menu) == hash(Menu("m", ["x", "y"]))
+        assert Menu("m", ["x", "y"]) in {menu}
+        assert Menu("m", ("y", "x")) not in {menu} and Menu("n", ("x", "y")) not in {menu}
+
     def test_value_vector_rejects_non_finite(self):
         with pytest.raises(ValidationError, match="^value vector contains non-finite entries$"):
             eval_preference(LuceExponential(), [1.0, np.inf])

@@ -245,6 +245,20 @@ class TestConjugateCost:
         assert_allclose(values, expected, atol=1e-9)
         assert_allclose(values[131], 2.7965869, atol=1e-8)
 
+    def test_lp_work_is_scale_free(self):
+        # Values and tolerances scaled by 2^k scale the potentials, the
+        # costs and the gaps exactly, and the LP sees the same problem at
+        # every k: the same counters and, divided by 2^k, the same gaps.
+        V = np.random.default_rng(0).uniform(-3.0, 3.0, (200, 10))
+        P = np.exp(V) / np.exp(V).sum(axis=1, keepdims=True)
+        runs = set()
+        for k in (-40, -20, 0, 20, 40):
+            d = Dataset(menu_of(10), (V * 2.0**k).tolist(), P.tolist())
+            report = verify_rationalization(d, compute_potentials(d, 1e-9 * 2.0**k), 2e-8 * 2.0**k)
+            assert report.passed
+            runs.add((tuple(report.lp.items()), (report.optimality_gaps / 2.0**k).tobytes()))
+        assert len(runs) == 1
+
     @pytest.mark.parametrize("n, size", [(25, 4), (25, 10), (200, 4), (200, 10)])
     def test_warm_starts_match_cold_solves(self, n, size):
         # One cold solve, then every unanswered query starts from a
@@ -511,21 +525,29 @@ class TestGeneralSolver:
         # From the unsmoothed maximizer a solve takes a few pairwise
         # Frank-Wolfe steps; from the uniform mixture it took one drop step
         # per vertex, at least n - 1 = 39 here.  The counts are pinned.
-        # Every tenth answer is checked against a tol-1e-12 solve, which
-        # takes hundreds of steps: objectives within 1e-10, probabilities
-        # within sqrt(2 gap / eps) of the maximizer for each solve.
-        rng = np.random.default_rng(5)
-        V = rng.uniform(-3.0, 3.0, (40, 5))
-        d = Dataset(menu_of(5), V.tolist(), (np.exp(V) / np.exp(V).sum(axis=1, keepdims=True)).tolist())
+        # Every answer is checked against a tol-1e-12 solve, which takes
+        # tens of steps, not hundreds: objectives within 1e-10,
+        # probabilities within sqrt(2 gap / eps) of the maximizer for each.
+        d = _softmax_menu_40x5()
         phi = compute_potentials(d)
         solutions = smoothed_choices(phi, d, epsilon, d.values_matrix, 1e-8)
         assert max(sol.iterations for sol in solutions) <= most
         assert sum(sol.iterations for sol in solutions) <= total
-        refs = smoothed_choices(phi, d, epsilon, d.values_matrix[::10], 1e-12)
-        for sol, ref in zip(solutions[::10], refs):
+        refs = smoothed_choices(phi, d, epsilon, d.values_matrix, 1e-12)
+        assert max(ref.iterations for ref in refs) <= 100
+        for sol, ref in zip(solutions, refs):
             assert abs(sol.objective - ref.objective) <= 1e-10
             bound = math.sqrt(2 * sol.gap / epsilon) + math.sqrt(2 * max(ref.gap, 0.0) / epsilon)
             assert np.max(np.abs(sol.probs - ref.probs)) <= bound
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_smoothed_solves_converge_on_projection_menus(self, k, monkeypatch):
+        # Projection choices put many observations on a face of the
+        # simplex, where the best step onto the face can be ~1e-28.
+        monkeypatch.setattr(rationalization, "FW_MAX_ITERATIONS", 2_000)
+        d = benchmark_lowdim_menu(1, k)
+        solutions = smoothed_choices(compute_potentials(d), d, 0.01, d.values_matrix, 1e-8)
+        assert max(sol.gap for sol in solutions) <= 1e-8
 
     @pytest.mark.parametrize(
         "kernel, cost",
@@ -569,6 +591,11 @@ def _assert_exact_closed_form(kernel, cost) -> None:
         best = comp_dot(v, p) - cost(p)
         rivals = [*np.eye(len(v)), *rng.dirichlet(np.ones(len(v)), size=200)]
         assert best >= max(comp_dot(v, q) - cost(q) for q in rivals) - 1e-12
+
+
+def _softmax_menu_40x5() -> Dataset:
+    V = np.random.default_rng(5).uniform(-3.0, 3.0, (40, 5))
+    return Dataset(menu_of(5), V.tolist(), (np.exp(V) / np.exp(V).sum(axis=1, keepdims=True)).tolist())
 
 
 def _duplicate_gradient_menu(rng: np.random.Generator) -> Dataset:
@@ -727,26 +754,36 @@ class TestDegenerateGeometry:
 
 class TestSolverErrorPaths:
     def test_budget_exhaustion_raises_no_progress(self, monkeypatch):
-        # At v = 0, off the data, the smoothed Frank-Wolfe solve to 1e-12
-        # takes hundreds of steps, so a budget of one cuts it short.
-        rng = np.random.default_rng(5)
-        V = rng.uniform(-3.0, 3.0, (40, 5))
-        d = Dataset(menu_of(5), V.tolist(), (np.exp(V) / np.exp(V).sum(axis=1, keepdims=True)).tolist())
-        phi = compute_potentials(d)
-        assert smoothed_choices(phi, d, 0.1, [np.zeros(5)], 1e-12)[0].iterations > 100
+        # At v = e_1, off the data, the smoothed Frank-Wolfe solve to 1e-12
+        # takes more than one step, so a budget of one cuts it short.
+        d = _softmax_menu_40x5()
+        phi, v = compute_potentials(d), np.eye(5)[0]
+        assert smoothed_choices(phi, d, 0.1, [v], 1e-12)[0].iterations > 1
         monkeypatch.setattr(rationalization, "FW_MAX_ITERATIONS", 1)
         with pytest.raises(NoProgressError):
-            smoothed_choices(phi, d, 0.1, [np.zeros(5)], 1e-12)
+            smoothed_choices(phi, d, 0.1, [v], 1e-12)
 
-    @pytest.mark.xfail(strict=True, raises=NoProgressError, reason="pairwise Frank-Wolfe cycles here")
     def test_smoothed_solve_converges_on_a_projection_menu(self, monkeypatch):
-        # Observation 5 of report_menus' seed-1 menu lowdim_01 at eps = 0.1:
-        # one step moves ~1e-13 of weight onto a vertex and the next drops
-        # it again, so the gap returns to 64.8 and the solve never ends.
+        # Observation 5 of report_menus' seed-1 menu lowdim_01 at eps = 0.1
+        # starts on a face, q = (0, 0, 0.577, 0.423), where the best step
+        # onto the face moves ~1e-13 of weight.
         monkeypatch.setattr(rationalization, "FW_MAX_ITERATIONS", 2_000)
         d = benchmark_lowdim_menu(1, 1)
         (sol,) = smoothed_choices(compute_potentials(d), d, 0.1, d.values_matrix[4:5], 1e-8)
         assert sol.gap <= 1e-8
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=NoProgressError,
+        reason="pairwise Frank-Wolfe zigzags between three vertices of a face; ROADMAP item 2's face step",
+    )
+    def test_smoothed_solves_converge_on_a_face_at_larger_epsilon(self, monkeypatch):
+        # Observations 30 and 124 of the same menu at eps = 0.1: two pairs
+        # that share a vertex take turns, each step undoing most of the last.
+        monkeypatch.setattr(rationalization, "FW_MAX_ITERATIONS", 2_000)
+        d = benchmark_lowdim_menu(1, 1)
+        solutions = smoothed_choices(compute_potentials(d), d, 0.1, d.values_matrix[[29, 123]], 1e-8)
+        assert max(sol.gap for sol in solutions) <= 1e-8
 
     def test_smoothed_cost_requires_positive_epsilon(self, softmax_fixture):
         phi = compute_potentials(softmax_fixture)
