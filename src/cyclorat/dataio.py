@@ -14,7 +14,7 @@ import csv
 import io
 from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -39,33 +39,25 @@ def csv_field(text: str) -> str:
     return buf.getvalue()[:-3]
 
 
-def _read_columns(reader, fields: int, ids: set[int]) -> tuple[list[list[str]], Iterator | None]:
+def _read_columns(reader, fields: int, ids: set[int]) -> list[list[str]] | None:
     """The records as columns, read in chunks so few row lists live at once.
 
-    Equal cells of an ``ids`` column share one string.  Stops at the first
-    chunk holding a blank or ill-sized record, or one the csv module cannot
-    read, and then also returns the records from that chunk on (an unreadable
-    one raises its ``csv.Error`` when reached).
+    Equal cells of an ``ids`` column share one string, and blank lines (read
+    as ``[]``) are dropped.  Returns None at the first ill-sized record or one
+    the csv module cannot read.
     """
     columns: list[list[str]] = [[] for _ in range(fields)]
     shared: dict[str, str] = {}
-    while True:
-        chunk: list[list[str]] = []
-        try:
-            chunk.extend(islice(reader, 128))
-        except csv.Error as exc:
-            return columns, chain(chunk, _raising(exc))
-        if not chunk:
-            return columns, None
-        if set(map(len, chunk)) != {fields}:
-            return columns, chain(chunk, reader)
-        for k, cells in enumerate(zip(*chunk)):
-            columns[k].extend(map(shared.setdefault, cells, cells) if k in ids else cells)
-
-
-def _raising(exc: Exception) -> Iterator:
-    raise exc
-    yield  # a generator, so the error comes when the records reach it
+    try:
+        for chunk in iter(lambda: list(islice(reader, 128)), []):
+            chunk = list(filter(None, chunk))
+            if not set(map(len, chunk)) <= {fields}:
+                return None
+            for k, cells in enumerate(zip(*chunk)):
+                columns[k].extend(map(shared.setdefault, cells, cells) if k in ids else cells)
+    except csv.Error:
+        return None
+    return columns
 
 
 def _first_appearance(labels: Iterable[str]) -> tuple[np.ndarray, list[str]]:
@@ -142,13 +134,14 @@ def parse_datasets_csv(path) -> dict[str, Dataset]:
 
     Menus are returned in order of first appearance.  The records are read
     as columns and scattered into each menu's value and probability
-    matrices.  Only a file with a blank or faulty record is walked record by
-    record, to skip the blanks and report the first fault in file order.
+    matrices.  Only a file with a faulty record is walked again, record by
+    record, to report the first fault in file order.
     Validation uses ``core.TOL_SIMPLEX`` and its failures carry the
     offending menu/observation identifiers.  No record at all is an error.
     """
     path = Path(path)
     with path.open("r", encoding="utf-8-sig", newline="") as fh:  # drops a leading BOM
+        fh = fh if fh.seekable() else io.StringIO(fh.read(), newline="")  # a pipe is read whole
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -166,12 +159,15 @@ def parse_datasets_csv(path) -> dict[str, Dataset]:
             raise ParseError(1, f"repeated column(s): {', '.join(repeated)}")
         col = {name: header.index(name) for name in CSV_COLUMNS}
         ids = {col[c] for c in CSV_COLUMNS[:3]}
-        columns, rest = _read_columns(reader, len(header), ids)
-        menus = None if rest else _menus(columns, col)
-        if menus is None:  # walk the records to skip blanks and report the first fault
-            columns = _screen(chain(zip(*columns), rest or ()), len(header), col)
+        columns = _read_columns(reader, len(header), ids)
+        menus = None if columns is None else _menus(columns, col)
+        if menus is None:  # walk the records from the first to report the first fault
+            fh.seek(0)
+            reader = csv.reader(fh)
+            next(reader)
+            columns = _screen(reader, len(header), col)
             menus = _menus(columns, col)
-    del columns, rest
+    del columns
     if not menus:
         raise ValidationError(f"{path} holds no records")
 

@@ -76,8 +76,14 @@ def _query_point(dataset: Dataset, x, name: str) -> np.ndarray:
     return arr
 
 
+def _check_potentials(phi: np.ndarray, dataset: Dataset) -> None:
+    if not isinstance(phi, np.ndarray) or phi.shape != (dataset.n,) or not np.all(np.isfinite(phi)):
+        raise ValidationError(f"potentials must be an array of {dataset.n} finite numbers")
+
+
 def _max_affine_data(phi: np.ndarray, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Gradients G = P and affine offsets c_i = <g_i, v^i> - phi_i."""
+    _check_potentials(phi, dataset)
     V, G = dataset.values_matrix, dataset.probs_matrix
     c = np.array([comp_dot(G[i], V[i]) - phi[i] for i in range(phi.size)])
     return G, c
@@ -221,6 +227,7 @@ def fitted_choice(phi: np.ndarray, dataset: Dataset, v) -> tuple[np.ndarray, flo
     exactly; the maximizer need not be unique.  A ``v`` that is not a
     finite vector over the menu raises ``ValidationError``.
     """
+    _check_potentials(phi, dataset)
     vv = _query_point(dataset, v, "value vector")
     V, G = dataset.values_matrix, dataset.probs_matrix
     pieces = [phi[i] + comp_dot(G[i], vv - V[i]) for i in range(phi.size)]

@@ -9,58 +9,31 @@ aside.
 
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import _make_iterencode, encode_basestring
 
 SCHEMA_VERSION = 2
 
 
-def _render(obj, indent: int, out: list[str]) -> None:
-    pad = "  " * indent
-    if obj is None or obj is True or obj is False:
-        out.append("null" if obj is None else "true" if obj else "false")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=False))
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        if math.isnan(obj) or math.isinf(obj):
-            out.append("null")
-        else:
-            out.append(format(obj, ".17g"))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        keys = sorted(obj, key=str)
-        for k, key in enumerate(keys):
-            out.append(f"{pad}  {json.dumps(str(key), ensure_ascii=False)}: ")
-            _render(obj[key], indent + 1, out)
-            out.append(",\n" if k < len(keys) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for k, item in enumerate(obj):
-            out.append(pad + "  ")
-            _render(item, indent + 1, out)
-            out.append(",\n" if k < len(obj) - 1 else "\n")
-        out.append(pad + "]")
-    else:
-        try:
-            _render(obj.tolist(), indent, out)  # numpy scalars and arrays
-        except AttributeError:
-            raise TypeError(f"cannot serialize {type(obj).__name__}") from None
+def _float17(x: float) -> str:
+    return format(x, ".17g") if math.isfinite(x) else "null"
+
+
+def _tolist(obj):
+    if not hasattr(obj, "tolist"):  # numpy scalars and arrays have it
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+    return obj.tolist()
+
+
+# json.dumps writes floats with float.__repr__; the pure-Python encoder behind its
+# indented output takes the float format as an argument.  The arguments: markers,
+# default, encoder, indent, floatstr, separators, sort_keys, skipkeys, one_shot.
+_encode = _make_iterencode(None, _tolist, encode_basestring, "  ", _float17, ": ", ",", True, False, False)
 
 
 def dumps_report(report: dict) -> str:
     """Serialize a report dict to canonical JSON text (with trailing LF)."""
-    out: list[str] = []
-    _render(report, 0, out)
-    return "".join(out) + "\n"
+    return "".join(_encode(report, 0)) + "\n"
 
 
 def strip_timing(report: dict) -> dict:

@@ -2,7 +2,9 @@
 
 import csv
 import json
+import os
 import random
+import threading
 import warnings
 
 import numpy as np
@@ -16,6 +18,7 @@ from cyclorat import (
     RecordValidationError,
     ValidationError,
 )
+from cyclorat import dataio
 from cyclorat.dataio import (
     ParseError,
     parse_dataset_csv,
@@ -446,6 +449,47 @@ def test_blank_rows_between_chunks_change_nothing(tmp_path):
     spaced = tmp_path / "spaced.csv"
     spaced.write_text(HEADER + "\n".join(rows) + "\n")
     assert parse_datasets_csv(spaced) == parse_datasets_csv(plain)
+
+
+def test_blank_lines_keep_the_columnar_parse(tmp_path, monkeypatch):
+    # Blank lines anywhere are dropped as the columns are read; only a
+    # faulty record sends the file through the record-by-record walk.
+    rows = _long_body()
+    plain = tmp_path / "plain.csv"
+    plain.write_text(HEADER + "\n".join(rows) + "\n")
+    want = parse_datasets_csv(plain)
+    for k in (300, 129, 128, 127, 3, 0):
+        rows.insert(k, "")
+    blank = tmp_path / "blank.csv"
+    blank.write_text(HEADER + "\n".join(rows) + "\n\n\n")
+
+    def walked(*args):
+        raise AssertionError("the record-by-record walk ran")
+
+    monkeypatch.setattr(dataio, "_screen", walked)
+    assert parse_datasets_csv(blank) == want
+    monkeypatch.undo()
+    # A leading BOM is dropped again when a faulty file is walked from its start.
+    blank.write_bytes(b"\xef\xbb\xbf" + (HEADER + "m,1,x,0,0.5\n\n\nm,1,y,0,oops\n").encode())
+    with pytest.raises(ParseError) as err:
+        parse_datasets_csv(blank)
+    assert err.value.line == 5
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_faulty_file_from_a_pipe_reports_its_line(tmp_path):
+    # A pipe cannot be read twice, yet a fault in it is still found by the walk.
+    fifo = tmp_path / "d.csv"
+    os.mkfifo(fifo)
+    body = HEADER + "m,1,x,0,0.5\n\nm,1,y,zero,0.5\n"
+    writer = threading.Thread(target=fifo.write_text, args=(body,), daemon=True)
+    writer.start()
+    try:
+        with pytest.raises(ParseError, match="^line 4: could not convert string to float: 'zero'$"):
+            parse_datasets_csv(fifo)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
 
 
 def _random_csv(rng: random.Random) -> str:

@@ -170,6 +170,34 @@ class TestQueryPoints:
         with pytest.raises(ValidationError, match=error):
             read(compute_potentials(d), d, point)
 
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda phi, d: cost_description(phi, d),
+            lambda phi, d: conjugate_cost(phi, d, d.probs_matrix[0]),
+            lambda phi, d: fitted_choice(phi, d, d.values_matrix[0]),
+            lambda phi, d: smoothed_choices(phi, d, 0.1, d.values_matrix),
+            lambda phi, d: verify_rationalization(d, phi, mixtures=10),
+        ],
+        ids=["cost", "conjugate", "choice", "smoothed", "verify"],
+    )
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            lambda phi: phi[:-1],
+            lambda phi: np.append(phi, 0.0),
+            lambda phi: np.where(np.arange(6) == 3, np.nan, phi),
+            lambda phi: phi[None, :],
+            lambda phi: phi.tolist(),
+        ],
+        ids=["short", "long", "nan", "2d", "list"],
+    )
+    def test_potentials_off_the_dataset_are_rejected(self, read, bad):
+        # Potentials are an array of one finite number per observation, here six.
+        d = luce_dataset(np.random.default_rng(36), 6, 3)
+        with pytest.raises(ValidationError, match="^potentials must be an array of 6 finite numbers$"):
+            read(bad(compute_potentials(d)), d)
+
 
 class TestConjugateCost:
     def test_fixture_values(self, softmax_fixture):
@@ -618,6 +646,21 @@ def _count_lp_calls(monkeypatch) -> list:
 
 
 class TestVerifyRationalization:
+    @pytest.mark.parametrize("seed", [30, 62, 68, 99, 131, 152, 180, 218, 239, 273, 290, 295])
+    def test_values_at_the_bound_verify_without_overflow(self, seed):
+        # Softmax menus with values up to float max / (32 n) in magnitude.
+        # Before the conjugate LP worked in units of max|c|, these seeds'
+        # verifications overflowed in their products; the suite turns any
+        # such RuntimeWarning into an error.
+        rng = np.random.default_rng(seed)
+        n, size = int(rng.integers(2, 12)), int(rng.integers(2, 6))
+        U = rng.choice([-1.0, 1.0], (n, size)) * rng.uniform(0.5, 1, (n, size))
+        values = U * (np.finfo(float).max / (32 * n))
+        d = Dataset(menu_of(size), values, [softmax_probabilities(u) for u in U])
+        verdict = check_cyclic_monotonicity(d)
+        assert verdict.decided_by == "certificate"
+        assert verify_rationalization(d, verdict.potentials, 1e-9 + 1e-8).passed
+
     def test_softmax_fixture(self, softmax_fixture):
         phi = compute_potentials(softmax_fixture)
         report = verify_rationalization(softmax_fixture, phi, 1e-9)

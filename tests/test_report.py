@@ -47,3 +47,56 @@ def test_strip_timing_removes_nested_fields():
 
 def test_empty_containers():
     assert json.loads(dumps_report({"a": {}, "b": []})) == {"a": {}, "b": []}
+
+
+def test_golden_bytes():
+    import numpy as np
+
+    report = {
+        "z": [1, -0.6, {}, [], {"b": True, "a": False}, None, (2.5, "x")],
+        "a": {"ü ß": 'tab\there\x01é"\\', "nan": math.nan, "inf": math.inf, "-inf": -math.inf},
+        "np": {"f": np.float64(0.1), "i": np.int64(-7), "arr": np.array([[0.5, 2], [3, 4]])},
+        "B": 10**20,
+        "zero": -0.0,
+    }
+    expected = r'''{
+  "B": 100000000000000000000,
+  "a": {
+    "-inf": null,
+    "inf": null,
+    "nan": null,
+    "ü ß": "tab\there\u0001é\"\\"
+  },
+  "np": {
+    "arr": [
+      [
+        0.5,
+        2
+      ],
+      [
+        3,
+        4
+      ]
+    ],
+    "f": 0.10000000000000001,
+    "i": -7
+  },
+  "z": [
+    1,
+    -0.59999999999999998,
+    {},
+    [],
+    {
+      "a": false,
+      "b": true
+    },
+    null,
+    [
+      2.5,
+      "x"
+    ]
+  ],
+  "zero": -0
+}
+'''
+    assert dumps_report(report) == expected
