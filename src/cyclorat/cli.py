@@ -305,15 +305,15 @@ def run(config: RunConfig) -> tuple[int, dict]:
 
 
 #: Each flag's argparse settings.  A subcommand accepts only the flags it
-#: reads; a ``RunConfig`` field it takes no flag for keeps its default.
+#: reads; a field whose flag is omitted or absent keeps its ``RunConfig`` default.
 _FLAGS = {
     "input": {"help": "dataset CSV path"},
     "output": {"help": "output path (report JSON, or dataset CSV for simulate)"},
     "model": {"help": "model spec JSON path"},
-    "tol-cm": {"type": float, "default": TOL_CM, "help": "per-edge slack on cycle means"},
-    "tol-opt": {"type": float, "default": TOL_OPT, "help": "verification slack beyond --tol-cm"},
-    "epsilon": {"type": float, "default": 0.0, "help": "entropic smoothing weight"},
-    "seed": {"type": int, "default": 0, "help": "seed for sampled verification or the simulated design"},
+    "tol-cm": {"type": float, "help": "per-edge slack on cycle means"},
+    "tol-opt": {"type": float, "help": "verification slack beyond --tol-cm"},
+    "epsilon": {"type": float, "help": "entropic smoothing weight"},
+    "seed": {"type": int, "help": "seed for sampled verification or the simulated design"},
 }
 
 
@@ -332,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("verify", "fit plus Fenchel/optimality verification", "input output tol-cm tol-opt epsilon seed"),
         ("report-all", "full pipeline plus diagnostics", "input output tol-cm tol-opt epsilon seed"),
     ):
-        p = sub.add_parser(name, help=doc)
+        p = sub.add_parser(name, help=doc, argument_default=argparse.SUPPRESS)
         for flag in flags.split():
             p.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser

@@ -140,9 +140,9 @@ def validate_simplex(raw, tol: float = TOL_SIMPLEX) -> np.ndarray:
 
 # A function apart from Dataset.__init__ because bench/tracer.py times it,
 # by this name, as the benchmark's core.validate layer.
-def validate_dataset(menu: Menu, values, probs, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """What ``Dataset(menu, values, probs, tol=tol)`` runs: C-ordered float
-    copies of the rows, checked and renormalized.
+def validate_dataset(menu: Menu, values, probs) -> tuple[np.ndarray, np.ndarray]:
+    """What ``Dataset(menu, values, probs)`` runs: C-ordered float copies of
+    the rows, checked and renormalized.
 
     Row k of ``values`` and ``probs`` is observation k + 1, the index used
     in witness cycles, reports and the ``RecordValidationError`` that
@@ -150,13 +150,11 @@ def validate_dataset(menu: Menu, values, probs, tol: float) -> tuple[np.ndarray,
     a row of finite values and probabilities in [0, 1] whose compensated
     sum is within the bit-level slack of one is what ``validate_simplex``
     returns unchanged; every other record (all of them, if the rows are
-    ragged) goes through the scalar validators with ``tol``.  Values beyond
-    ``check_value_scale`` are rejected and a NaN ``tol`` raises
-    ``ValueError``.  Duplicate value vectors with differing probabilities
-    are kept but trigger a ``DuplicateValuesWarning``: no single-valued
-    choice map gives such data.
+    ragged) goes through the scalar validators at ``TOL_SIMPLEX``.  Values
+    beyond ``check_value_scale`` are rejected.  Duplicate value vectors with
+    differing probabilities are kept but trigger a
+    ``DuplicateValuesWarning``: no single-valued choice map gives such data.
     """
-    _check_tol(tol)
     if len(values) != len(probs):
         raise ValidationError(f"{len(values)} value rows vs {len(probs)} probability rows")
     if not len(values):
@@ -183,7 +181,7 @@ def validate_dataset(menu: Menu, values, probs, tol: float) -> tuple[np.ndarray,
             v = _check_vector(raw_values[k], name="value vector")
             if v.size != menu.size:
                 raise ValidationError(f"{v.size} values against a menu of size {menu.size}")
-            p = validate_simplex(raw_probs[k], tol)
+            p = validate_simplex(raw_probs[k])
             if p.size != menu.size:
                 raise ValidationError(f"{p.size} probabilities against a menu of size {menu.size}")
             values[k], probs[k] = v, p
@@ -210,37 +208,27 @@ def validate_dataset(menu: Menu, values, probs, tol: float) -> tuple[np.ndarray,
 
 class Dataset:
     """Observations over one menu, validated (``validate_dataset``):
-    read-only n-by-|A| matrices of value vectors and of choice
-    probabilities, copied once from the caller's rows."""
+    ``values_matrix`` and ``probs_matrix``, read-only n-by-|A| matrices of
+    value vectors and choice probabilities copied once from the caller."""
 
-    def __init__(self, menu: Menu, values, probs, *, tol: float = TOL_SIMPLEX):
-        values, probs = validate_dataset(menu, values, probs, tol)
+    def __init__(self, menu: Menu, values, probs):
+        values, probs = validate_dataset(menu, values, probs)
         values.flags.writeable = probs.flags.writeable = False
-        self.__dict__.update(menu=menu, _values=values, _probs=probs)
+        self.__dict__.update(menu=menu, values_matrix=values, probs_matrix=probs)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     @property
     def n(self) -> int:
-        return self._values.shape[0]
-
-    @property
-    def values_matrix(self) -> np.ndarray:
-        """n-by-|A| matrix of value vectors (read-only)."""
-        return self._values
-
-    @property
-    def probs_matrix(self) -> np.ndarray:
-        """n-by-|A| matrix of choice probabilities (read-only)."""
-        return self._probs
+        return self.values_matrix.shape[0]
 
     def __eq__(self, other):
         return (
             isinstance(other, Dataset)
             and self.menu == other.menu
-            and np.array_equal(self._values, other._values)
-            and np.array_equal(self._probs, other._probs)
+            and np.array_equal(self.values_matrix, other.values_matrix)
+            and np.array_equal(self.probs_matrix, other.probs_matrix)
         )
 
     def __repr__(self):

@@ -42,15 +42,15 @@ def csv_field(text: str) -> str:
 def _read_columns(reader, fields: int, ids: set[int]) -> list[list[str]] | None:
     """The records as columns, read in chunks so few row lists live at once.
 
-    Equal cells of an ``ids`` column share one string, and blank lines (read
-    as ``[]``) are dropped.  Returns None at the first ill-sized record or one
-    the csv module cannot read.
+    Equal cells of an ``ids`` column share one string, and records of empty
+    cells (``[]`` from a blank line, or ``,,,,``) are dropped.  Returns None
+    at the first ill-sized record or one the csv module cannot read.
     """
     columns: list[list[str]] = [[] for _ in range(fields)]
     shared: dict[str, str] = {}
     try:
         for chunk in iter(lambda: list(islice(reader, 128)), []):
-            chunk = list(filter(None, chunk))
+            chunk = list(filter(any, chunk))
             if not set(map(len, chunk)) <= {fields}:
                 return None
             for k, cells in enumerate(zip(*chunk)):
@@ -177,14 +177,6 @@ def parse_datasets_csv(path) -> dict[str, Dataset]:
             raise ValidationError(fault)
         out[menu_id] = Dataset(Menu(menu_id, tuple(alts)), values, probs)
     return out
-
-
-def parse_dataset_csv(path) -> Dataset:
-    """Parse a CSV that must contain exactly one menu."""
-    datasets = parse_datasets_csv(path)
-    if len(datasets) != 1:
-        raise ValidationError(f"expected a single menu, file has {sorted(datasets)!r}")
-    return next(iter(datasets.values()))
 
 
 def write_dataset_csv(path, datasets: Dataset | Sequence[Dataset]) -> None:

@@ -136,9 +136,10 @@ def _conjugate_many(
     starts from the certified basis whose lam_B was least infeasible for
     it, and from its certificate's B^+, so dual pivots replace phase 1.  A
     cold basis that fails the certificate (a rank-deficient one, say)
-    answers only its own query; a warm one answers nothing and its query is
-    solved cold.  ``counts``, a dict keyed by ``LP_COUNTERS``, sums its work.
-    The LP sees c over the power of two at or above max|c|, an exact scaling.
+    answers only its own query; a warm one, or a warm start that does not
+    settle, answers nothing and its query is solved cold.  ``counts``, a
+    dict keyed by ``LP_COUNTERS``, sums its work.  The LP sees c over the
+    power of two at or above max|c|, an exact scaling.
     """
     unit = math.frexp(float(np.abs(c).max()))[1]
     c = np.ldexp(c, -unit)
@@ -153,13 +154,17 @@ def _conjugate_many(
     counts = dict.fromkeys(LP_COUNTERS, 0) if counts is None else counts
     while todo.any():
         k = int(np.argmax(todo))
-        start, inverse = bases[nearest[k]] if nearest[k] >= 0 else (None, None)
-        res = solve_equality_lp(c, A, rhs[k], start=start, inverse=inverse)
+        start = bases[nearest[k]] if nearest[k] >= 0 else None
+        res = solve_equality_lp(c, A, rhs[k], start=start)
         counts["warm_solves" if start else "cold_solves"] += 1
         counts["pivots"] += res.pivots
         if res.status == "infeasible":
             values[k] = math.inf
             todo[k] = False
+            continue
+        if res.status != "optimal" and start:  # a warm start that did not settle: redo cold
+            counts["rejected_bases"] += 1
+            nearest[k] = -1
             continue
         if res.status != "optimal":
             raise CycloratError(f"conjugate LP did not converge: {res.status}")

@@ -387,10 +387,10 @@ def write_series_csv(path: Path, rows: list[tuple[str, str, str, float]]) -> Non
             fh.write(f"{csv_field(menu_id)},{series},{key},{value:.17g}\n")
 
 
-def validate_dataset_per_record(menu: Menu, values_rows, probs_rows, *, tol=1e-9) -> tuple:
-    """``Dataset(menu, values_rows, probs_rows, tol=tol)`` one record at a
-    time, through the scalar validators: ``(menu, values, probs)``, the
-    matrices built here from the validated rows."""
+def validate_dataset_per_record(menu: Menu, values_rows, probs_rows) -> tuple:
+    """``Dataset(menu, values_rows, probs_rows)`` one record at a time,
+    through the scalar validators: ``(menu, values, probs)``, the matrices
+    built here from the validated rows."""
     if len(values_rows) != len(probs_rows):
         raise ValidationError(f"{len(values_rows)} value rows vs {len(probs_rows)} probability rows")
     if not len(values_rows):
@@ -405,7 +405,7 @@ def validate_dataset_per_record(menu: Menu, values_rows, probs_rows, *, tol=1e-9
                 raise ValidationError(
                     f"{v.size} values against a menu of size {menu.size}"
                 )
-            p = validate_simplex(probs, tol)
+            p = validate_simplex(probs)
             if p.size != menu.size:
                 raise ValidationError(
                     f"{p.size} probabilities against a menu of size {menu.size}"

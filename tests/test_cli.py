@@ -6,13 +6,14 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from cyclorat import cli, monotonicity
+from cyclorat import Dataset, Menu, cli, monotonicity
 from cyclorat.cli import EXIT_OK, EXIT_REJECTED, EXIT_USAGE, RunConfig, main, run
-from cyclorat.dataio import parse_dataset_csv, parse_datasets_csv, write_dataset_csv
+from cyclorat.dataio import parse_datasets_csv, write_dataset_csv
 from cyclorat.errors import NoProgressError
 from cyclorat.rationalization import RationalizationReport
 from cyclorat.report import dumps_report, strip_timing
@@ -150,7 +151,7 @@ class TestFitVerify:
         assert "tol_simplex" not in report["config"]
         menu = report["menus"][0]
         assert set(menu["potentials"]) == {"base_index", "potentials"}
-        assert menu["cost"]["vertices"] == parse_dataset_csv(softmax_path).probs_matrix.tolist()
+        assert menu["cost"]["vertices"] == parse_datasets_csv(softmax_path)["m"].probs_matrix.tolist()
         assert "gradients" not in out.read_text()
 
     def test_check_pass_is_not_a_verify_failure(self, tmp_path):
@@ -196,6 +197,22 @@ class TestFitVerify:
         assert main([command, "--input", str(softmax_path), "--output", str(out)]) == EXIT_REJECTED
         assert json.loads(out.read_text())["menus"][0]["verification"]["passed"] is False
 
+    @pytest.mark.parametrize("k", [28, 40])
+    def test_certified_pass_verifies_at_large_value_scales(self, tmp_path, k):
+        # Softmax choices on uniform(-3, 3) values, then the values times
+        # 2^k.  At 2^28 verify once failed a gap of one ulp at 1e9 against
+        # an absolute gate; the LP now works in units of max|c| and verify
+        # prices its vertex competitors through f, so the check's
+        # certificate carries over to verification.
+        V = np.random.default_rng(0).uniform(-3.0, 3.0, (50, 5))
+        P = np.exp(V) / np.exp(V).sum(axis=1, keepdims=True)
+        data, out = tmp_path / "scaled.csv", tmp_path / "report.json"
+        write_dataset_csv(data, Dataset(Menu("m", tuple("abcde")), (V * 2.0**k).tolist(), P.tolist()))
+        assert main(["verify", "--input", str(data), "--output", str(out)]) == EXIT_OK
+        menu = json.loads(out.read_text())["menus"][0]
+        assert menu["cyclic_monotonicity"]["decided_by"] == "certificate"
+        assert menu["verification"]["passed"] is True
+
 
 class TestSimulate:
     def test_simulate_round_trip(self, tmp_path):
@@ -207,7 +224,7 @@ class TestSimulate:
         )
         out = tmp_path / "sim.csv"
         assert main(["simulate", "--model", str(spec), "--output", str(out), "--seed", "9"]) == EXIT_OK
-        d = parse_dataset_csv(out)
+        d = parse_datasets_csv(out)["sim"]
         assert d.n == 8
         assert d.menu.size == 3
         # Deterministic under the same seed.
@@ -703,6 +720,35 @@ def test_wst_section_reports_conflicting_pairs(tmp_path):
     code, report = run(RunConfig(command="report-all", input=str(path)))
     wst = report["weak_stochastic_transitivity"]
     assert "error" in wst
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("simulate", {}),
+        ("simulate", {"seed": 4}),
+        ("check", {}),
+        ("check", {"tol_cm": 1e-7}),
+        ("fit", {"tol_cm": 2e-9}),
+        ("verify", {}),
+        ("verify", {"tol_opt": 1e-6, "seed": 3}),
+        ("report-all", {}),
+        ("report-all", {"tol_cm": 1e-8, "tol_opt": 1e-7, "epsilon": 0.5, "seed": 1}),
+    ],
+)
+def test_report_config_takes_runconfig_defaults(tmp_path, capsys, command, flags):
+    # A flag left out takes the RunConfig field's default: the report's
+    # config is the RunConfig built from the flags given.
+    spec, data, out = tmp_path / "model.json", tmp_path / "d.csv", tmp_path / "out"
+    spec.write_text('{"family": "luce_exponential", "menu": {"id": "sim", "alternatives": ["a", "b"]},'
+                    ' "design": {"count": 3, "low": -1, "high": 1}}')
+    data.write_text(SOFTMAX_CSV)
+    paths = {"model": str(spec)} if command == "simulate" else {"input": str(data)}
+    given = dict(paths, output=str(out), **flags)
+    argv = [command] + [f"--{k.replace('_', '-')}={v}" for k, v in given.items()]
+    assert main(argv) == EXIT_OK
+    report = json.loads(capsys.readouterr().out if command == "simulate" else out.read_text())
+    assert report["config"] == asdict(RunConfig(command, **given))
 
 
 def test_version_and_help_exit_zero(capsys):

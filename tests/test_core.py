@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from cyclorat import (
+    TOL_SIMPLEX,
     Dataset,
     DuplicateValuesWarning,
     LuceExponential,
@@ -262,12 +263,12 @@ def _random_records(rng: np.random.Generator, tol: float) -> tuple[list, list, i
     return values_rows, probs_rows, size
 
 
-def _outcome(validate, menu, values, probs, **kwargs):
+def _outcome(validate, menu, values, probs):
     # A Dataset must hold frozen matrices; the oracle returns (menu, values, probs).
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            d = validate(menu, values, probs, **kwargs)
+            d = validate(menu, values, probs)
         except RecordValidationError as exc:
             result = [(i, type(e), str(e)) for i, e in exc.record_errors]
         except Exception as exc:
@@ -284,11 +285,10 @@ def test_batched_validation_matches_per_record_oracle():
     rng = np.random.default_rng(2024)
     kinds = {"dataset": 0, "failures": 0, "warned": 0}
     for _ in range(600):
-        tol = float(rng.choice([1e-9, 1e-6]))
-        values, probs, size = _random_records(rng, tol)
+        values, probs, size = _random_records(rng, TOL_SIMPLEX)
         menu = Menu("m", tuple("xyzw"[:size])) if rng.random() < 0.5 else menu_of(size)
-        got = _outcome(Dataset, menu, values, probs, tol=tol)
-        assert got == _outcome(validate_dataset_per_record, menu, values, probs, tol=tol)
+        got = _outcome(Dataset, menu, values, probs)
+        assert got == _outcome(validate_dataset_per_record, menu, values, probs)
         kinds["dataset" if isinstance(got[0], tuple) and len(got[0]) == 3 else "failures"] += 1
         kinds["warned"] += bool(got[1])
     assert min(kinds.values()) >= 20, kinds
@@ -353,14 +353,13 @@ def test_column_permuted_and_fortran_matrices_are_accepted():
     "call",
     [
         lambda d: validate_simplex([0.3, 0.3], math.nan),
-        lambda d: Dataset(menu_of(2), [[0, 1], [1, 0]], [[0.3, 0.3], [2.0, -1.0]], tol=math.nan),
         lambda d: check_weak_stochastic_transitivity({("x", "y"): 0.6, ("y", "x"): 0.6}, math.nan),
         lambda d: check_two_point_monotonicity(d, math.nan),
         lambda d: smoothed_choices(np.zeros(2), d, 0.1, d.values_matrix, math.nan),
         lambda d: verify_rationalization(d, np.zeros(2), math.nan),
     ],
     ids=[
-        "validate_simplex", "Dataset", "check_weak_stochastic_transitivity",
+        "validate_simplex", "check_weak_stochastic_transitivity",
         "check_two_point_monotonicity", "smoothed_choices", "verify_rationalization",
     ],
 )

@@ -21,7 +21,6 @@ from cyclorat import (
 from cyclorat import dataio
 from cyclorat.dataio import (
     ParseError,
-    parse_dataset_csv,
     parse_datasets_csv,
     write_dataset_csv,
 )
@@ -41,7 +40,7 @@ m,2,y,0,0.26894
 def test_parse_softmax_fixture(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text(SOFTMAX_CSV)
-    d = parse_dataset_csv(path)
+    (d,) = parse_datasets_csv(path).values()
     assert d.n == 2
     assert d.menu.alternatives == ("x", "y")
     expected = Dataset(
@@ -56,14 +55,14 @@ def test_missing_column(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("menu_id,obs_id,alternative,value\nm,1,x,0\n")
     with pytest.raises(ValidationError, match=r"^missing column\(s\): prob$"):
-        parse_dataset_csv(path)
+        parse_datasets_csv(path)
 
 
 def test_unexpected_column(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("menu_id,obs_id,alternative,value,prob,extra\nm,1,x,0,0.5,9\n")
     with pytest.raises(ParseError):
-        parse_dataset_csv(path)
+        parse_datasets_csv(path)
 
 
 def test_repeated_column(tmp_path):
@@ -85,7 +84,7 @@ def test_negative_prob_reported_with_record(tmp_path):
         "m,1,y,0,-0.2\n"
     )
     with pytest.raises(ValidationError):
-        parse_dataset_csv(path)
+        parse_datasets_csv(path)
 
 
 def test_bad_float_carries_line_number(tmp_path):
@@ -96,11 +95,11 @@ def test_bad_float_carries_line_number(tmp_path):
         "m,1,y,zero,0.5\n"
     )
     with pytest.raises(ParseError) as err:
-        parse_dataset_csv(path)
+        parse_datasets_csv(path)
     assert err.value.line == 3
 
 
-def test_multi_menu_split_and_single_menu_guard(tmp_path):
+def test_multi_menu_split(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text(
         "menu_id,obs_id,alternative,value,prob\n"
@@ -112,8 +111,6 @@ def test_multi_menu_split_and_single_menu_guard(tmp_path):
     menus = parse_datasets_csv(path)
     assert sorted(menus) == ["A", "B"]
     assert menus["B"].menu.alternatives == ("u", "w")
-    with pytest.raises(ValidationError, match=r"^expected a single menu, file has \['A', 'B'\]$"):
-        parse_dataset_csv(path)
 
 
 def test_incomplete_observation(tmp_path):
@@ -125,7 +122,7 @@ def test_incomplete_observation(tmp_path):
         "m,2,x,1,1.0\n"
     )
     with pytest.raises(ValidationError):
-        parse_dataset_csv(path)
+        parse_datasets_csv(path)
 
 
 def test_duplicate_alternative_row(tmp_path):
@@ -136,7 +133,7 @@ def test_duplicate_alternative_row(tmp_path):
         "m,1,x,0,0.5\n"
     )
     with pytest.raises(ParseError):
-        parse_dataset_csv(path)
+        parse_datasets_csv(path)
 
 
 def test_round_trip_is_bit_exact(tmp_path):
@@ -145,7 +142,7 @@ def test_round_trip_is_bit_exact(tmp_path):
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
     write_dataset_csv(first, d)
-    parsed = parse_dataset_csv(first)
+    (parsed,) = parse_datasets_csv(first).values()
     assert parsed.menu.id == d.menu.id
     assert np.array_equal(parsed.values_matrix, d.values_matrix)
     assert np.array_equal(parsed.probs_matrix, d.probs_matrix)
@@ -250,14 +247,14 @@ def test_blank_lines_are_skipped(tmp_path):
         "\n"
         "m,1,y,0,0.5\n"
     )
-    assert parse_dataset_csv(path).n == 1
+    assert parse_datasets_csv(path)["m"].n == 1
 
 
 def test_empty_file(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("")
     with pytest.raises(ParseError):
-        parse_dataset_csv(path)
+        parse_datasets_csv(path)
 
 
 HEADER = "menu_id,obs_id,alternative,value,prob\n"
@@ -355,12 +352,27 @@ def test_blank_and_empty_field_rows_are_skipped(tmp_path):
         + "m,1,y,0,0.5\n"
         + ",,,,\n"
     )
-    d = parse_dataset_csv(path)
+    d = parse_datasets_csv(path)["m"]
     assert d == Dataset(Menu("m", ("x", "y")), [[0.0, 0.0]], [[0.5, 0.5]])
     path.write_text(HEADER + "m,1,x,0,0.5\n,,,,\n   \nm,1,y,0,oops\n")
     with pytest.raises(ParseError) as err:
-        parse_dataset_csv(path)
+        parse_datasets_csv(path)
     assert err.value.line == 5
+
+
+def test_empty_cell_records_stay_on_the_columnar_parse(tmp_path, monkeypatch):
+    # Spreadsheet exports write an empty row as ',,,,'.  The columnar read
+    # drops such records as it drops blank lines, so the file is never
+    # walked record by record.
+    def walked(*args):
+        raise AssertionError("the file was walked record by record")
+
+    monkeypatch.setattr(dataio, "_screen", walked)
+    records = ["A,1,x,0,0.5", "A,1,y,0,0.5", "B,1,u,1,0.3", "B,1,w,0,0.7"]
+    plain, padded = tmp_path / "plain.csv", tmp_path / "padded.csv"
+    plain.write_text(HEADER + "\n".join(records) + "\n")
+    padded.write_text(HEADER + "\n,,,,\n".join(records) + "\n,,,,\n,,,,\n")
+    assert _contents(parse_datasets_csv(padded)) == _contents(parse_datasets_csv(plain))
 
 
 @pytest.mark.parametrize(

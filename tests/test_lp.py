@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cyclorat.lp import FEAS_TOL, _pivot, _warm_tableau, batch_support_values, solve_equality_lp
+from cyclorat.lp import _pivot, batch_support_values, solve_equality_lp
 
 from oracles import enumerate_basic_values
 
@@ -67,6 +67,11 @@ def _random_transport_instance(rng, rows, cols):
     b = np.concatenate([q, [1.0]])
     c = rng.normal(size=cols)
     return c, A, b
+
+
+def _start(A, basis):
+    # A warm start as the conjugate batch hands it: the basis and B^+.
+    return tuple(basis), np.linalg.pinv(A[:, list(basis)])
 
 
 def test_simplex_matches_support_scan_on_random_instances():
@@ -164,7 +169,7 @@ def test_warm_start_matches_cold_solve():
         first = solve_equality_lp(c, A, b)
         b2 = np.append(rng.dirichlet(np.ones(cols)) @ A[:-1].T, 1.0)
         cold = solve_equality_lp(c, A, b2)
-        warm = solve_equality_lp(c, A, b2, start=first.basis)
+        warm = solve_equality_lp(c, A, b2, start=_start(A, first.basis))
         assert warm.status == cold.status == "optimal"
         assert_allclose(warm.value, cold.value, atol=1e-12)
         assert_allclose(A @ warm.x, b2, atol=1e-12)
@@ -178,32 +183,18 @@ def test_warm_start_outside_the_hull_is_infeasible():
     A = np.vstack([G.T, np.ones((1, 3))])
     c = np.array([0.0, -1.0, 0.5])
     first = solve_equality_lp(c, A, np.array([0.4, 0.6, 1.0]))
-    res = solve_equality_lp(c, A, np.array([0.9, 0.1, 1.0]), start=first.basis)
+    res = solve_equality_lp(c, A, np.array([0.9, 0.1, 1.0]), start=_start(A, first.basis))
     assert res.status == "infeasible"
     assert math.isinf(res.value)
 
 
-def test_start_that_is_not_a_basis_falls_back_to_two_phase():
-    # Two parallel columns cannot form the tableau; the two-phase solve
-    # still answers.
+def test_start_that_is_not_a_basis_stalls():
+    # Two parallel columns cannot form the tableau, so the warm solve stops
+    # without a pivot; the caller decides whether to solve cold, which
+    # answers.
     c = np.array([1.0, 2.0, 0.0])
     A = np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
     b = np.array([1.0, 1.0])
-    res = solve_equality_lp(c, A, b, start=(0, 1))
-    assert res.status == "optimal"
-    assert_allclose(res.value, 1.0, atol=1e-12)
-
-
-def test_warm_tableau_takes_the_callers_inverse():
-    # Handed pinv(A[:, B]), the start tableau is the one built from the
-    # pseudo-inverse it computes itself, byte for byte.
-    rng = np.random.default_rng(28)
-    for _ in range(20):
-        rows, cols = int(rng.integers(2, 5)), int(rng.integers(3, 9))
-        c, A, b = _random_transport_instance(rng, rows, cols)
-        basis = list(solve_equality_lp(c, A, b).basis)
-        b2 = np.append(rng.dirichlet(np.ones(cols)) @ A[:-1].T, 1.0)
-        bound = FEAS_TOL * (1.0 + np.abs(b2).max())
-        own = _warm_tableau(c, A, b2, basis, bound)
-        handed = _warm_tableau(c, A, b2, basis, bound, np.linalg.pinv(A[:, basis]))
-        assert own is not None and own.tobytes() == handed.tobytes()
+    res = solve_equality_lp(c, A, b, start=_start(A, (0, 1)))
+    assert (res.status, res.pivots) == ("stalled", 0) and math.isnan(res.value)
+    assert_allclose(solve_equality_lp(c, A, b).value, 1.0, atol=1e-12)
